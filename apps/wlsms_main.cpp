@@ -38,6 +38,7 @@
 #include <csignal>
 #include <cstdio>
 #include <exception>
+#include <functional>
 #include <memory>
 
 #include "cli.hpp"
@@ -94,7 +95,8 @@ int usage() {
       "           (--speculate screens the --wl-steps run's proposals with\n"
       "           the online Heisenberg surrogate; exact mode is default)\n"
       "  worker   --connect HOST:PORT [--cells C]   (one TCP worker rank;\n"
-      "           --cells must match the controller's)\n"
+      "           --cells must match the controller's, so the zone indices\n"
+      "           it is sent name the same LIZs)\n"
       "  serve    [--cells C] [--listen HOST:PORT] [--max-pending N]\n"
       "           [--max-outstanding N] [--max-batch N] [--batch-window MS]\n"
       "           [--checkpoint-dir DIR] [--batch-threads N]\n"
@@ -118,36 +120,52 @@ int usage() {
   return 2;
 }
 
+/// The shared observability flags, read without acting on them, so a
+/// command line with an unknown flag is refused before any file is opened.
+struct ObsFlags {
+  std::string log_level;
+  std::string trace_path;
+  std::string metrics_path;
+  long snapshot_interval_ms = 1000;
+
+  static ObsFlags parse(const cli::Options& options) {
+    ObsFlags flags;
+    flags.log_level = options.get_string("log-level", "");
+    flags.trace_path = options.get_string("trace-out", "");
+    flags.metrics_path = options.get_string("metrics-out", "");
+    flags.snapshot_interval_ms =
+        std::max<long>(1, options.get_long("snapshot-interval", 1000));
+    return flags;
+  }
+};
+
 /// RAII wiring of the shared observability flags: constructed in main()
-/// before the command dispatch, torn down after it — the teardown order
+/// before the command runs, torn down after it — the teardown order
 /// guarantees the final snapshot record and the trace file are written even
 /// when the command exits early.
 class ObsScope {
  public:
   /// Returns nullptr (after printing a diagnostic) on a malformed
   /// --log-level; otherwise the configured scope.
-  static std::unique_ptr<ObsScope> from_options(const cli::Options& options) {
-    const std::string level_str = options.get_string("log-level", "");
-    if (!level_str.empty()) {
+  static std::unique_ptr<ObsScope> start(const ObsFlags& flags) {
+    if (!flags.log_level.empty()) {
       LogLevel level = LogLevel::kInfo;
-      if (!parse_log_level(level_str, level)) {
+      if (!parse_log_level(flags.log_level, level)) {
         std::fprintf(stderr,
                      "error: --log-level '%s' is not one of "
                      "debug|info|warn|error|off\n",
-                     level_str.c_str());
+                     flags.log_level.c_str());
         return nullptr;
       }
       set_log_level(level);
     }
     auto scope = std::unique_ptr<ObsScope>(new ObsScope);
-    scope->trace_path_ = options.get_string("trace-out", "");
+    scope->trace_path_ = flags.trace_path;
     if (!scope->trace_path_.empty()) obs::enable_tracing();
-    const std::string metrics_path = options.get_string("metrics-out", "");
-    if (!metrics_path.empty()) {
+    if (!flags.metrics_path.empty()) {
       obs::SnapshotConfig config;
-      config.path = metrics_path;
-      config.interval = std::chrono::milliseconds(
-          std::max<long>(1, options.get_long("snapshot-interval", 1000)));
+      config.path = flags.metrics_path;
+      config.interval = std::chrono::milliseconds(flags.snapshot_interval_ms);
       scope->snapshots_ = std::make_unique<obs::SnapshotWriter>(config);
     }
     return scope;
@@ -595,7 +613,8 @@ int cmd_status(const cli::StatusOptions& opt) {
 
 int cmd_worker(const cli::WorkerOptions& opt) {
   // The worker builds its own solver (there is no shared address space over
-  // TCP); --cells must match the controller so shard atom ranges agree.
+  // TCP); --cells must match the controller so the zone indices it is sent
+  // name the same LIZs.
   const auto solver = std::make_shared<const lsms::LsmsSolver>(
       lattice::make_fe_supercell(opt.cells), lsms::fe_lsms_parameters_fast());
   std::printf("worker: %zu atoms (%zu^3 cells), connecting to %s\n",
@@ -612,6 +631,45 @@ int cmd_worker(const cli::WorkerOptions& opt) {
   return 0;
 }
 
+/// The subcommand bound to its fully parsed and validated options, ready to
+/// run; empty for an unknown command.
+std::function<int()> parse_command(const cli::Options& options) {
+  const std::string& name = options.command();
+  if (name == "curie")
+    return [opt = cli::CurieOptions::parse(options)] { return cmd_curie(opt); };
+  if (name == "thermo")
+    return [opt = cli::ThermoOptions::parse(options)] {
+      return cmd_thermo(opt);
+    };
+  if (name == "extract")
+    return [opt = cli::ExtractOptions::parse(options)] {
+      return cmd_extract(opt);
+    };
+  if (name == "scaling")
+    return [opt = cli::ScalingOptions::parse(options)] {
+      return cmd_scaling(opt);
+    };
+  if (name == "distributed")
+    return [opt = cli::DistributedOptions::parse(options)] {
+      return cmd_distributed(opt);
+    };
+  if (name == "worker")
+    return [opt = cli::WorkerOptions::parse(options)] {
+      return cmd_worker(opt);
+    };
+  if (name == "serve")
+    return [opt = cli::ServeOptions::parse(options)] { return cmd_serve(opt); };
+  if (name == "client")
+    return [opt = cli::ClientOptions::parse(options)] {
+      return cmd_client(opt);
+    };
+  if (name == "status")
+    return [opt = cli::StatusOptions::parse(options)] {
+      return cmd_status(opt);
+    };
+  return {};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -619,43 +677,29 @@ int main(int argc, char** argv) {
     const cli::Options options = cli::Options::parse(argc, argv);
     if (options.empty_command()) return usage();
 
-    // Label this process's trace file by subcommand, so a merged timeline
-    // reads "distributed / worker / serve" instead of three "wlsms" rows.
-    obs::set_trace_process_name(options.command());
-    const std::unique_ptr<ObsScope> obs_scope = ObsScope::from_options(options);
-    if (!obs_scope) return 2;
-
-    // Parse the whole stringly map into one validated struct per subcommand
-    // before any work starts; the command bodies never touch raw options.
-    int status = 2;
-    if (options.command() == "curie")
-      status = cmd_curie(cli::CurieOptions::parse(options));
-    else if (options.command() == "thermo")
-      status = cmd_thermo(cli::ThermoOptions::parse(options));
-    else if (options.command() == "extract")
-      status = cmd_extract(cli::ExtractOptions::parse(options));
-    else if (options.command() == "scaling")
-      status = cmd_scaling(cli::ScalingOptions::parse(options));
-    else if (options.command() == "distributed")
-      status = cmd_distributed(cli::DistributedOptions::parse(options));
-    else if (options.command() == "worker")
-      status = cmd_worker(cli::WorkerOptions::parse(options));
-    else if (options.command() == "serve")
-      status = cmd_serve(cli::ServeOptions::parse(options));
-    else if (options.command() == "client")
-      status = cmd_client(cli::ClientOptions::parse(options));
-    else if (options.command() == "status")
-      status = cmd_status(cli::StatusOptions::parse(options));
-    else {
+    // Parse the whole stringly map into one validated struct per subcommand,
+    // then refuse any flag nothing asked for — all before any work starts
+    // (a typo such as --batch-thread must not run a job on defaults). The
+    // command bodies never touch raw options.
+    const ObsFlags obs_flags = ObsFlags::parse(options);
+    const std::function<int()> command = parse_command(options);
+    if (!command) {
       std::fprintf(stderr, "unknown command '%s'\n\n",
                    options.command().c_str());
       return usage();
     }
+    const std::vector<std::string> unknown = options.unused_keys();
+    for (const std::string& key : unknown)
+      std::fprintf(stderr, "error: unrecognized option --%s for '%s'\n",
+                   key.c_str(), options.command().c_str());
+    if (!unknown.empty()) return 2;
 
-    for (const std::string& key : options.unused_keys())
-      std::fprintf(stderr, "warning: unrecognized option --%s ignored\n",
-                   key.c_str());
-    return status;
+    // Label this process's trace file by subcommand, so a merged timeline
+    // reads "distributed / worker / serve" instead of three "wlsms" rows.
+    obs::set_trace_process_name(options.command());
+    const std::unique_ptr<ObsScope> obs_scope = ObsScope::start(obs_flags);
+    if (!obs_scope) return 2;
+    return command();
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;

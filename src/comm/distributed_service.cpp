@@ -1,7 +1,9 @@
 #include "comm/distributed_service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <numeric>
 #include <utility>
 
 #include "comm/wire.hpp"
@@ -15,6 +17,7 @@ namespace wlsms::comm {
 namespace {
 
 constexpr std::size_t kNoGroup = ~std::size_t{0};
+constexpr std::size_t kNoBasis = ~std::size_t{0};
 
 struct CommMetrics {
   obs::Counter& frames_sent;
@@ -23,6 +26,7 @@ struct CommMetrics {
   obs::Counter& bytes_received;
   obs::Counter& full_scatters;
   obs::Counter& delta_scatters;
+  obs::Counter& zones_solved;
   obs::Counter& heartbeat_misses;
   obs::Counter& reroutes;
   obs::Counter& rank_deaths;
@@ -38,6 +42,7 @@ CommMetrics& comm_metrics() {
       obs::Registry::instance().counter("comm.bytes_received"),
       obs::Registry::instance().counter("comm.full_scatters"),
       obs::Registry::instance().counter("comm.delta_scatters"),
+      obs::Registry::instance().counter("comm.zones_solved"),
       obs::Registry::instance().counter("comm.heartbeat_misses"),
       obs::Registry::instance().counter("comm.reroutes"),
       obs::Registry::instance().counter("comm.rank_deaths"),
@@ -54,6 +59,15 @@ CommMetrics& comm_metrics() {
 /// the bit level because the worker reconstructs the configuration from it.
 bool same_bits(const Vec3& a, const Vec3& b) {
   return std::memcmp(&a, &b, sizeof(Vec3)) == 0;
+}
+
+/// Sites whose direction differs bitwise between two configurations.
+std::vector<std::size_t> changed_sites(const std::vector<Vec3>& a,
+                                       const std::vector<Vec3>& b) {
+  std::vector<std::size_t> changed;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!same_bits(a[i], b[i])) changed.push_back(i);
+  return changed;
 }
 
 }  // namespace
@@ -87,15 +101,15 @@ void run_shard_worker(WorkerChannel& channel,
     ShardResult result;
     result.ticket = request.ticket;
     result.attempt = request.attempt;
-    result.first_atom = request.first_atom;
+    result.zones = request.zones;
     {
       // Adopted from the originating driver span (possibly in another
       // process), so the merged trace nests this rank's solve under it.
       const obs::Span span("comm.shard_solve", request.trace);
       result.energies = solver->shard_energies(
           spin::MomentConfiguration::from_raw_directions(directions),
-          static_cast<std::size_t>(request.first_atom),
-          static_cast<std::size_t>(request.n_shard_atoms));
+          std::vector<std::size_t>(request.zones.begin(),
+                                   request.zones.end()));
     }
     channel.send({kTagShardResult, encode_shard_result(result)});
   }
@@ -182,6 +196,11 @@ wl::EnergyResult DistributedEnergyService::retrieve() {
 }
 
 void DistributedEnergyService::evict_session(std::uint64_t session) {
+  // A request of this session already scattered finds its entry gone at
+  // completion and leaves nothing behind (see on_shard_result).
+  for (auto it = bases_.lower_bound({session, 0});
+       it != bases_.end() && it->first.first == session;)
+    it = bases_.erase(it);
   const Message message{kTagShardEvict, encode_shard_evict({session})};
   for (std::size_t rank = 0; rank < sent_.size(); ++rank) {
     auto& cache = sent_[rank];
@@ -231,6 +250,42 @@ bool DistributedEnergyService::dispatch(std::size_t g,
   const std::size_t n_atoms = request.config.size();
   const std::vector<Vec3>& directions = request.config.directions();
 
+  // Basis: the walker's cached evaluation with fewer changed sites. The
+  // entry is created here, so a completion can tell whether evict_session
+  // dropped it in flight.
+  const std::array<Basis, 2>& slots =
+      bases_[{request.session, request.walker}];
+  std::size_t basis = kNoBasis;
+  std::vector<std::size_t> changed;
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    if (slots[s].directions.size() != n_atoms) continue;
+    std::vector<std::size_t> diff =
+        changed_sites(slots[s].directions, directions);
+    if (basis == kNoBasis || diff.size() < changed.size()) {
+      basis = s;
+      changed = std::move(diff);
+    }
+  }
+
+  // Zones to solve, ascending: every zone without a basis, else the union
+  // of the zones whose LIZ contains a changed site.
+  std::vector<std::size_t> zones;
+  if (basis == kNoBasis) {
+    zones.resize(n_atoms);
+    std::iota(zones.begin(), zones.end(), std::size_t{0});
+  } else {
+    std::vector<std::uint8_t> touched(n_atoms, 0);
+    for (std::size_t site : changed)
+      for (std::size_t zone : solver_->affected_sites(site)) touched[zone] = 1;
+    for (std::size_t zone = 0; zone < n_atoms; ++zone)
+      if (touched[zone]) zones.push_back(zone);
+  }
+  if (zones.empty()) {
+    // An identical resubmission: its energy is the basis's.
+    complete(request, slots[basis].per_atom);
+    return true;
+  }
+
   // A send failure mid-scatter means a rank died between the alive() check
   // and the write: restart the whole scatter over the survivors with a
   // fresh attempt number, so partial shards of the aborted scatter are
@@ -243,22 +298,30 @@ bool DistributedEnergyService::dispatch(std::size_t g,
       group.busy = false;
       return false;
     }
-    const std::size_t n_shards = std::min(alive.size(), n_atoms);
+    const std::size_t n_shards = std::min(alive.size(), zones.size());
     group.busy = true;
     group.request = request;
     group.attempt = next_attempt_++;
+    group.basis = basis;
     group.assigned.clear();
-    group.per_atom.assign(n_atoms, 0.0);
-    group.have_atom.assign(n_atoms, 0);
-    group.missing = n_atoms;
+    if (basis == kNoBasis)
+      group.per_atom.assign(n_atoms, 0.0);
+    else
+      group.per_atom = slots[basis].per_atom;
+    group.pending.assign(n_atoms, 0);
+    for (std::size_t zone : zones) group.pending[zone] = 1;
+    group.missing = zones.size();
 
+    // Even split of the zone list, remainder spread from the front: every
+    // zone costs the same, so the slowest rank gets ceil(zones / ranks).
     bool scatter_ok = true;
-    const std::size_t base = n_atoms / n_shards;
-    const std::size_t rem = n_atoms % n_shards;
-    std::size_t first = 0;
+    const std::size_t base = zones.size() / n_shards;
+    const std::size_t rem = zones.size() % n_shards;
+    auto first = zones.begin();
     for (std::size_t s = 0; s < n_shards; ++s) {
       const std::size_t rank = alive[s];
-      const std::size_t count = base + (s < rem ? 1 : 0);
+      const auto last = first + static_cast<std::ptrdiff_t>(
+                                    base + (s < rem ? 1 : 0));
 
       ShardRequest shard;
       shard.ticket = request.ticket;
@@ -266,8 +329,7 @@ bool DistributedEnergyService::dispatch(std::size_t g,
       shard.session = request.session;
       shard.trace = request.trace;
       shard.walker = request.walker;
-      shard.first_atom = first;
-      shard.n_shard_atoms = count;
+      shard.zones.assign(first, last);
       shard.n_total_atoms = n_atoms;
 
       // Delta against what this rank last saw for this walker, when the
@@ -305,11 +367,25 @@ bool DistributedEnergyService::dispatch(std::size_t g,
       else
         metrics.full_scatters.inc();
       sent_[rank][{request.session, request.walker}] = directions;
-      group.assigned.push_back({rank, first, count});
-      first += count;
+      group.assigned.push_back({rank, std::vector<std::size_t>(first, last)});
+      first = last;
     }
     if (scatter_ok) return true;
   }
+}
+
+void DistributedEnergyService::complete(const wl::EnergyRequest& request,
+                                        const std::vector<double>& per_atom) {
+  // Sum in atom order, exactly like LsmsSolver::energies sums per_atom —
+  // this sequential reduction is what keeps the distributed total
+  // bit-identical to the serial one.
+  wl::EnergyResult done;
+  done.walker = request.walker;
+  done.ticket = request.ticket;
+  done.energy = 0.0;
+  for (double e : per_atom) done.energy += e;
+  done.failed = false;
+  done_.push_back(done);
 }
 
 void DistributedEnergyService::on_shard_result(
@@ -339,36 +415,43 @@ void DistributedEnergyService::on_shard_result(
               " attempt ", result.attempt, "; discarded");
     return;  // stale gather from an aborted scatter
   }
-  const std::size_t n_atoms = group.per_atom.size();
-  if (result.first_atom + result.energies.size() > n_atoms) {
+  // A rank gathers exactly its current assignment. Anything else — an index
+  // past the configuration, another rank's zone, a partial list that would
+  // leave the group waiting forever, a gather from a rank given no zones —
+  // is a broken or hostile worker.
+  const auto assignment =
+      std::find_if(group.assigned.begin(), group.assigned.end(),
+                   [rank](const Assignment& a) { return a.rank == rank; });
+  if (assignment == group.assigned.end() ||
+      !std::equal(assignment->zones.begin(), assignment->zones.end(),
+                  result.zones.begin(), result.zones.end())) {
     log_warn("comm: rank ", rank, " (group ", rank_group_[rank],
-             ") returned an out-of-range shard [", result.first_atom, ", ",
-             result.first_atom + result.energies.size(), ") of ", n_atoms,
-             " atoms; killing it");
+             ") gathered zones other than its assignment for ticket ",
+             result.ticket, "; killing it");
     comm_->kill(rank);
     on_rank_death(rank);
     return;
   }
 
-  for (std::size_t k = 0; k < result.energies.size(); ++k) {
-    const std::size_t atom = static_cast<std::size_t>(result.first_atom) + k;
-    if (group.have_atom[atom]) continue;
-    group.have_atom[atom] = 1;
-    group.per_atom[atom] = result.energies[k];
+  for (std::size_t k = 0; k < result.zones.size(); ++k) {
+    const auto zone = static_cast<std::size_t>(result.zones[k]);
+    if (!group.pending[zone]) continue;
+    group.pending[zone] = 0;
+    group.per_atom[zone] = result.energies[k];
     --group.missing;
+    metrics.zones_solved.inc();
   }
   if (group.missing > 0) return;
 
-  // Full gather: sum in atom order, exactly like LsmsSolver::energies sums
-  // per_atom — this sequential reduction is what keeps the distributed
-  // total bit-identical to the serial one.
-  wl::EnergyResult done;
-  done.walker = group.request.walker;
-  done.ticket = group.request.ticket;
-  done.energy = 0.0;
-  for (double e : group.per_atom) done.energy += e;
-  done.failed = false;
-  done_.push_back(done);
+  complete(group.request, group.per_atom);
+  // Two-basis rule: keep the slot this evaluation diffed against and
+  // overwrite the other. A missing entry means evict_session ran since the
+  // scatter.
+  const auto slots =
+      bases_.find({group.request.session, group.request.walker});
+  if (slots != bases_.end())
+    slots->second[group.basis == 0 ? 1 : 0] = {
+        group.request.config.directions(), std::move(group.per_atom)};
   group.busy = false;
   pump_waiting();
 }
@@ -378,20 +461,14 @@ void DistributedEnergyService::check_health() {
     Group& group = groups_[g];
     if (!group.busy) continue;
     for (const Assignment& assignment : group.assigned) {
-      bool shard_done = true;
-      for (std::size_t a = assignment.first;
-           a < assignment.first + assignment.count; ++a)
-        if (!group.have_atom[a]) {
-          shard_done = false;
-          break;
-        }
-      if (shard_done) continue;
+      if (std::none_of(assignment.zones.begin(), assignment.zones.end(),
+                       [&](std::size_t zone) { return group.pending[zone]; }))
+        continue;
 
       if (!comm_->alive(assignment.rank)) {
         log_warn("comm: rank ", assignment.rank, " (group ", g,
-                 ") died with atoms [", assignment.first, ", ",
-                 assignment.first + assignment.count,
-                 ") assigned; rerouting");
+                 ") died with ", assignment.zones.size(),
+                 " zones assigned; rerouting");
         on_rank_death(assignment.rank);
         break;  // group state was rebuilt; assignments are gone
       }
@@ -404,10 +481,9 @@ void DistributedEnergyService::check_health() {
         comm_metrics().heartbeat_misses.inc();
         log_warn("comm: rank ", assignment.rank, " (group ", g,
                  ") unheard for ", silent_ms, " ms (timeout ",
-                 config_.heartbeat_timeout.count(), " ms) with atoms [",
-                 assignment.first, ", ",
-                 assignment.first + assignment.count,
-                 ") assigned; killing and rerouting");
+                 config_.heartbeat_timeout.count(), " ms) with ",
+                 assignment.zones.size(), " zones assigned; killing and "
+                 "rerouting");
         comm_->kill(assignment.rank);
         on_rank_death(assignment.rank);
         break;

@@ -7,21 +7,31 @@
 /// communicator transport — threads for the sanitizer suites, fork()ed
 /// processes for genuine multi-process evaluation.
 ///
-/// One submitted configuration occupies one group: the controller scatters
-/// contiguous atom shards (full configurations the first time a rank sees
-/// a walker, moved-site deltas afterwards — the t-matrix-update scatter),
-/// the ranks run the per-atom LIZ solves serially, and the controller
-/// gathers the per-atom energies and sums them in atom order, making the
-/// distributed total bit-identical to LsmsSolver::energies.
+/// One submitted configuration occupies one group. Evaluation is
+/// move-local (the paper's LSMS locality, §II-B): the controller keeps each
+/// (session, walker)'s last two completed evaluations, diffs a request
+/// bytewise against both, and takes the closer one as its basis. Only the
+/// zones whose LIZ contains a changed site — the union of
+/// LsmsSolver::affected_sites — are re-solved; a walker with no basis gets
+/// every zone. Those zones are split evenly over the group's alive ranks as
+/// explicit zone lists (configurations travel whole the first time a rank
+/// sees a walker, as moved-site deltas afterwards — the t-matrix-update
+/// scatter), the ranks run the LIZ solves serially, and the controller
+/// fills every other zone from the basis and sums in atom order, making the
+/// distributed total bit-identical to LsmsSolver::energies: an unaffected
+/// zone's inputs are bitwise those of the basis evaluation. A request equal
+/// to its basis completes without a scatter.
 ///
 /// Resilience (paper §V): rank death — socket EOF, a killed thread, or a
 /// heartbeat older than `heartbeat_timeout` while work is assigned — is
 /// detected inside retrieve(), the victim's group re-scatters the affected
 /// request over its surviving ranks (or the request migrates to another
 /// group), and outstanding() never miscounts. Stale gathers from the
-/// aborted scatter are discarded by attempt number. Only when every rank
-/// of every group is gone does retrieve() throw.
+/// aborted scatter are discarded by attempt number; a rank whose gather is
+/// anything but its current zone list is killed and rerouted the same way.
+/// Only when every rank of every group is gone does retrieve() throw.
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -58,7 +68,7 @@ struct DistributedConfig {
 /// The worker-rank protocol loop of DistributedEnergyService: caches the
 /// last configuration per (session, walker) (the basis delta scatters apply
 /// to, dropped again on a ShardEvict when that session ends), runs the
-/// serial per-atom shard solves of `solver`, and replies with gathers.
+/// serial zone-list solves of `solver`, and replies with gathers.
 /// Returns when the channel reports shutdown/EOF; throws on a malformed
 /// request (a throwing worker is a dying worker — the controller reroutes).
 /// Exposed so external TCP workers (`wlsms worker`) run the identical loop
@@ -81,11 +91,12 @@ class DistributedEnergyService final : public wl::EnergyService {
   wl::EnergyResult retrieve() override;
   std::size_t outstanding() const override { return outstanding_; }
 
-  /// Drops every (session, walker) delta-cache entry of `session`, on the
-  /// controller and on every alive worker rank. Multiplexers serving many
-  /// short-lived tenant sessions over one service call this when a session
-  /// ends, so the caches cannot grow without bound under session churn; a
-  /// reused (session, walker) key simply scatters full again.
+  /// Drops every (session, walker) delta-cache entry and cached evaluation
+  /// of `session`, on the controller and on every alive worker rank.
+  /// Multiplexers serving many short-lived tenant sessions over one service
+  /// call this when a session ends, so the caches cannot grow without bound
+  /// under session churn; a reused (session, walker) key simply scatters
+  /// full again and solves every zone.
   void evict_session(std::uint64_t session);
 
   /// Controller-side delta-cache entries summed over ranks (for tests and
@@ -105,24 +116,37 @@ class DistributedEnergyService final : public wl::EnergyService {
   /// One rank's slice of the current scatter.
   struct Assignment {
     std::size_t rank = 0;
-    std::size_t first = 0;  ///< the rank solves atoms [first, first+count)
-    std::size_t count = 0;
+    std::vector<std::size_t> zones;  ///< ascending; the zones the rank solves
   };
 
   struct Group {
     std::vector<std::size_t> ranks;  ///< global rank ids of this group
     bool busy = false;
-    wl::EnergyRequest request;            ///< in-flight request
-    std::uint32_t attempt = 0;            ///< current scatter generation
-    std::vector<Assignment> assigned;     ///< shards of the current scatter
-    std::vector<double> per_atom;         ///< gathered e_i
-    std::vector<std::uint8_t> have_atom;  ///< gather bitmap
-    std::size_t missing = 0;              ///< atoms not yet gathered
+    wl::EnergyRequest request;          ///< in-flight request
+    std::uint32_t attempt = 0;          ///< current scatter generation
+    std::size_t basis = 0;              ///< basis slot diffed against, or none
+    std::vector<Assignment> assigned;   ///< shards of the current scatter
+    /// The basis's e_i, copied at dispatch (a later completion of the same
+    /// walker may overwrite the slot), with gathered zones written over it.
+    std::vector<double> per_atom;
+    std::vector<std::uint8_t> pending;  ///< zone scattered, not yet gathered
+    std::size_t missing = 0;            ///< zones not yet gathered
   };
 
-  /// Scatters `request` over group `g`'s alive ranks. Returns false (group
-  /// untouched further) if the group has no alive ranks left.
+  /// One completed evaluation of a walker: what a later request's
+  /// move-local scatter diffs against and fills unaffected zones from.
+  struct Basis {
+    std::vector<Vec3> directions;  ///< empty: slot unused
+    std::vector<double> per_atom;
+  };
+
+  /// Scatters the zones `request` must solve over group `g`'s alive ranks,
+  /// or completes it on the spot when it equals its basis. Returns false
+  /// (group untouched further) if the group has no alive ranks left.
   bool dispatch(std::size_t g, const wl::EnergyRequest& request);
+  /// Queues the result of `request` with the total summed in atom order.
+  void complete(const wl::EnergyRequest& request,
+                const std::vector<double>& per_atom);
   /// Finds an idle group with alive ranks; npos if none.
   std::size_t idle_group() const;
   /// Dispatches waiting requests onto idle groups.
@@ -149,6 +173,13 @@ class DistributedEnergyService final : public wl::EnergyService {
   /// Per-rank, per-(session, walker) directions last successfully sent:
   /// the basis the moved-site delta scatter is encoded against.
   std::vector<std::map<ConfigKey, std::vector<Vec3>>> sent_;
+
+  /// Per-(session, walker) last two completed evaluations. A completion
+  /// keeps the slot its request diffed against and overwrites the other,
+  /// so the walker's current configuration stays cached through any
+  /// accept/reject sequence (after a rejection the walker is back at the
+  /// configuration before the last one).
+  std::map<ConfigKey, std::array<Basis, 2>> bases_;
 
   /// Per-rank flag: this rank's death was already counted in the
   /// comm.rank_deaths metric (on_rank_death can fire more than once for

@@ -1,5 +1,7 @@
 #include "comm/wire.hpp"
 
+#include <string>
+
 #include "spin/serialize.hpp"
 
 namespace wlsms::comm {
@@ -8,6 +10,33 @@ using serial::Decoder;
 using serial::Encoder;
 using serial::PayloadKind;
 using serial::SerializationError;
+
+namespace {
+
+void put_zones(Encoder& e, const std::vector<std::uint64_t>& zones) {
+  e.put_u64(zones.size());
+  for (std::uint64_t zone : zones) e.put_u64(zone);
+}
+
+/// Reads a zone list and rejects an empty one or one that is not strictly
+/// ascending, so every consumer can index by it without re-checking order
+/// or repeats.
+std::vector<std::uint64_t> get_zones(Decoder& d, const char* what) {
+  const std::uint64_t count = d.get_u64();
+  d.expect_sequence(count, sizeof(std::uint64_t));
+  if (count == 0)
+    throw SerializationError(std::string("empty ") + what + " zone list");
+  std::vector<std::uint64_t> zones(static_cast<std::size_t>(count));
+  for (std::size_t k = 0; k < zones.size(); ++k) {
+    zones[k] = d.get_u64();
+    if (k > 0 && zones[k] <= zones[k - 1])
+      throw SerializationError(std::string(what) +
+                               " zone list unsorted or repeated");
+  }
+  return zones;
+}
+
+}  // namespace
 
 std::vector<std::byte> encode_shard_request(const ShardRequest& request) {
   Encoder e;
@@ -18,8 +47,7 @@ std::vector<std::byte> encode_shard_request(const ShardRequest& request) {
   e.put_u64(request.trace.trace_id);
   e.put_u64(request.trace.span_id);
   e.put_u64(request.walker);
-  e.put_u64(request.first_atom);
-  e.put_u64(request.n_shard_atoms);
+  put_zones(e, request.zones);
   e.put_u8(static_cast<std::uint8_t>(request.kind));
   if (request.kind == ShardRequest::ConfigKind::kFull) {
     spin::encode_moments(e, request.full);
@@ -46,8 +74,7 @@ ShardRequest decode_shard_request(const std::vector<std::byte>& buffer) {
   request.trace.trace_id = d.get_u64();
   request.trace.span_id = d.get_u64();
   request.walker = d.get_u64();
-  request.first_atom = d.get_u64();
-  request.n_shard_atoms = d.get_u64();
+  request.zones = get_zones(d, "shard-request");
   const std::uint8_t kind = d.get_u8();
   if (kind > 1) throw SerializationError("corrupt shard-request config kind");
   request.kind = static_cast<ShardRequest::ConfigKind>(kind);
@@ -70,9 +97,9 @@ ShardRequest decode_shard_request(const std::vector<std::byte>& buffer) {
         throw SerializationError("corrupt shard-request direction");
     }
   }
-  if (request.n_shard_atoms == 0 ||
-      request.first_atom + request.n_shard_atoms > request.n_total_atoms)
-    throw SerializationError("corrupt shard-request atom range");
+  // The list is strictly ascending, so its last entry is its largest.
+  if (request.zones.back() >= request.n_total_atoms)
+    throw SerializationError("shard-request zone index out of range");
   d.expect_end();
   return request;
 }
@@ -82,7 +109,7 @@ std::vector<std::byte> encode_shard_result(const ShardResult& result) {
   serial::write_header(e, PayloadKind::kShardResult);
   e.put_u64(result.ticket);
   e.put_u32(result.attempt);
-  e.put_u64(result.first_atom);
+  put_zones(e, result.zones);
   e.put_u64(result.energies.size());
   for (double v : result.energies) e.put_double(v);
   return e.take();
@@ -94,9 +121,11 @@ ShardResult decode_shard_result(const std::vector<std::byte>& buffer) {
   ShardResult result;
   result.ticket = d.get_u64();
   result.attempt = d.get_u32();
-  result.first_atom = d.get_u64();
+  result.zones = get_zones(d, "shard-result");
   const std::uint64_t count = d.get_u64();
-  if (count == 0) throw SerializationError("empty shard-result");
+  if (count != result.zones.size())
+    throw SerializationError("shard-result energy count differs from its "
+                             "zone list");
   d.expect_sequence(count, sizeof(double));
   result.energies.resize(static_cast<std::size_t>(count));
   for (double& v : result.energies) v = d.get_double();

@@ -10,14 +10,21 @@
 ///
 /// The group protocol mirrors the paper's Fig. 3 communication pattern:
 ///  - ShardRequest scatters one configuration over a group's ranks, each
-///    rank owning a contiguous atom range of the per-atom LIZ solves. The
-///    configuration travels either whole (kFull) or as the moved-site
-///    delta against the configuration the SAME rank saw last for that
-///    walker (kDelta) — the t-matrix-update scatter of §II-C, since a
-///    one-moment move invalidates exactly one site's t-matrix.
-///  - ShardResult gathers the shard's per-atom energies e_i back; the
-///    controller reassembles and sums them in atom order, which is what
-///    makes the distributed total bit-identical to the serial solver.
+///    rank owning an explicit list of the zones (LIZ centre atoms) to
+///    solve — every zone for a walker's first evaluation, afterwards only
+///    the zones whose LIZ contains a moved site. The configuration travels
+///    either whole (kFull) or as the moved-site delta against the
+///    configuration the SAME rank saw last for that walker (kDelta) — the
+///    t-matrix-update scatter of §II-C, since a one-moment move
+///    invalidates exactly one site's t-matrix.
+///  - ShardResult gathers the listed zones' energies e_i back; the
+///    controller fills every other zone from its cached evaluation and
+///    sums in atom order, which is what makes the distributed total
+///    bit-identical to the serial solver.
+///
+/// Zone lists are non-empty and strictly ascending (sorted, no repeats);
+/// the decoders reject anything else, and a request's zones must also lie
+/// below its atom count.
 ///
 /// `attempt` versions a scatter: after a worker death the controller
 /// re-scatters the same ticket with attempt+1, and stale results from the
@@ -59,8 +66,7 @@ struct ShardRequest {
   /// driver span that caused it. Zero/zero when tracing is off.
   obs::TraceContext trace = {};
   std::uint64_t walker = 0;   ///< with session, keys the worker's config cache
-  std::uint64_t first_atom = 0;
-  std::uint64_t n_shard_atoms = 0;  ///< this rank solves [first, first+n)
+  std::vector<std::uint64_t> zones;  ///< the zones this rank solves
 
   enum class ConfigKind : std::uint8_t { kFull = 0, kDelta = 1 };
   ConfigKind kind = ConfigKind::kFull;
@@ -80,12 +86,12 @@ struct ShardEvict {
   std::uint64_t session = 0;
 };
 
-/// Gather of one shard's per-atom energies.
+/// Gather of one shard's zone energies.
 struct ShardResult {
   std::uint64_t ticket = 0;
   std::uint32_t attempt = 0;
-  std::uint64_t first_atom = 0;
-  std::vector<double> energies;  ///< e_i for i in [first, first+size)
+  std::vector<std::uint64_t> zones;  ///< the zones solved
+  std::vector<double> energies;      ///< e_i for each entry of `zones`
 };
 
 std::vector<std::byte> encode_shard_request(const ShardRequest&);

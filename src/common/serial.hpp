@@ -47,8 +47,9 @@ inline constexpr std::uint32_t kMagic = 0x4D534C57u;
 /// parent span on energy/shard/submit requests), the four-timestamp clock
 /// probe fields on the TCP and serve handshakes, the per-request stage
 /// breakdown on serve results, and the status introspection payloads
-/// (16-17).
-inline constexpr std::uint32_t kSchemaVersion = 4;
+/// (16-17); version 5 replaces the contiguous atom range of shard requests
+/// and results with explicit zone lists (move-local scatter).
+inline constexpr std::uint32_t kSchemaVersion = 5;
 
 /// What a framed buffer carries. The kind is part of the header so a
 /// message routed to the wrong decoder fails loudly instead of

@@ -158,17 +158,16 @@ double LsmsSolver::energy(const spin::MomentConfiguration& moments) const {
 }
 
 std::vector<double> LsmsSolver::shard_energies(
-    const spin::MomentConfiguration& moments, std::size_t first,
-    std::size_t count) const {
+    const spin::MomentConfiguration& moments,
+    const std::vector<std::size_t>& zones) const {
   const obs::Span span("lsms.shard_solve");
   WLSMS_EXPECTS(moments.size() == n_atoms());
-  WLSMS_EXPECTS(count >= 1);
-  WLSMS_EXPECTS(first + count <= n_atoms());
+  for (std::size_t zone : zones) WLSMS_EXPECTS(zone < n_atoms());
   std::vector<spin::Spin2x2> table;
   refresh_t_table(moments, table);
-  std::vector<double> out(count);
-  for (std::size_t k = 0; k < count; ++k)
-    out[k] = zone_energy(lizs_[first + k], table);
+  std::vector<double> out;
+  out.reserve(zones.size());
+  for (std::size_t zone : zones) out.push_back(zone_energy(lizs_[zone], table));
   return out;
 }
 

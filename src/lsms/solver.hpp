@@ -84,15 +84,16 @@ class LsmsSolver {
   /// Total energy and the per-atom breakdown (atom loop is OpenMP-parallel).
   LocalEnergies energies(const spin::MomentConfiguration& moments) const;
 
-  /// Local band energies of the contiguous atom shard [first, first+count):
-  /// the worker-rank kernel of the distributed energy service (src/comm),
-  /// where one configuration's atoms are sharded across the ranks of an
-  /// LSMS group. Strictly serial — no OpenMP — so it is safe in fork()ed
-  /// worker processes; each e_i is bitwise identical to energies().per_atom
-  /// (same zone solve, same t-table refresh).
-  std::vector<double> shard_energies(const spin::MomentConfiguration& moments,
-                                     std::size_t first,
-                                     std::size_t count) const;
+  /// Local band energies of the listed zones (LIZ centre atoms), one per
+  /// entry in list order: the worker-rank kernel of the distributed energy
+  /// service (src/comm), which splits the zones one evaluation must solve —
+  /// every zone for a fresh walker, only those a move touches otherwise —
+  /// across the ranks of an LSMS group. Strictly serial — no OpenMP — so it
+  /// is safe in fork()ed worker processes; each e_i is bitwise identical to
+  /// energies().per_atom[i] (same zone solve, same t-table refresh).
+  std::vector<double> shard_energies(
+      const spin::MomentConfiguration& moments,
+      const std::vector<std::size_t>& zones) const;
 
   /// Total energy only.
   double energy(const spin::MomentConfiguration& moments) const;

@@ -43,7 +43,8 @@ struct Child {
   }
 };
 
-void spawn(Child& child, const std::vector<std::string>& args) {
+void spawn(Child& child, const std::vector<std::string>& args,
+           bool with_stderr = false) {
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
   const pid_t pid = ::fork();
@@ -51,6 +52,7 @@ void spawn(Child& child, const std::vector<std::string>& args) {
   if (pid == 0) {
     ::close(fds[0]);
     ::dup2(fds[1], STDOUT_FILENO);
+    if (with_stderr) ::dup2(fds[1], STDERR_FILENO);
     ::close(fds[1]);
     std::vector<char*> argv;
     argv.push_back(const_cast<char*>(WLSMS_BINARY));
@@ -117,11 +119,12 @@ int await_exit(Child& child, std::chrono::seconds timeout) {
   return -1;
 }
 
-/// Runs one wlsms invocation to completion, capturing stdout.
-std::string run_capture(const std::vector<std::string>& args,
-                        int* exit_code) {
+/// Runs one wlsms invocation to completion, capturing stdout (and stderr
+/// with it when `with_stderr`).
+std::string run_capture(const std::vector<std::string>& args, int* exit_code,
+                        bool with_stderr = false) {
   Child child;
-  spawn(child, args);
+  spawn(child, args, with_stderr);
   std::string out;
   char chunk[4096];
   ssize_t got = 0;
@@ -170,6 +173,27 @@ void expect_prometheus_parseable(const std::string& text) {
     ++series;
   }
   EXPECT_GT(series, 0u);
+}
+
+TEST(CliE2e, UnknownFlagIsRefusedBeforeTheCommandRuns) {
+  // Regression: an unknown flag used to warn only after the command had
+  // finished, so a typo such as --batch-thread ran a whole job on defaults
+  // and exited 0 (a daemon never finishes, so it just served). Now the
+  // typed parse is followed by an unknown-flag check that exits 2, naming
+  // the flag, before anything runs.
+  int code = -1;
+  std::string out = run_capture({"scaling", "--walkers", "2", "--step", "5"},
+                                &code, /*with_stderr=*/true);
+  EXPECT_EQ(code, 2) << out;
+  EXPECT_NE(out.find("--step"), std::string::npos) << out;
+  EXPECT_EQ(out.find("walkers"), std::string::npos)
+      << "the command ran before the flag was refused:\n" << out;
+
+  out = run_capture({"serve", "--listen", "127.0.0.1:0", "--batch-thread", "4"},
+                    &code, /*with_stderr=*/true);
+  EXPECT_EQ(code, 2) << out;
+  EXPECT_NE(out.find("--batch-thread"), std::string::npos) << out;
+  EXPECT_EQ(out.find("serving on"), std::string::npos) << out;
 }
 
 TEST(CliE2e, ServeStatusProbeAndSigintFinalSnapshot) {

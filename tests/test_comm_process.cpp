@@ -2,8 +2,9 @@
 // socketpairs. Covers the echo plumbing, large-frame handling, process
 // death via SIGKILL (instant EOF on the socket), and the distributed
 // energy service end to end across real OS processes — including the
-// acceptance case: energies bit-identical to the serial solver, and a
-// worker SIGKILLed mid-run with the request completing via reroute.
+// acceptance case: energies bit-identical to the serial solver, a
+// move-local accept/reject walk, and a worker SIGKILLed mid-run with the
+// request completing via reroute.
 //
 // Deliberately NOT in the `sanitize` ctest label: tsan does not support
 // fork-heavy tests; the thread-backed twin (test_comm_transport.cpp)
@@ -25,6 +26,7 @@
 #include "lattice/structure.hpp"
 #include "lsms/fe_parameters.hpp"
 #include "lsms/solver.hpp"
+#include "move_local_walk.hpp"
 #include "wl/energy_function.hpp"
 
 namespace wlsms::comm {
@@ -250,6 +252,16 @@ TEST(ProcessDistributedService, SigkilledWorkerMidRunRequestCompletes) {
   // Still serviceable afterwards.
   distributed.submit({0, 2, moments});
   EXPECT_EQ(distributed.retrieve().energy, f.energy->total_energy(moments));
+}
+
+TEST(ProcessDistributedService, MoveLocalWalkAcrossProcessesIsBitIdentical) {
+  const auto& solver = fe54_solver();
+  DistributedConfig config;
+  config.n_groups = 2;
+  config.group_size = 2;
+  config.transport = Transport::kProcess;
+  DistributedEnergyService distributed(solver, config);
+  expect_move_local_walk(distributed, *solver, 3, 6, 34);
 }
 
 TEST(ProcessDistributedService, DeltaScatterAcrossProcessesStaysBitIdentical) {

@@ -2,11 +2,13 @@
 // connections that must be rejected without consuming a rank slot), echo
 // plumbing and large frames through real TCP sockets, corrupt-stream rank
 // death, and the distributed energy service end to end — energies
-// bit-identical to the serial solver and kill-a-rank failover, exactly
-// mirroring the socketpair suite (test_comm_process.cpp).
+// bit-identical to the serial solver, a move-local walk, and kill-a-rank
+// failover, mirroring the socketpair suite (test_comm_process.cpp) — plus
+// a hostile worker whose out-of-assignment gathers must be rejected.
 //
 // In the `net` ctest label, NOT `sanitize`: these tests fork worker
-// processes and open real sockets, neither of which tsan supports.
+// processes and open real sockets, which tsan does not support. The
+// asan-ubsan preset runs the `net` label too.
 #include "comm/communicator.hpp"
 
 #include <gtest/gtest.h>
@@ -23,11 +25,13 @@
 
 #include "comm/distributed_service.hpp"
 #include "comm/framing.hpp"
+#include "comm/wire.hpp"
 #include "common/rng.hpp"
 #include "common/serial.hpp"
 #include "lattice/structure.hpp"
 #include "lsms/fe_parameters.hpp"
 #include "lsms/solver.hpp"
+#include "move_local_walk.hpp"
 #include "wl/energy_function.hpp"
 
 namespace wlsms::comm {
@@ -260,6 +264,78 @@ TEST(TcpDistributedService, KilledWorkerMidRunRequestCompletes) {
 
   distributed.submit({0, 2, moments});
   EXPECT_EQ(distributed.retrieve().energy, f.energy->total_energy(moments));
+}
+
+TEST(TcpDistributedService, MoveLocalWalkOverTcpIsBitIdentical) {
+  const auto& solver = fe54_solver();
+  DistributedConfig config;
+  config.n_groups = 2;
+  config.group_size = 2;
+  config.transport = Transport::kTcp;
+  DistributedEnergyService distributed(solver, config);
+  expect_move_local_walk(distributed, *solver, 3, 6, 44);
+}
+
+/// A rank that answers every shard request with a gather other than its
+/// assignment: its first zone plus 2^64 - 1, or every zone of the
+/// configuration (the other rank's included). Zero energies throughout.
+void hostile_worker(WorkerChannel& channel, bool past_the_end) {
+  while (std::optional<Message> message = channel.recv()) {
+    if (message->tag != kTagShardRequest) continue;
+    const ShardRequest request = decode_shard_request(message->payload);
+    ShardResult result;
+    result.ticket = request.ticket;
+    result.attempt = request.attempt;
+    if (past_the_end) {
+      result.zones = {request.zones.front(), ~std::uint64_t{0}};
+    } else {
+      for (std::uint64_t zone = 0; zone < request.n_total_atoms; ++zone)
+        result.zones.push_back(zone);
+    }
+    result.energies.assign(result.zones.size(), 0.0);
+    channel.send({kTagShardResult, encode_shard_result(result)});
+  }
+}
+
+TEST(TcpDistributedService, HostileGatherIsKilledAndRerouted) {
+  // Regression: the controller used to trust a gather's atom range, and a
+  // rank replying first_atom = 2^64 - 1 with two energies wrapped the
+  // bounds check and wrote before the gather buffers. The fake workers
+  // are threads of this process dialing in like `wlsms worker`; rank 1 is
+  // hostile. The controller must kill it and re-solve its zones on rank 0.
+  const Fe16& f = fe16();
+  for (const bool past_the_end : {true, false}) {
+    std::vector<std::thread> workers;
+    DistributedConfig config;
+    config.n_groups = 1;
+    config.group_size = 2;
+    config.transport = Transport::kTcp;
+    config.tcp.spawn_workers = false;
+    config.tcp.on_listening = [&](const std::string& address) {
+      for (int k = 0; k < 2; ++k)
+        workers.emplace_back([&f, address, past_the_end] {
+          (void)run_tcp_worker(address, [&](WorkerChannel& channel) {
+            if (channel.rank() == 1)
+              hostile_worker(channel, past_the_end);
+            else
+              run_shard_worker(channel, f.solver);
+          });
+        });
+    };
+    {
+      DistributedEnergyService distributed(f.solver, config);
+      Rng rng(45);
+      const auto moments = spin::MomentConfiguration::random(16, rng);
+      distributed.submit({0, 1, moments});
+      const wl::EnergyResult result = distributed.retrieve();
+      EXPECT_FALSE(result.failed);
+      EXPECT_EQ(result.energy, f.energy->total_energy(moments))
+          << (past_the_end ? "index past the end" : "another rank's zones");
+      EXPECT_FALSE(distributed.communicator().alive(1));
+      EXPECT_GE(distributed.reroutes(), 1u);
+    }  // shutdown: the honest worker sees EOF and returns
+    for (std::thread& worker : workers) worker.join();
+  }
 }
 
 TEST(TcpDistributedService, DeltaScatterOverTcpStaysBitIdentical) {

@@ -1,5 +1,7 @@
 // In-process Communicator and DistributedEnergyService tests: echo plumbing,
-// heartbeat/liveness bookkeeping, kill -> reroute resilience, the
+// heartbeat/liveness bookkeeping, kill -> reroute resilience, move-local
+// evaluation (bit-identity and exact zone counts through accept/reject
+// walks, in-flight requests, resubmissions, reroutes and eviction), the
 // retrieve-with-nothing-outstanding contract across every EnergyService
 // implementation the factory can build, and a messaging stress run. All
 // thread-backed (Transport::kInProcess), so the sanitize label runs the
@@ -22,6 +24,7 @@
 #include "lattice/structure.hpp"
 #include "lsms/fe_parameters.hpp"
 #include "lsms/solver.hpp"
+#include "move_local_walk.hpp"
 #include "obs/metrics.hpp"
 #include "wl/energy_service.hpp"
 
@@ -418,6 +421,146 @@ TEST(DistributedService, ManyRequestsSurviveAKillMidStream) {
   }
   for (std::size_t k = 0; k < kEvals; ++k)
     EXPECT_EQ(got[k], f.energy->total_energy(configs[k])) << "eval " << k;
+}
+
+// ---- move-local evaluation (54-atom cell: a move touches 15 of 54 zones) --
+
+DistributedConfig in_process(std::size_t n_groups, std::size_t group_size) {
+  DistributedConfig config;
+  config.n_groups = n_groups;
+  config.group_size = group_size;
+  config.transport = Transport::kInProcess;
+  return config;
+}
+
+/// Submits one request and retrieves its energy.
+double evaluate(DistributedEnergyService& service, std::uint64_t ticket,
+                const spin::MomentConfiguration& moments,
+                std::uint64_t session = 0) {
+  wl::EnergyRequest request;
+  request.walker = 0;
+  request.ticket = ticket;
+  request.config = moments;
+  request.session = session;
+  service.submit(request);
+  const wl::EnergyResult result = service.retrieve();
+  EXPECT_FALSE(result.failed);
+  EXPECT_EQ(result.ticket, ticket);
+  return result.energy;
+}
+
+TEST(MoveLocalService, AcceptRejectWalkIsBitIdenticalAndSolvesAffectedZones) {
+  const auto& solver = fe54_solver();
+  ASSERT_EQ(solver->affected_sites(0).size(), 15u);
+  DistributedEnergyService distributed(solver, in_process(2, 2));
+  expect_move_local_walk(distributed, *solver, 3, 12, 61);
+}
+
+TEST(MoveLocalService, TwoInFlightRequestsOfOneWalkerEachKeepTheirBasis) {
+  // Cache the walker at X (slot 0) and Y = X + one move (slot 1). Then A,
+  // one move from X, and B, one move from Y, go out together on the two
+  // groups: A diffs against slot 0 and will overwrite slot 1, B the other
+  // way round. Whichever completes first overwrites the other's basis
+  // slot, so each must have copied its basis energies at dispatch.
+  const auto& solver = fe54_solver();
+  const std::size_t n = solver->n_atoms();
+  DistributedEnergyService distributed(solver, in_process(2, 2));
+  Rng rng(62);
+  const auto x = spin::MomentConfiguration::random(n, rng);
+  auto y = x;
+  y.set(4, rng.unit_vector());
+  EXPECT_EQ(evaluate(distributed, 1, x), solver->energies(x).total);
+  EXPECT_EQ(evaluate(distributed, 2, y), solver->energies(y).total);
+
+  auto a = x;
+  a.set(17, rng.unit_vector());
+  auto b = y;
+  b.set(40, rng.unit_vector());
+  const std::uint64_t before = zones_solved();
+  distributed.submit({0, 3, a});
+  distributed.submit({0, 4, b});
+  for (int k = 0; k < 2; ++k) {
+    const wl::EnergyResult result = distributed.retrieve();
+    EXPECT_EQ(result.energy,
+              solver->energies(result.ticket == 3 ? a : b).total)
+        << "ticket " << result.ticket;
+  }
+  EXPECT_EQ(zones_solved() - before, solver->affected_sites(17).size() +
+                                         solver->affected_sites(40).size());
+}
+
+TEST(MoveLocalService, IdenticalResubmissionSolvesNoZones) {
+  const auto& solver = fe54_solver();
+  DistributedEnergyService distributed(solver, in_process(1, 2));
+  Rng rng(63);
+  const auto x = spin::MomentConfiguration::random(solver->n_atoms(), rng);
+  const double first = evaluate(distributed, 1, x);
+
+  obs::Counter& frames = obs::Registry::instance().counter("comm.frames_sent");
+  const std::uint64_t zones0 = zones_solved(), frames0 = frames.value();
+  EXPECT_EQ(evaluate(distributed, 2, x), first);
+  EXPECT_EQ(zones_solved(), zones0);
+  EXPECT_EQ(frames.value(), frames0) << "an identical resubmission scattered";
+}
+
+TEST(MoveLocalService, KilledRankMidRequestReroutesToTheBitIdenticalEnergy) {
+  const auto& solver = fe54_solver();
+  DistributedEnergyService distributed(solver, in_process(1, 2));
+  Rng rng(64);
+  auto moments = spin::MomentConfiguration::random(solver->n_atoms(), rng);
+  (void)evaluate(distributed, 1, moments);
+
+  // The move's 15 zones are split over both ranks; one dies before its
+  // gather is read, so the survivor re-solves all 15 against the same
+  // basis.
+  moments.set(9, rng.unit_vector());
+  distributed.submit({0, 2, moments});
+  distributed.communicator().kill(0);
+  const wl::EnergyResult result = distributed.retrieve();
+  EXPECT_FALSE(result.failed);
+  EXPECT_EQ(result.energy, solver->energies(moments).total);
+  EXPECT_GE(distributed.reroutes(), 1u);
+  EXPECT_EQ(distributed.n_alive_workers(), 1u);
+
+  // The walk goes on, move-local, on the survivor.
+  moments.set(30, rng.unit_vector());
+  const std::uint64_t before = zones_solved();
+  EXPECT_EQ(evaluate(distributed, 3, moments), solver->energies(moments).total);
+  EXPECT_EQ(zones_solved() - before, solver->affected_sites(30).size());
+}
+
+TEST(MoveLocalService, EvictSessionAlsoDropsTheCachedEvaluations) {
+  const auto& solver = fe54_solver();
+  const std::size_t n = solver->n_atoms();
+  DistributedEnergyService distributed(solver, in_process(1, 2));
+  Rng rng(65);
+  const auto x = spin::MomentConfiguration::random(n, rng);
+  const auto y = spin::MomentConfiguration::random(n, rng);
+  (void)evaluate(distributed, 1, x, /*session=*/7);
+  (void)evaluate(distributed, 2, y, /*session=*/8);
+
+  distributed.evict_session(7);
+  std::uint64_t before = zones_solved();
+  EXPECT_EQ(evaluate(distributed, 3, x, 7), solver->energies(x).total);
+  EXPECT_EQ(zones_solved() - before, n)
+      << "session 7 still had a cached evaluation after evict_session";
+
+  // The other session's cache is untouched: its resubmission is free.
+  before = zones_solved();
+  EXPECT_EQ(evaluate(distributed, 4, y, 8), solver->energies(y).total);
+  EXPECT_EQ(zones_solved(), before);
+}
+
+TEST(MoveLocalService, RandomConfigurationFallsBackToEveryZone) {
+  const auto& solver = fe54_solver();
+  const std::size_t n = solver->n_atoms();
+  DistributedEnergyService distributed(solver, in_process(1, 2));
+  Rng rng(66);
+  (void)evaluate(distributed, 1, spin::MomentConfiguration::random(n, rng));
+  const auto z = spin::MomentConfiguration::random(n, rng);
+  const std::uint64_t before = zones_solved();
+  EXPECT_EQ(evaluate(distributed, 2, z), solver->energies(z).total);
+  EXPECT_EQ(zones_solved() - before, n);
 }
 
 // ---- retrieve() with nothing outstanding: every implementation -----------
