@@ -283,21 +283,94 @@ TcpCommunicator::TcpCommunicator(std::size_t n_ranks,
             n_ranks, " workers");
   if (options.on_listening) options.on_listening(bound_address);
 
+  // Accepts until one connection passes the handshake and becomes the next
+  // rank; false once the group's accept deadline has passed. A connection
+  // that fails the handshake is closed and does not consume a rank slot.
+  const StreamClock::time_point accept_deadline =
+      StreamClock::now() + options.accept_timeout;
+  std::size_t accepted = 0;
+  const auto accept_next_rank = [&]() -> bool {
+    while (true) {
+      const auto remaining = std::chrono::duration_cast<milliseconds>(
+          accept_deadline - StreamClock::now());
+      if (remaining.count() <= 0) return false;
+      struct pollfd pfd{listener.get(), POLLIN, 0};
+      const int ready =
+          ::poll(&pfd, 1, static_cast<int>(remaining.count()));
+      if (ready < 0) {
+        if (errno == EINTR) continue;
+        throw CommError(std::string("tcp: poll on listener failed: ") +
+                        std::strerror(errno));
+      }
+      if (ready == 0) return false;  // deadline
+      Socket conn(::accept(listener.get(), nullptr, nullptr));
+      if (conn.get() < 0) {
+        if (errno == EINTR || errno == ECONNABORTED) continue;
+        throw CommError(std::string("tcp: accept failed: ") +
+                        std::strerror(errno));
+      }
+      set_nodelay(conn.get());
+      set_cloexec(conn.get());
+
+      // Validate the hello before the connection becomes a rank.
+      const std::optional<Message> hello = read_frame_with_deadline(
+          conn.get(), StreamClock::now() + kHandshakeTimeout);
+      const std::uint64_t t1_us = obs::trace_now_us();
+      if (!hello || hello->tag != kTagHello) {
+        log_warn("comm: tcp connection rejected (no valid hello frame)");
+        continue;
+      }
+      try {
+        serial::Decoder decoder(hello->payload);
+        serial::read_header(decoder, serial::PayloadKind::kTcpHello);
+        (void)decoder.get_u64();  // worker trace node
+        (void)decoder.get_u64();  // t0: the worker keeps its own copy
+        decoder.expect_end();
+      } catch (const serial::SerializationError& error) {
+        log_warn("comm: tcp connection rejected (bad hello: ", error.what(),
+                 ")");
+        continue;
+      }
+      const std::vector<std::byte> welcome = frame_bytes(
+          Message{kTagWelcome, welcome_payload(accepted, n_ranks, t1_us)});
+      if (!write_all(conn.get(), welcome.data(), welcome.size(),
+                     StreamClock::now() + kHandshakeTimeout)) {
+        log_warn("comm: tcp connection rejected (welcome write failed)");
+        continue;
+      }
+      log_debug("comm: tcp worker accepted as rank ", accepted);
+      add_peer(conn.release());
+      ++accepted;
+      return true;
+    }
+  };
+
   pids_.assign(n_ranks, -1);
   if (options.spawn_workers) {
     // Loopback workers, forked exactly like the kProcess transport (same
     // copy-on-write solver reuse, same _exit discipline) but connected
     // through the real listener so the full accept/handshake path runs.
+    // Each child is accepted before the next is forked, so rank r is the
+    // r-th child and kill(r) signals the process behind rank r's socket;
+    // forked all at once, the children's connect order would pick ranks.
     const std::string connect_address =
         "127.0.0.1:" + std::to_string(port);
     std::fflush(nullptr);
     for (std::size_t r = 0; r < n_ranks; ++r) {
       const pid_t pid = ::fork();
-      if (pid < 0)
+      if (pid < 0) {
+        close_all_peers();
+        reap_children(pids_, milliseconds{100});
         throw CommError(std::string("tcp: fork failed: ") +
                         std::strerror(errno));
+      }
       if (pid == 0) {
         listener.close();
+        // Drop the inherited controller ends of the earlier ranks' sockets:
+        // held open here, they would hide the controller's close from those
+        // workers.
+        begin_shutdown();
+        close_all_peers();
         int status = 0;
         try {
           (void)run_tcp_worker(connect_address, worker_main,
@@ -308,65 +381,11 @@ TcpCommunicator::TcpCommunicator(std::size_t n_ranks,
         ::_exit(status);
       }
       pids_[r] = pid;
+      if (!accept_next_rank()) break;
     }
-  }
-
-  // Accept until the group is complete. A connection that fails the
-  // handshake is closed and does not consume a rank slot.
-  const StreamClock::time_point accept_deadline =
-      StreamClock::now() + options.accept_timeout;
-  std::size_t accepted = 0;
-  while (accepted < n_ranks) {
-    const auto remaining = std::chrono::duration_cast<milliseconds>(
-        accept_deadline - StreamClock::now());
-    if (remaining.count() <= 0) break;
-    struct pollfd pfd{listener.get(), POLLIN, 0};
-    const int ready =
-        ::poll(&pfd, 1, static_cast<int>(remaining.count()));
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      throw CommError(std::string("tcp: poll on listener failed: ") +
-                      std::strerror(errno));
+  } else {
+    while (accepted < n_ranks && accept_next_rank()) {
     }
-    if (ready == 0) break;  // deadline
-    Socket conn(::accept(listener.get(), nullptr, nullptr));
-    if (conn.get() < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      throw CommError(std::string("tcp: accept failed: ") +
-                      std::strerror(errno));
-    }
-    set_nodelay(conn.get());
-    set_cloexec(conn.get());
-
-    // Validate the hello before the connection becomes a rank.
-    const std::optional<Message> hello = read_frame_with_deadline(
-        conn.get(), StreamClock::now() + kHandshakeTimeout);
-    const std::uint64_t t1_us = obs::trace_now_us();
-    if (!hello || hello->tag != kTagHello) {
-      log_warn("comm: tcp connection rejected (no valid hello frame)");
-      continue;
-    }
-    try {
-      serial::Decoder decoder(hello->payload);
-      serial::read_header(decoder, serial::PayloadKind::kTcpHello);
-      (void)decoder.get_u64();  // worker trace node
-      (void)decoder.get_u64();  // t0: the worker keeps its own copy
-      decoder.expect_end();
-    } catch (const serial::SerializationError& error) {
-      log_warn("comm: tcp connection rejected (bad hello: ", error.what(),
-               ")");
-      continue;
-    }
-    const std::vector<std::byte> welcome = frame_bytes(
-        Message{kTagWelcome, welcome_payload(accepted, n_ranks, t1_us)});
-    if (!write_all(conn.get(), welcome.data(), welcome.size(),
-                   StreamClock::now() + kHandshakeTimeout)) {
-      log_warn("comm: tcp connection rejected (welcome write failed)");
-      continue;
-    }
-    log_debug("comm: tcp worker accepted as rank ", accepted);
-    add_peer(conn.release());
-    ++accepted;
   }
   if (accepted < n_ranks) {
     close_all_peers();
