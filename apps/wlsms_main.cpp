@@ -101,7 +101,9 @@ int usage() {
       "           [--max-outstanding N] [--max-batch N] [--batch-window MS]\n"
       "           [--checkpoint-dir DIR] [--batch-threads N]\n"
       "           (multi-tenant energy daemon; Ctrl-C checkpoints live\n"
-      "           sessions and exits)\n"
+      "           sessions and exits; --batch-threads sets the OpenMP\n"
+      "           threads each batch's zone solves share, default\n"
+      "           OMP_NUM_THREADS or every core)\n"
       "  client   --connect HOST:PORT [--tenant NAME] [--evals K]\n"
       "           [--walkers W] [--seed S] [--cells C] [--check 0|1]\n"
       "           [--resume-session ID --resume-token TOK]\n"

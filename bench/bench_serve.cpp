@@ -1,11 +1,12 @@
-// The serving daemon's cross-walker batched dispatch measured for real:
-// eight concurrent walkers' energy requests coalesced by the BatchScheduler
-// into lock-step Schur solves (one zgemm_view_batch per elimination round)
-// versus the same requests computed one at a time through the synchronous
-// service — and the same comparison end-to-end over a live TCP daemon with
-// eight connected tenants. Every batched energy is cross-checked against
-// the serial solver and the bench fails loudly unless they are
-// bit-identical.
+// The serving daemon's cross-walker batching measured for real: eight
+// concurrent walkers' energy requests coalesced by the BatchScheduler into
+// batched solves (every walker's zone solves in one OpenMP loop) versus the
+// same requests computed one at a time through the synchronous service
+// (one walker's zone solves per OpenMP loop), and the same requests
+// end-to-end over a live TCP daemon with eight connected tenants. The bench
+// fails unless every batched energy is bit-identical to the serial solver,
+// batching engages, and the batched path is at least as fast as
+// one-at-a-time (best of five reps each).
 //
 // Writes BENCH_serve.json (path = argv[1], default ./BENCH_serve.json) for
 // regression tracking; `ctest -L perf` runs it as perf_serve.
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "io/table.hpp"
-#include "linalg/blas.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/scheduler.hpp"
@@ -34,9 +34,8 @@ constexpr std::size_t kEvals = kWalkers * kRounds;
 constexpr int kReps = 5;              // timing reps, min taken
 
 /// Serving-fidelity substrate: the fast contour but a 50-member LIZ, so the
-/// order-102 zone solves sit above the blocked-LU threshold and the batch
-/// actually takes the lock-step elimination path (the fast test LIZ falls
-/// back to per-item singleton solves).
+/// order-100 member blocks sit above the blocked-LU threshold and every
+/// zone solve runs the blocked LU and packed GEMM.
 std::shared_ptr<const lsms::LsmsSolver> serving_solver() {
   lsms::LsmsParameters params = lsms::fe_lsms_parameters_fast();
   params.liz_radius = 9.1;  // 1st-4th bcc shells: 50 neighbours
@@ -167,9 +166,9 @@ Timed best_of(const std::vector<Timed>& reps) {
 
 int main(int argc, char** argv) {
   bench::banner(
-      "serving daemon (cross-walker batched ZGEMM dispatch)",
-      "M independent walkers' LIZ solves coalesced into lock-step batched "
-      "GEMM without changing a single bit of any energy");
+      "serving daemon (cross-walker batched solves)",
+      "M independent walkers' LIZ solves coalesced into one parallel loop "
+      "without changing a single bit of any energy");
 
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_serve.json";
 
@@ -191,13 +190,6 @@ int main(int argc, char** argv) {
   for (std::size_t k = 0; k < kEvals; ++k)
     reference[k] = energy.total_energy(configs[k]);  // also warms caches
 
-  // The batch dispatch parallelizes BETWEEN items (bit-identical at any
-  // worker count); give it the machine. On a single-core host this is a
-  // no-op and the comparison is pure dispatch arithmetic.
-  const std::size_t saved_threads = linalg::zgemm_batch_threads();
-  linalg::set_zgemm_batch_threads(
-      std::max(1u, std::thread::hardware_concurrency()));
-
   // Alternate which mode runs first so thermal / frequency drift over the
   // run cannot systematically favour either side of the min.
   std::vector<Timed> serial_reps, batched_reps, tcp_reps;
@@ -211,7 +203,6 @@ int main(int argc, char** argv) {
     }
   }
   tcp_reps.push_back(run_tcp_daemon(solver, configs, reference));
-  linalg::set_zgemm_batch_threads(saved_threads);
   const Timed serial = best_of(serial_reps);
   const Timed batched = best_of(batched_reps);
   const Timed tcp = best_of(tcp_reps);
@@ -239,8 +230,9 @@ int main(int argc, char** argv) {
               batched_tput / serial_tput, kWalkers, batched.occupancy);
   if (batched.occupancy <= 1.0)
     std::printf("** batching never engaged — occupancy <= 1 **\n");
-  if (batched_tput <= serial_tput)
-    std::printf("** batched dispatch did not beat one-at-a-time **\n");
+  const bool batched_keeps_up = batched_tput >= serial_tput;
+  if (!batched_keeps_up)
+    std::printf("** batched dispatch is slower than one-at-a-time **\n");
 
   const double worst_diff =
       std::max(batched.max_diff, std::max(tcp.max_diff, serial.max_diff));
@@ -271,5 +263,7 @@ int main(int argc, char** argv) {
   std::fclose(json);
   std::printf("results written to %s\n", json_path.c_str());
 
-  return (worst_diff == 0.0 && batched.occupancy > 1.0) ? 0 : 1;
+  return (worst_diff == 0.0 && batched.occupancy > 1.0 && batched_keeps_up)
+             ? 0
+             : 1;
 }

@@ -27,10 +27,9 @@
 ///  - kProcess: each rank is a fork()ed child on a socketpair. kill() is
 ///    SIGKILL. Real isolation — a crashing worker cannot take the driver
 ///    down — at the cost of copy-on-write duplication of the parent.
-///    Fork safety: create the communicator before enabling any in-process
-///    thread pools (linalg::set_zgemm_threads stays at 1 in workers), and
-///    keep worker code off OpenMP paths; the child only ever runs the
-///    worker function plus what it calls.
+///    Fork safety: create the communicator before starting any in-process
+///    thread pools, and keep worker code off OpenMP paths; the child only
+///    ever runs the worker function plus what it calls.
 ///  - kTcp: each rank is a TCP connection accepted by a controller-side
 ///    listener after a magic/version/rank handshake. Workers either run on
 ///    other nodes (`wlsms worker --connect host:port`) or, for loopback

@@ -11,10 +11,10 @@
 /// Two implementations are provided:
 ///  - `zgemm` / `zgemm_view`: the production path. A/B panels are packed
 ///    into split real/imaginary planes (so the microkernel is four real
-///    FMA streams the compiler vectorizes cleanly), the inner kernel is a
-///    register-blocked MR x NR tile accumulated over the full K block, and
-///    the M dimension can optionally be spread over an internal worker pool
-///    (`set_zgemm_threads`).
+///    FMA streams the compiler vectorizes cleanly), and the inner kernel is
+///    a register-blocked MR x NR tile accumulated over the full K block.
+///    Every call is serial on the calling thread; the solver parallelizes
+///    above it, over independent zone solves (OpenMP).
 ///  - `zgemm_naive`: the original cache-tiled j-k-i loop, kept as the
 ///    conformance/benchmark reference.
 
@@ -48,47 +48,6 @@ void zgemm_naive(Complex alpha, const ZMatrix& a, const ZMatrix& b,
 void zgemm_view(std::size_t m, std::size_t n, std::size_t k, Complex alpha,
                 const Complex* a, std::size_t lda, const Complex* b,
                 std::size_t ldb, Complex beta, Complex* c, std::size_t ldc);
-
-/// Number of threads the packed ZGEMM spreads M-panels over (default 1 =
-/// fully serial, no pool interaction). Worker threads are lazily created
-/// and shared process-wide; concurrent multi-threaded GEMMs serialize on
-/// the pool. Thread count is clamped to at least 1.
-void set_zgemm_threads(std::size_t n_threads);
-std::size_t zgemm_threads();
-
-/// One C = beta*C + alpha*A*B product of a batched dispatch. Same
-/// column-major view contract as zgemm_view; an item with m == 0 is a
-/// no-op placeholder (batch slots may be empty).
-struct ZgemmBatchItem {
-  std::size_t m = 0, n = 0, k = 0;
-  Complex alpha{0.0, 0.0};
-  const Complex* a = nullptr;
-  std::size_t lda = 0;
-  const Complex* b = nullptr;
-  std::size_t ldb = 0;
-  Complex beta{1.0, 0.0};
-  Complex* c = nullptr;
-  std::size_t ldc = 0;
-};
-
-/// Computes every item of the batch. Each item runs the exact zgemm_view
-/// arithmetic (same naive/packed selection, serial inner kernel), so
-/// results are bitwise what `count` zgemm_view calls would produce; items
-/// are merely independent, letting them spread over the internal worker
-/// pool when `set_zgemm_batch_threads` raises the batch thread count
-/// (items never split across threads — each C is written by exactly one).
-/// Flops for all items are booked on the calling thread, keeping
-/// perf::FlopWindow accounting around a batched solve identical to the
-/// singleton path. This is the coalescing seam the serving scheduler
-/// dispatches cross-walker LIZ solves through, and the array-of-products
-/// shape a future batched accelerator ZGEMM slots into.
-void zgemm_view_batch(const ZgemmBatchItem* items, std::size_t count);
-
-/// Threads zgemm_view_batch spreads items over (default 1 = serial, no
-/// pool interaction). Clamped to at least 1. Independent of
-/// set_zgemm_threads: per-item inner kernels always run serially.
-void set_zgemm_batch_threads(std::size_t n_threads);
-std::size_t zgemm_batch_threads();
 
 /// Convenience: returns A * B.
 ZMatrix multiply(const ZMatrix& a, const ZMatrix& b);

@@ -85,16 +85,25 @@ int zgetrf_unblocked(ZMatrix& a, std::vector<std::size_t>& pivots) {
   return factor_panel(a, pivots, 0, a.rows());
 }
 
+// Right-looking blocked LU: per pivot panel, factorize the panel, solve
+// the row panel against its unit-lower block, and fold the product of the
+// two into the trailing matrix with one ZGEMM.
 int zgetrf_blocked(ZMatrix& a, std::vector<std::size_t>& pivots) {
-  BlockedLuStepper stepper(a, pivots);
-  while (!stepper.done()) {
-    const ZgemmBatchItem update = stepper.step();
-    if (update.m != 0)
-      zgemm_view(update.m, update.n, update.k, update.alpha, update.a,
-                 update.lda, update.b, update.ldb, update.beta, update.c,
-                 update.ldc);
+  const std::size_t n = a.rows();
+  int parity = 1;
+  for (std::size_t k0 = 0; k0 < n; k0 += kLuBlockSize) {
+    const std::size_t w = std::min(kLuBlockSize, n - k0);
+    parity *= factor_panel(a, pivots, k0, w);
+    const std::size_t rem = n - k0 - w;
+    if (rem == 0) break;
+    // Row panel: U12 = L11^{-1} A12.
+    trsm_unit_lower(a, k0, w, a.col(k0 + w) + k0, rem, n);
+    // Trailing update A22 -= L21 * U12 — the GEMM that dominates.
+    zgemm_view(rem, rem, w, Complex{-1.0, 0.0}, a.col(k0) + k0 + w, n,
+               a.col(k0 + w) + k0, n, Complex{1.0, 0.0},
+               a.col(k0 + w) + k0 + w, n);
   }
-  return stepper.parity();
+  return parity;
 }
 
 bool use_blocked(std::size_t n, LuAlgorithm algorithm) {
@@ -110,42 +119,6 @@ bool use_blocked(std::size_t n, LuAlgorithm algorithm) {
 }
 
 }  // namespace
-
-BlockedLuStepper::BlockedLuStepper(ZMatrix& a,
-                                   std::vector<std::size_t>& pivots)
-    : a_(&a), pivots_(&pivots), n_(a.rows()) {
-  WLSMS_EXPECTS(a.square());
-  pivots.resize(n_);
-}
-
-ZgemmBatchItem BlockedLuStepper::step() {
-  WLSMS_EXPECTS(!done());
-  ZMatrix& a = *a_;
-  const std::size_t k0 = k0_;
-  const std::size_t w = std::min(kLuBlockSize, n_ - k0);
-  parity_ *= factor_panel(a, *pivots_, k0, w);
-  const std::size_t rem = n_ - k0 - w;
-  ZgemmBatchItem update;
-  if (rem != 0) {
-    // Row panel: U12 = L11^{-1} A12.
-    trsm_unit_lower(a, k0, w, a.col(k0 + w) + k0, rem, n_);
-    // Trailing update A22 -= L21 * U12 — the GEMM that dominates — returned
-    // as a descriptor so callers can fuse it with other matrices' updates.
-    update.m = rem;
-    update.n = rem;
-    update.k = w;
-    update.alpha = Complex{-1.0, 0.0};
-    update.a = a.col(k0) + k0 + w;
-    update.lda = n_;
-    update.b = a.col(k0 + w) + k0;
-    update.ldb = n_;
-    update.beta = Complex{1.0, 0.0};
-    update.c = a.col(k0 + w) + k0 + w;
-    update.ldc = n_;
-  }
-  k0_ += w;
-  return update;
-}
 
 int zgetrf_in_place(ZMatrix& a, std::vector<std::size_t>& pivots,
                     LuAlgorithm algorithm) {

@@ -171,78 +171,4 @@ spin::Spin2x2 central_tau_schur(const SchurTemplates& templates,
   return {s[3] * inv_det, -s[2] * inv_det, -s[1] * inv_det, s[0] * inv_det};
 }
 
-void central_tau_schur_batch(const SchurTemplates& templates,
-                             const SchurBatchItem* items, std::size_t count,
-                             std::vector<SchurWorkspace>& workspaces) {
-  if (count == 0) return;
-  const std::size_t n = templates.a0.rows();  // 2L
-  const std::size_t l = n / 2;
-  if (l == 0 || n < linalg::kLuBlockedThreshold || count == 1 ||
-      linalg::zgemm_batch_threads() <= 1) {
-    // Orders the auto algorithm factorizes unblocked have no trailing
-    // GEMMs to fuse (and a lone item has nothing to fuse with); the
-    // singleton path is already the exact arithmetic. The lock-step
-    // elimination exists solely to expose between-item parallelism to the
-    // GEMM worker pool — with a single worker it only multiplies the live
-    // working set (count x the per-item Schur matrices, evicting each
-    // other every panel round), so a serial host takes the cache-friendly
-    // one-item-at-a-time path instead.
-    if (workspaces.empty()) workspaces.resize(1);
-    for (std::size_t i = 0; i < count; ++i)
-      *items[i].tau =
-          central_tau_schur(templates, *items[i].center_t_inverse,
-                            items[i].member_t_inverse, workspaces[0]);
-    return;
-  }
-  if (workspaces.size() < count) workspaces.resize(count);
-
-  // Stage every member matrix and B panel exactly as the singleton path
-  // does, then advance all eliminations in lock step: per panel round,
-  // every item factorizes its pivot panel and runs its row-panel TRSM,
-  // and the trailing updates go out as one batched GEMM dispatch.
-  for (std::size_t i = 0; i < count; ++i) {
-    SchurWorkspace& ws = workspaces[i];
-    ws.a = templates.a0;
-    for (std::size_t j = 0; j < l; ++j) {
-      const spin::Spin2x2& ti = items[i].member_t_inverse[j];
-      ws.a(2 * j, 2 * j) = ti[0];
-      ws.a(2 * j, 2 * j + 1) = ti[1];
-      ws.a(2 * j + 1, 2 * j) = ti[2];
-      ws.a(2 * j + 1, 2 * j + 1) = ti[3];
-    }
-    ws.bx = templates.b0;
-  }
-  std::vector<linalg::BlockedLuStepper> steppers;
-  steppers.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    steppers.emplace_back(workspaces[i].a, workspaces[i].pivots);
-  std::vector<linalg::ZgemmBatchItem> updates;
-  updates.reserve(count);
-  while (!steppers.front().done()) {
-    updates.clear();
-    for (linalg::BlockedLuStepper& stepper : steppers) {
-      const linalg::ZgemmBatchItem update = stepper.step();
-      if (update.m != 0) updates.push_back(update);
-    }
-    linalg::zgemm_view_batch(updates.data(), updates.size());
-  }
-
-  for (std::size_t i = 0; i < count; ++i) {
-    SchurWorkspace& ws = workspaces[i];
-    linalg::zgetrs_in_place(ws.a, ws.pivots, ws.bx.data(), 2, n);
-    const SchurBatchItem& item = items[i];
-    std::array<Complex, 4> s = {(*item.center_t_inverse)[0],
-                                (*item.center_t_inverse)[2],
-                                (*item.center_t_inverse)[1],
-                                (*item.center_t_inverse)[3]};
-    linalg::zgemm_view(2, 2, n, Complex{-1.0, 0.0}, templates.c0.data(), 2,
-                       ws.bx.data(), n, Complex{1.0, 0.0}, s.data(), 2);
-    const Complex det = s[0] * s[3] - s[2] * s[1];
-    if (det == Complex{0.0, 0.0}) throw linalg::SingularMatrixError(n);
-    const Complex inv_det = Complex{1.0, 0.0} / det;
-    *item.tau = {s[3] * inv_det, -s[2] * inv_det, -s[1] * inv_det,
-                 s[0] * inv_det};
-  }
-}
-
 }  // namespace wlsms::lsms

@@ -118,29 +118,4 @@ spin::Spin2x2 central_tau_schur(const SchurTemplates& templates,
                                 const spin::Spin2x2* member_t_inverse,
                                 SchurWorkspace& workspace);
 
-/// One zone solve of a batched Schur dispatch. Every item of a batch
-/// shares one SchurTemplates — same geometry, same contour point — and
-/// differs only in its t^-1 blocks, which is exactly the coalescing key
-/// the serving scheduler groups cross-walker solves by.
-struct SchurBatchItem {
-  const spin::Spin2x2* center_t_inverse = nullptr;
-  const spin::Spin2x2* member_t_inverse = nullptr;  ///< zone order, L entries
-  spin::Spin2x2* tau = nullptr;                     ///< out: central block
-};
-
-/// Computes every item's central tau block. Bit-identical to calling
-/// central_tau_schur once per item: the member eliminations advance panel
-/// by panel in lock step, with each round's trailing updates issued as one
-/// zgemm_view_batch dispatch — work is reordered only BETWEEN matrices,
-/// never within one, so each item's floating-point stream is unchanged
-/// (DESIGN.md §12). Orders the auto LU algorithm factorizes unblocked (or
-/// a single item) fall through to the singleton path directly. `workspaces`
-/// is grown to `count` entries and reused across calls. Throws
-/// SingularMatrixError on a zero pivot in any item's elimination, matching
-/// the singleton failure mode (co-batched items are abandoned mid-solve;
-/// the caller retries them individually).
-void central_tau_schur_batch(const SchurTemplates& templates,
-                             const SchurBatchItem* items, std::size_t count,
-                             std::vector<SchurWorkspace>& workspaces);
-
 }  // namespace wlsms::lsms

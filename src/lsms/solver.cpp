@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <limits>
 
 #include "common/error.hpp"
@@ -10,27 +11,6 @@
 #include "perf/flops.hpp"
 
 namespace wlsms::lsms {
-
-namespace {
-
-/// Hard cap on the zone solves one lock-step Schur dispatch carries. Bounds
-/// workspace memory (each item holds a 2L x 2L member matrix: order 128 ->
-/// 256 KiB, so 64 items stay around 16 MiB) without capping how many
-/// requests the serving scheduler may coalesce — larger batches just run
-/// as several full dispatches.
-constexpr std::size_t kMaxSchurBatch = 64;
-
-/// Items per dispatch actually used. Between-item parallelism only needs a
-/// few items per GEMM worker, while every live item's workspace competes
-/// for the same cache — so the chunk scales with the worker count instead
-/// of always maxing out (on a serial host a small chunk keeps the working
-/// set cache-resident and beats one-at-a-time solves outright).
-std::size_t schur_chunk_cap() {
-  return std::min(kMaxSchurBatch,
-                  std::max<std::size_t>(8, 8 * linalg::zgemm_batch_threads()));
-}
-
-}  // namespace
 
 LsmsSolver::LsmsSolver(lattice::Structure structure, LsmsParameters params)
     : structure_(std::move(structure)),
@@ -181,24 +161,13 @@ std::vector<LocalEnergies> LsmsSolver::batch_energies(
     WLSMS_EXPECTS(config != nullptr);
     WLSMS_EXPECTS(config->size() == n);
   }
-  if (n_configs == 0) return {};
-
-  // All scratch is thread-local and persists across calls, like the
-  // singleton path's workspace: the serving scheduler dispatches batches
-  // back to back, and reallocating (and first-touching) the several MB of
-  // per-item Schur workspaces each time costs more than the batching saves.
-  static thread_local std::vector<std::vector<spin::Spin2x2>> tables;
-  static thread_local std::vector<Complex> acc;
-  static thread_local std::vector<SchurWorkspace> workspaces;
-  static thread_local std::vector<spin::Spin2x2> member_buf;
-  static thread_local std::vector<spin::Spin2x2> taus;
-  static thread_local std::vector<SchurBatchItem> items;
 
   // Per-configuration t^-1 tables, computed directly rather than through
   // the shared incremental cache (which alternating configurations would
   // thrash into full recomputes anyway). t_inverse is pure, so the values
-  // are bitwise the ones refresh_t_table hands the singleton path.
-  if (tables.size() < n_configs) tables.resize(n_configs);
+  // are bitwise the ones refresh_t_table hands energies().
+  std::vector<std::vector<spin::Spin2x2>> tables(n_configs);
+  std::vector<LocalEnergies> out(n_configs);
   for (std::size_t c = 0; c < n_configs; ++c) {
     tables[c].resize(n * n_points);
     for (std::size_t i = 0; i < n; ++i) {
@@ -207,65 +176,31 @@ std::vector<LocalEnergies> LsmsSolver::batch_energies(
       for (std::size_t k = 0; k < n_points; ++k)
         row[k] = scatterer_.t_inverse(e, contour_[k].z);
     }
+    out[c].per_atom.assign(n, 0.0);
   }
 
-  // Group the (config, atom) zone solves by shared hopping templates: one
-  // group = one geometry, whose per-contour-point SchurTemplates is the
-  // coalescing key of the batched dispatch.
-  std::map<const std::vector<SchurTemplates>*,
-           std::vector<std::pair<std::size_t, std::size_t>>>
-      groups;
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& list = groups[templates_[i].get()];
-    for (std::size_t c = 0; c < n_configs; ++c) list.emplace_back(c, i);
-  }
-
-  // Per-(config, atom) contour accumulators, advanced in ascending-k order
-  // exactly like zone_energy's serial loop.
-  acc.assign(n_configs * n, Complex{0.0, 0.0});
-
-  for (const auto& [templates_ptr, pairs] : groups) {
-    const std::vector<SchurTemplates>& templates = *templates_ptr;
-    // Congruent zones share the geometry, hence the member count.
-    const std::size_t n_members =
-        lizs_[pairs.front().second].members.size();
-    const std::size_t chunk_cap = schur_chunk_cap();
-    for (std::size_t k = 0; k < n_points; ++k) {
-      for (std::size_t p0 = 0; p0 < pairs.size(); p0 += chunk_cap) {
-        const std::size_t chunk = std::min(chunk_cap, pairs.size() - p0);
-        member_buf.resize(chunk * n_members);
-        taus.resize(chunk);
-        items.resize(chunk);
-        for (std::size_t q = 0; q < chunk; ++q) {
-          const auto [c, i] = pairs[p0 + q];
-          const LizGeometry& liz = lizs_[i];
-          const std::vector<spin::Spin2x2>& table = tables[c];
-          spin::Spin2x2* gathered = member_buf.data() + q * n_members;
-          for (std::size_t j = 0; j < n_members; ++j)
-            gathered[j] = table[liz.members[j].site * n_points + k];
-          items[q].center_t_inverse = &table[liz.center * n_points + k];
-          items[q].member_t_inverse = gathered;
-          items[q].tau = &taus[q];
-        }
-        central_tau_schur_batch(templates[k], items.data(), chunk,
-                                workspaces);
-        for (std::size_t q = 0; q < chunk; ++q) {
-          const auto [c, i] = pairs[p0 + q];
-          const Complex trace = taus[q][0] + taus[q][3];
-          acc[c * n + i] += contour_[k].weight * contour_[k].z * trace;
-        }
-      }
+  // Every (configuration, zone) solve is independent, so one dynamic loop
+  // spreads the whole batch over the cores, exactly as energies() spreads
+  // one configuration's zones. An exception must not escape an OpenMP
+  // region (the runtime terminates), so the first one is kept and rethrown
+  // after the loop; the serving scheduler retries a failed batch request
+  // by request.
+  const std::int64_t n_solves = static_cast<std::int64_t>(n_configs * n);
+  std::exception_ptr failure;
+#pragma omp parallel for schedule(dynamic)
+  for (std::int64_t s = 0; s < n_solves; ++s) {
+    const std::size_t c = static_cast<std::size_t>(s) / n;
+    const std::size_t i = static_cast<std::size_t>(s) % n;
+    try {
+      out[c].per_atom[i] = zone_energy(lizs_[i], tables[c]);
+    } catch (...) {
+#pragma omp critical(lsms_batch_failure)
+      if (!failure) failure = std::current_exception();
     }
   }
-
-  const double pi = std::acos(-1.0);
-  std::vector<LocalEnergies> out(n_configs);
-  for (std::size_t c = 0; c < n_configs; ++c) {
-    out[c].per_atom.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      out[c].per_atom[i] = -acc[c * n + i].imag() / pi;
-    for (double e : out[c].per_atom) out[c].total += e;
-  }
+  if (failure) std::rethrow_exception(failure);
+  for (LocalEnergies& energies : out)
+    for (double e : energies.per_atom) energies.total += e;
   return out;
 }
 

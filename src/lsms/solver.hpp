@@ -98,16 +98,14 @@ class LsmsSolver {
   /// Total energy only.
   double energy(const spin::MomentConfiguration& moments) const;
 
-  /// Energies of many independent configurations at once, with the
-  /// per-atom LIZ solves that share a (geometry, contour point) — i.e. one
-  /// SchurTemplates instance — coalesced into lock-step Schur eliminations
-  /// feeding zgemm_view_batch. This is the serving scheduler's cross-walker
-  /// batching path (DESIGN.md §12) and the traffic shape a batched
-  /// accelerator GEMM wants. Bit-identical per configuration to
-  /// energies(): every zone solve's arithmetic and the atom-order total
-  /// reduction are unchanged; only independent solves execute together.
-  /// Serial on the calling thread (no OpenMP) apart from the optional
-  /// zgemm_batch_threads pool spread.
+  /// Energies of many independent configurations at once: the serving
+  /// scheduler's cross-walker batching path (DESIGN.md §12). Every
+  /// (configuration, zone) solve of the batch goes into one OpenMP loop,
+  /// so a batch of B walkers keeps B x N zone solves in flight instead of
+  /// N. Bit-identical per configuration to energies(): each zone runs the
+  /// same zone solve and each total is summed in atom order. The first
+  /// exception a zone solve throws (SingularMatrixError on a zero pivot)
+  /// is rethrown once the loop has finished.
   std::vector<LocalEnergies> batch_energies(
       const std::vector<const spin::MomentConfiguration*>& configs) const;
 

@@ -10,6 +10,7 @@
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <omp.h>
 #include <poll.h>
 #include <unistd.h>
 
@@ -17,7 +18,6 @@
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/serial.hpp"
-#include "linalg/blas.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
@@ -184,10 +184,11 @@ int Daemon::poll_timeout_ms() const {
 }
 
 void Daemon::run() {
-  // Pin the batch-GEMM worker count for the daemon's lifetime if asked.
-  const std::size_t saved_batch_threads = linalg::zgemm_batch_threads();
+  // Pin the OpenMP team size of the daemon's solves if asked. The setting
+  // belongs to the calling thread alone, and is handed back on return.
+  const int saved_threads = omp_get_max_threads();
   if (options_.gemm_batch_threads > 0)
-    linalg::set_zgemm_batch_threads(options_.gemm_batch_threads);
+    omp_set_num_threads(static_cast<int>(options_.gemm_batch_threads));
 
   bool stopping = false;
   std::vector<struct pollfd> pfds;
@@ -232,7 +233,7 @@ void Daemon::run() {
   }
   while (!sessions_.empty()) close_session(sessions_.begin()->first);
 
-  linalg::set_zgemm_batch_threads(saved_batch_threads);
+  if (options_.gemm_batch_threads > 0) omp_set_num_threads(saved_threads);
 }
 
 void Daemon::accept_pending() {

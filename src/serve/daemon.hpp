@@ -5,8 +5,8 @@
 /// single-threaded poll loop owns a TCP listener, the per-connection frame
 /// reassembly, and a BatchScheduler over one shared LsmsSolver; independent
 /// clients (tenants) hand their walkers' configurations to the same solver
-/// and the scheduler coalesces concurrent requests into cross-walker
-/// batched ZGEMM dispatches (scheduler.hpp, DESIGN.md §12).
+/// and the scheduler coalesces concurrent requests into batched solves
+/// whose zone solves spread over every core (scheduler.hpp, DESIGN.md §12).
 ///
 /// Fault containment mirrors the comm transports: a connection that sends
 /// garbage, violates the handshake, or goes quiet is closed — never allowed
@@ -62,8 +62,10 @@ struct ServeOptions {
   std::size_t client_sndbuf = 0;
   /// Called once the listener is bound, with the resolved "host:port".
   std::function<void(const std::string&)> on_listening;
-  /// When nonzero, run() pins linalg::set_zgemm_batch_threads to this for
-  /// the daemon's lifetime (0 = leave the process-wide setting alone).
+  /// When nonzero, run() sets its thread's OpenMP team size (the threads
+  /// each batched solve spreads its zone solves over) to this for the
+  /// daemon's lifetime and restores the caller's value on return (0 = the
+  /// OpenMP default: OMP_NUM_THREADS, else every core).
   std::size_t gemm_batch_threads = 0;
 };
 

@@ -6,16 +6,14 @@
 /// sessions, and the batched solve itself.
 ///
 /// Coalescing (DESIGN.md §12): every pending request is an independent
-/// walker configuration of the same structure, so their per-atom LIZ solves
-/// at a given contour point share the (geometry, contour-point)
-/// SchurTemplates. One batch of B requests becomes lock-step Schur
-/// eliminations whose trailing updates go out as B-wide zgemm_view_batch
-/// dispatches — the cross-walker GEMM batching the paper's traffic shape
-/// (M walkers, shared solver substrate) makes possible and a GPU backend
-/// wants. Under light load (a lone pending request) the scheduler falls
-/// back to a real SynchronousEnergyService, and because the batched path
-/// reorders work only between independent matrices, both paths return
-/// bit-identical energies.
+/// walker configuration of the same structure, so one batch of B requests
+/// is B x N independent zone solves, which LsmsSolver::batch_energies runs
+/// in one OpenMP loop — the paper's traffic shape (M walkers, shared
+/// solver substrate) keeping every core busy. Under light load (a lone
+/// pending request) the scheduler falls back to a real
+/// SynchronousEnergyService, and because both paths run the same zone
+/// solves and sum each total in atom order, they return bit-identical
+/// energies.
 
 #include <chrono>
 #include <cstdint>

@@ -115,26 +115,24 @@ TEST(TcpCommunicator, ExternalWorkersJoinAndGarbageConnectionsAreRejected) {
   // are threads of this test running the public run_tcp_worker entry point
   // — the same code path `wlsms worker --connect` uses. Before the real
   // workers join, a garbage connection (wrong magic, no valid hello) must
-  // be rejected WITHOUT consuming one of the two rank slots.
+  // be rejected WITHOUT consuming one of the two rank slots. The garbage
+  // connection is made before the workers start: the listener closes once
+  // both ranks are in, so a later connect would be refused.
   std::vector<std::thread> workers;
-  std::thread nuisance;
   TcpOptions options;
   options.spawn_workers = false;
   options.on_listening = [&](const std::string& address) {
-    nuisance = std::thread([address] {
-      const int fd = raw_connect(address);
-      ASSERT_GE(fd, 0);
-      const char junk[] = "GET / HTTP/1.1\r\n\r\n";
-      (void)::send(fd, junk, sizeof(junk), MSG_NOSIGNAL);
-      ::close(fd);
-    });
+    const int fd = raw_connect(address);
+    ASSERT_GE(fd, 0);
+    const char junk[] = "GET / HTTP/1.1\r\n\r\n";
+    (void)::send(fd, junk, sizeof(junk), MSG_NOSIGNAL);
+    ::close(fd);
     for (int k = 0; k < 2; ++k)
       workers.emplace_back([address] {
         (void)run_tcp_worker(address, echo_worker);
       });
   };
   auto comm = make_tcp_communicator(2, nullptr, options);
-  nuisance.join();
   EXPECT_EQ(comm->n_alive(), 2u);
   EXPECT_TRUE(comm->send(0, text_message(5, "over tcp")));
   std::optional<Incoming> incoming;

@@ -123,49 +123,6 @@ TEST(Zgemv, BetaZeroOverwritesNan) {
     EXPECT_NEAR(std::abs(y[i] - expected(i, 0)), 0.0, 1e-13);
 }
 
-TEST(Zgemm, MultithreadedMatchesSingleThreaded) {
-  // The packed kernel may spread M panels over the worker pool; results must
-  // not depend on the thread count (each C tile has exactly one writer).
-  Rng rng(83);
-  const ZMatrix a = random_matrix(130, 96, rng);
-  const ZMatrix b = random_matrix(96, 70, rng);
-  ZMatrix c_serial = random_matrix(130, 70, rng);
-  ZMatrix c_parallel = c_serial;
-  const Complex alpha{0.9, 0.2};
-  const Complex beta{0.5, -0.1};
-  ASSERT_EQ(zgemm_threads(), 1u);
-  zgemm(alpha, a, b, beta, c_serial);
-  set_zgemm_threads(4);
-  zgemm(alpha, a, b, beta, c_parallel);
-  set_zgemm_threads(1);
-  EXPECT_LT(c_parallel.max_abs_diff(c_serial), 1e-11);
-}
-
-TEST(Zgemm, BackToBackMultithreadedRunsStayIsolated) {
-  // Regression test for a pool-generation race: a worker that woke for run
-  // G but was preempted before claiming could, once run G+1 was installed,
-  // claim the new run's tasks through the old (destroyed) job closure and
-  // corrupt its completion count — silently skipping C row panels. Hammer
-  // back-to-back threaded GEMMs, checking every result, so a stale claim
-  // surfaces as a wrong panel (and as a use-after-free under sanitizers).
-  Rng rng(85);
-  const ZMatrix a = random_matrix(130, 96, rng);
-  const ZMatrix b = random_matrix(96, 70, rng);
-  const ZMatrix expected =
-      naive_gemm({1, 0}, a, b, {0, 0}, ZMatrix(130, 70));
-  ASSERT_EQ(zgemm_threads(), 1u);
-  set_zgemm_threads(4);
-  for (int iter = 0; iter < 50; ++iter) {
-    ZMatrix c(130, 70);
-    zgemm(Complex{1, 0}, a, b, Complex{0, 0}, c);
-    if (c.max_abs_diff(expected) > 1e-11) {
-      set_zgemm_threads(1);
-      FAIL() << "threaded GEMM diverged on iteration " << iter;
-    }
-  }
-  set_zgemm_threads(1);
-}
-
 TEST(ZgemmView, OperatesOnSubmatrixWithLeadingDimension) {
   // The raw seam an accelerator backend would implement: C views need not
   // be packed, so exercise lda/ldb/ldc larger than the logical extents.

@@ -5,8 +5,11 @@
 
 #include "common/error.hpp"
 
+#include <omp.h>
+
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "linalg/lu.hpp"
@@ -222,6 +225,51 @@ TEST(LsmsSolver, SchurPathMatchesReferenceAssembly) {
   }
   const double reference = -accumulated.imag() / std::acos(-1.0);
   EXPECT_NEAR(solver.local_energy(0, config), reference, 1e-10);
+}
+
+TEST(LsmsSolver, BatchEnergiesMatchEnergiesBitwise) {
+  // The serving scheduler's batched path must return exactly what
+  // energies() returns for every configuration of the batch, at any batch
+  // size and any OpenMP team size. Two substrates: the fast LIZ (order-28
+  // member blocks, unblocked LU) and the 50-neighbour LIZ the serve bench
+  // uses (order-100 blocks, so the blocked LU and packed GEMM run).
+  LsmsParameters serving = fe_lsms_parameters_fast();
+  serving.liz_radius = 9.1;
+  const LsmsSolver fast = fast_solver();
+  const LsmsSolver wide(lattice::make_fe_supercell(2), serving);
+  ASSERT_GE(2 * (wide.liz_size(0) - 1), linalg::kLuBlockedThreshold);
+
+  const int saved_threads = omp_get_max_threads();
+  for (const LsmsSolver* solver : {&fast, &wide}) {
+    Rng rng(14);
+    std::vector<spin::MomentConfiguration> configs;
+    std::vector<LocalEnergies> reference;
+    for (int c = 0; c < 8; ++c) {
+      configs.push_back(spin::MomentConfiguration::random(16, rng));
+      reference.push_back(solver->energies(configs.back()));
+    }
+    for (const int threads : {1, 3}) {
+      omp_set_num_threads(threads);
+      for (const std::size_t size : {1, 3, 9}) {
+        // The last slot repeats the first configuration.
+        std::vector<const spin::MomentConfiguration*> batch;
+        std::vector<std::size_t> index;
+        for (std::size_t b = 0; b < size; ++b) {
+          index.push_back(b + 1 < size ? b : 0);
+          batch.push_back(&configs[index.back()]);
+        }
+        const std::vector<LocalEnergies> got = solver->batch_energies(batch);
+        ASSERT_EQ(got.size(), size);
+        for (std::size_t b = 0; b < size; ++b) {
+          EXPECT_EQ(got[b].per_atom, reference[index[b]].per_atom)
+              << "threads " << threads << ", batch " << size << ", slot " << b;
+          EXPECT_EQ(got[b].total, reference[index[b]].total)
+              << "threads " << threads << ", batch " << size << ", slot " << b;
+        }
+      }
+    }
+  }
+  omp_set_num_threads(saved_threads);
 }
 
 TEST(LsmsSolver, EnergyScalesExtensively) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include <dirent.h>
+#include <omp.h>
 
 #include "comm/framing.hpp"
 #include "common/rng.hpp"
@@ -251,6 +252,44 @@ TEST(ServeTcp, KillingAClientMidBatchDoesNotStallTheOtherTenant) {
     ++received;
   }
   EXPECT_EQ(received, 4u);
+}
+
+TEST(ServeTcp, BatchThreadsAreRestoredWhenRunReturns) {
+  // gemm_batch_threads sets the OpenMP team size of the thread running the
+  // daemon only while run() serves; the caller gets its own value back.
+  ServeOptions options;
+  options.gemm_batch_threads = 2;
+  options.limits.max_batch = 4;
+  options.limits.batch_window = std::chrono::milliseconds(50);
+  Daemon daemon(small_solver(), options);
+  int before = 0;
+  int after = 0;
+  std::thread server([&] {
+    omp_set_num_threads(3);
+    before = omp_get_max_threads();
+    daemon.run();
+    after = omp_get_max_threads();
+  });
+
+  {
+    Rng rng(907);
+    ServeClient client(daemon.address());
+    std::vector<wl::EnergyRequest> requests;
+    for (std::uint64_t t = 1; t <= 4; ++t) {
+      requests.push_back(make_request(t, rng));
+      client.submit(requests.back());
+    }
+    while (client.outstanding() > 0) {
+      const wl::EnergyResult result = client.retrieve();
+      ASSERT_FALSE(result.failed);
+      EXPECT_EQ(result.energy,
+                small_solver()->energy(requests[result.ticket - 1].config));
+    }
+  }
+  daemon.stop();
+  server.join();
+  EXPECT_EQ(before, 3);
+  EXPECT_EQ(after, before);
 }
 
 TEST(ServeTcp, RestartedDaemonNeverReissuesACheckpointedSessionId) {
