@@ -212,4 +212,10 @@ std::size_t run_tcp_worker(
 /// detection timeout of several multiples of this.
 inline constexpr std::chrono::milliseconds kHeartbeatInterval{100};
 
+/// TCP handshake window, per connection and per direction: the controller
+/// waits this long for a hello, the worker for its welcome. Generous for a
+/// WAN round-trip, small enough that a garbage connection cannot stall
+/// group formation.
+inline constexpr std::chrono::milliseconds kHandshakeTimeout{2000};
+
 }  // namespace wlsms::comm

@@ -81,8 +81,9 @@ class DistributedEnergyService final : public wl::EnergyService {
  public:
   /// Workers run per-atom zone solves of `solver`. With the process
   /// transport the solver must be fully constructed before this call (the
-  /// children inherit it copy-on-write) and linalg GEMM threading must be
-  /// off (the default) — see communicator.hpp fork discipline.
+  /// children inherit it copy-on-write); workers run the strictly serial
+  /// `shard_energies`, off every OpenMP path — see communicator.hpp fork
+  /// discipline.
   DistributedEnergyService(std::shared_ptr<const lsms::LsmsSolver> solver,
                            DistributedConfig config);
   ~DistributedEnergyService() override;

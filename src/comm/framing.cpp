@@ -146,6 +146,45 @@ bool read_all(int fd, void* data, std::size_t n) {
   return true;
 }
 
+Message read_frame(int fd, StreamClock::time_point deadline) {
+  const auto read_exact = [&](void* data, std::size_t n) {
+    char* p = static_cast<char*>(data);
+    while (n > 0) {
+      const int wait_ms = remaining_poll_ms(deadline);
+      if (wait_ms <= 0) throw CommError("frame read timed out");
+      struct pollfd pfd{fd, POLLIN, 0};
+      const int ready = ::poll(&pfd, 1, wait_ms);
+      if (ready < 0 && errno != EINTR)
+        throw CommError(std::string("frame read: poll failed: ") +
+                        std::strerror(errno));
+      if (ready <= 0) continue;  // EINTR or a capped wait: recheck deadline
+      const ssize_t got = ::read(fd, p, n);
+      if (got > 0) {
+        p += got;
+        n -= static_cast<std::size_t>(got);
+        continue;
+      }
+      if (got == 0)
+        throw CommError("peer closed the connection before a whole frame");
+      if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK)
+        throw CommError(std::string("frame read failed: ") +
+                        std::strerror(errno));
+    }
+  };
+
+  std::uint32_t header[2] = {0, 0};
+  read_exact(header, sizeof(header));
+  const std::uint32_t length = header[0];
+  if (length < 4 || length > kMaxFrameBytes)
+    throw CommError("corrupt frame length " + std::to_string(length));
+  Message message;
+  message.tag = header[1];
+  message.payload.resize(length - 4);
+  if (!message.payload.empty())
+    read_exact(message.payload.data(), message.payload.size());
+  return message;
+}
+
 // ---------------------------------------------------------------------------
 // FrameAssembler
 

@@ -2,11 +2,12 @@
 
 /// \file framing.hpp
 /// The byte-stream substrate shared by the socketpair (kProcess) and TCP
-/// (kTcp) transports: one frame codec, one bounded writer, one frame
-/// reassembler, one worker-side channel, and one controller-side base class
-/// — so the two transports differ only in how their file descriptors come
-/// to exist (fork+socketpair vs listen+accept+handshake) and how ranks are
-/// reaped.
+/// (kTcp) transports: one frame codec, one bounded writer, one
+/// deadline-bounded one-shot frame reader (also behind the serve and status
+/// handshakes), one frame reassembler, one worker-side channel, and one
+/// controller-side base class — so the two transports differ only in how
+/// their file descriptors come to exist (fork+socketpair vs
+/// listen+accept+handshake) and how ranks are reaped.
 ///
 /// Frame layout on the wire: [u32 length][u32 tag][payload], little-endian,
 /// where `length` covers tag + payload. Hardening rules, enforced here for
@@ -71,6 +72,16 @@ bool write_all(int fd, const void* data, std::size_t n,
 
 /// Reads exactly `n` bytes from a blocking fd; false on EOF or error.
 bool read_all(int fd, void* data, std::size_t n);
+
+/// Reads exactly one frame before `deadline`: the header, then that frame's
+/// payload, and never a byte past it, so frames the peer queued right
+/// behind it (a controller's first scatter behind the welcome, a daemon's
+/// replayed results) stay in the kernel buffer for the stream's next
+/// reader. Every read is preceded by a poll bounded by the deadline, so a
+/// peer that stalls mid-frame cannot hold the caller past it. Throws
+/// CommError naming the cause: timeout, EOF, read error, or a corrupt
+/// length field (< 4 or > kMaxFrameBytes).
+Message read_frame(int fd, StreamClock::time_point deadline);
 
 /// Incremental reassembly of [u32 length][u32 tag][payload] frames from an
 /// arbitrarily chunked byte stream.

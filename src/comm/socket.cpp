@@ -1,15 +1,8 @@
-#pragma once
-
-/// \file socket_util.hpp
-/// Internal socket plumbing shared by the serve daemon and client: RAII fd
-/// ownership, host:port splitting, and the bind/listen and bounded-connect
-/// rituals. Mirrors the (deliberately private) helpers inside comm/tcp.cpp;
-/// serve keeps its own copies so the comm transport's internals stay
-/// internal. Not installed as public API — serve/*.cpp only.
+#include "comm/socket.hpp"
 
 #include <cerrno>
 #include <cstring>
-#include <string>
+#include <utility>
 
 #include <fcntl.h>
 #include <netdb.h>
@@ -20,72 +13,36 @@
 #include <unistd.h>
 
 #include "comm/communicator.hpp"
-#include "common/error.hpp"
 
-namespace wlsms::serve::net {
+namespace wlsms::comm {
 
-struct HostPort {
-  std::string host;
-  std::string port;
-};
-
-inline HostPort split_address(const std::string& address) {
+HostPort split_address(const std::string& address) {
   const std::size_t colon = address.rfind(':');
   if (colon == std::string::npos || colon == 0 || colon + 1 == address.size())
-    throw comm::CommError("serve: address '" + address +
-                          "' is not of the form host:port");
+    throw CommError("tcp: address '" + address +
+                    "' is not of the form host:port");
   return {address.substr(0, colon), address.substr(colon + 1)};
 }
 
-inline void set_nodelay(int fd) {
+void set_nodelay(int fd) {
   int one = 1;
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-inline void set_cloexec(int fd) {
+void set_cloexec(int fd) {
   const int flags = ::fcntl(fd, F_GETFD, 0);
   if (flags >= 0) (void)::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
 }
 
-/// RAII socket so every throw path closes cleanly.
-class Socket {
- public:
-  Socket() = default;
-  explicit Socket(int fd) : fd_(fd) {}
-  Socket(Socket&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
-  Socket& operator=(Socket&& other) noexcept {
-    if (this != &other) {
-      close();
-      fd_ = other.fd_;
-      other.fd_ = -1;
-    }
-    return *this;
-  }
-  Socket(const Socket&) = delete;
-  Socket& operator=(const Socket&) = delete;
-  ~Socket() { close(); }
-
-  int get() const { return fd_; }
-  int release() {
-    const int fd = fd_;
+void Socket::close() {
+  if (fd_ >= 0) {
+    ::close(fd_);
     fd_ = -1;
-    return fd;
   }
-  void close() {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
+}
 
- private:
-  int fd_ = -1;
-};
-
-/// Binds and listens on `address` (port 0 = kernel-assigned); returns the
-/// listener and writes the resolved host:port to `bound_address`.
-inline Socket make_listener(const std::string& address, int backlog,
-                            std::string& bound_address) {
+Socket make_listener(const std::string& address, int backlog,
+                     std::string& bound_address) {
   const HostPort bind_to = split_address(address);
   struct addrinfo hints{};
   hints.ai_family = AF_INET;
@@ -95,13 +52,13 @@ inline Socket make_listener(const std::string& address, int backlog,
   const int rc = ::getaddrinfo(bind_to.host.c_str(), bind_to.port.c_str(),
                                &hints, &resolved);
   if (rc != 0)
-    throw comm::CommError("serve: cannot resolve listen address '" + address +
-                          "': " + ::gai_strerror(rc));
+    throw CommError("tcp: cannot resolve listen address '" + address +
+                    "': " + ::gai_strerror(rc));
   Socket listener(::socket(resolved->ai_family, resolved->ai_socktype, 0));
   if (listener.get() < 0) {
     ::freeaddrinfo(resolved);
-    throw comm::CommError(std::string("serve: socket failed: ") +
-                          std::strerror(errno));
+    throw CommError(std::string("tcp: socket failed: ") +
+                    std::strerror(errno));
   }
   set_cloexec(listener.get());
   int one = 1;
@@ -111,27 +68,24 @@ inline Socket make_listener(const std::string& address, int backlog,
       ::bind(listener.get(), resolved->ai_addr, resolved->ai_addrlen);
   ::freeaddrinfo(resolved);
   if (bind_rc != 0)
-    throw comm::CommError("serve: bind to '" + address +
-                          "' failed: " + std::strerror(errno));
+    throw CommError("tcp: bind to '" + address +
+                    "' failed: " + std::strerror(errno));
   if (::listen(listener.get(), backlog) != 0)
-    throw comm::CommError(std::string("serve: listen failed: ") +
-                          std::strerror(errno));
+    throw CommError(std::string("tcp: listen failed: ") +
+                    std::strerror(errno));
   struct sockaddr_in bound{};
   socklen_t bound_len = sizeof(bound);
   if (::getsockname(listener.get(),
                     reinterpret_cast<struct sockaddr*>(&bound),
                     &bound_len) != 0)
-    throw comm::CommError(std::string("serve: getsockname failed: ") +
-                          std::strerror(errno));
+    throw CommError(std::string("tcp: getsockname failed: ") +
+                    std::strerror(errno));
   bound_address = bind_to.host + ":" + std::to_string(ntohs(bound.sin_port));
   return listener;
 }
 
-/// Non-blocking connect with a deadline (a black-holed daemon address fails
-/// in `timeout`, not the kernel's multi-minute SYN retry). Returns a
-/// connected blocking socket; throws CommError on failure.
-inline Socket connect_with_timeout(const std::string& address,
-                                   std::chrono::milliseconds timeout) {
+Socket connect_with_timeout(const std::string& address,
+                            std::chrono::milliseconds timeout) {
   const HostPort target = split_address(address);
   struct addrinfo hints{};
   hints.ai_family = AF_INET;
@@ -141,8 +95,8 @@ inline Socket connect_with_timeout(const std::string& address,
   const int rc = ::getaddrinfo(target.host.c_str(), target.port.c_str(),
                                &hints, &resolved);
   if (rc != 0)
-    throw comm::CommError("serve: cannot resolve '" + address +
-                          "': " + ::gai_strerror(rc));
+    throw CommError("tcp: cannot resolve '" + address +
+                    "': " + ::gai_strerror(rc));
   Socket sock;
   std::string last_error = "no addresses";
   for (struct addrinfo* ai = resolved; ai != nullptr; ai = ai->ai_next) {
@@ -175,17 +129,18 @@ inline Socket connect_with_timeout(const std::string& address,
         continue;
       }
     }
+    // Connected: back to blocking for the caller's reads.
     (void)::fcntl(candidate.get(), F_SETFL, flags);
     sock = std::move(candidate);
     break;
   }
   ::freeaddrinfo(resolved);
   if (sock.get() < 0)
-    throw comm::CommError("serve: cannot connect to '" + address +
-                          "': " + last_error);
+    throw CommError("tcp: cannot connect to '" + address +
+                    "': " + last_error);
   set_nodelay(sock.get());
   set_cloexec(sock.get());
   return sock;
 }
 
-}  // namespace wlsms::serve::net
+}  // namespace wlsms::comm

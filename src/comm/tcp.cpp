@@ -29,10 +29,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -40,6 +36,7 @@
 #include <unistd.h>
 
 #include "comm/framing.hpp"
+#include "comm/socket.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/serial.hpp"
@@ -51,144 +48,6 @@ namespace wlsms::comm {
 namespace {
 
 using std::chrono::milliseconds;
-
-/// Per-connection handshake window: generous for a WAN round-trip, small
-/// enough that a garbage connection cannot stall group formation.
-constexpr milliseconds kHandshakeTimeout{2000};
-
-struct HostPort {
-  std::string host;
-  std::string port;
-};
-
-HostPort split_address(const std::string& address) {
-  const std::size_t colon = address.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == address.size())
-    throw CommError("tcp: address '" + address +
-                    "' is not of the form host:port");
-  return {address.substr(0, colon), address.substr(colon + 1)};
-}
-
-void set_nodelay(int fd) {
-  int one = 1;
-  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-void set_cloexec(int fd) {
-  const int flags = ::fcntl(fd, F_GETFD, 0);
-  if (flags >= 0) (void)::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
-}
-
-/// RAII socket so every throw path closes cleanly.
-class Socket {
- public:
-  Socket() = default;
-  explicit Socket(int fd) : fd_(fd) {}
-  Socket(Socket&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
-  Socket& operator=(Socket&& other) noexcept {
-    if (this != &other) {
-      close();
-      fd_ = other.fd_;
-      other.fd_ = -1;
-    }
-    return *this;
-  }
-  Socket(const Socket&) = delete;
-  Socket& operator=(const Socket&) = delete;
-  ~Socket() { close(); }
-
-  int get() const { return fd_; }
-  int release() {
-    const int fd = fd_;
-    fd_ = -1;
-    return fd;
-  }
-  void close() {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
-
- private:
-  int fd_ = -1;
-};
-
-/// Reads one complete frame from `fd` within `deadline`; nullopt on EOF,
-/// error, timeout, or a corrupt length (the assembler throw is mapped to
-/// nullopt — a handshake failure, not a controller crash). May consume
-/// bytes PAST the frame it returns — controller-side use only, where the
-/// worker is guaranteed silent between its hello and our welcome.
-std::optional<Message> read_frame_with_deadline(
-    int fd, StreamClock::time_point deadline) {
-  FrameAssembler assembler;
-  Message message;
-  char chunk[4096];
-  while (true) {
-    try {
-      if (assembler.pop(message)) return message;
-    } catch (const CommError&) {
-      return std::nullopt;
-    }
-    const auto remaining =
-        std::chrono::duration_cast<milliseconds>(deadline -
-                                                 StreamClock::now());
-    if (remaining.count() <= 0) return std::nullopt;
-    struct pollfd pfd{fd, POLLIN, 0};
-    const int ready =
-        ::poll(&pfd, 1, static_cast<int>(remaining.count()));
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return std::nullopt;
-    }
-    if (ready == 0) return std::nullopt;
-    const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (got > 0) {
-      assembler.push(chunk, static_cast<std::size_t>(got));
-      continue;
-    }
-    if (got < 0 && (errno == EINTR || errno == EAGAIN ||
-                    errno == EWOULDBLOCK))
-      continue;
-    return std::nullopt;  // EOF or hard error
-  }
-}
-
-/// Reads exactly one frame — header then payload, nothing more — so bytes
-/// that follow it stay in the kernel buffer. The worker MUST use this for
-/// the welcome: the controller's first coalesced batch (heartbeat + first
-/// scatter) can already be queued behind it, and a greedy read would
-/// silently swallow frames that belong to the StreamWorkerChannel.
-std::optional<Message> read_one_frame_exact(int fd,
-                                            StreamClock::time_point deadline) {
-  while (true) {
-    const auto remaining =
-        std::chrono::duration_cast<milliseconds>(deadline -
-                                                 StreamClock::now());
-    if (remaining.count() <= 0) return std::nullopt;
-    struct pollfd pfd{fd, POLLIN, 0};
-    const int ready =
-        ::poll(&pfd, 1, static_cast<int>(remaining.count()));
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return std::nullopt;
-    }
-    if (ready == 0) return std::nullopt;
-    break;
-  }
-  std::uint32_t header[2];
-  if (!read_all(fd, header, sizeof(header))) return std::nullopt;
-  const std::uint32_t length = header[0];
-  if (length < 4 || length > kMaxFrameBytes) return std::nullopt;
-  Message message;
-  message.tag = header[1];
-  message.payload.resize(length - 4);
-  if (!message.payload.empty() &&
-      !read_all(fd, message.payload.data(), message.payload.size()))
-    return std::nullopt;
-  return message;
-}
 
 std::vector<std::byte> hello_payload(std::uint64_t t0_us) {
   serial::Encoder encoder;
@@ -235,50 +94,11 @@ TcpCommunicator::TcpCommunicator(std::size_t n_ranks,
   WLSMS_EXPECTS(n_ranks >= 1);
   if (options.spawn_workers) WLSMS_EXPECTS(worker_main != nullptr);
 
-  const HostPort bind_to = split_address(options.listen);
-
   // Bind + listen before anything can try to connect.
-  struct addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  hints.ai_flags = AI_PASSIVE | AI_NUMERICSERV;
-  struct addrinfo* resolved = nullptr;
-  const int rc = ::getaddrinfo(bind_to.host.c_str(), bind_to.port.c_str(),
-                               &hints, &resolved);
-  if (rc != 0)
-    throw CommError("tcp: cannot resolve listen address '" + options.listen +
-                    "': " + ::gai_strerror(rc));
-  Socket listener(::socket(resolved->ai_family, resolved->ai_socktype, 0));
-  if (listener.get() < 0) {
-    ::freeaddrinfo(resolved);
-    throw CommError(std::string("tcp: socket failed: ") +
-                    std::strerror(errno));
-  }
-  set_cloexec(listener.get());
-  int one = 1;
-  (void)::setsockopt(listener.get(), SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-  const int bind_rc =
-      ::bind(listener.get(), resolved->ai_addr, resolved->ai_addrlen);
-  ::freeaddrinfo(resolved);
-  if (bind_rc != 0)
-    throw CommError("tcp: bind to '" + options.listen +
-                    "' failed: " + std::strerror(errno));
-  if (::listen(listener.get(), static_cast<int>(n_ranks) + 8) != 0)
-    throw CommError(std::string("tcp: listen failed: ") +
-                    std::strerror(errno));
-
-  // Resolve the ephemeral port the kernel picked.
-  struct sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listener.get(),
-                    reinterpret_cast<struct sockaddr*>(&bound),
-                    &bound_len) != 0)
-    throw CommError(std::string("tcp: getsockname failed: ") +
-                    std::strerror(errno));
-  const std::uint16_t port = ntohs(bound.sin_port);
-  const std::string bound_address =
-      bind_to.host + ":" + std::to_string(port);
+  std::string bound_address;
+  Socket listener = make_listener(options.listen,
+                                  static_cast<int>(n_ranks) + 8,
+                                  bound_address);
   log_debug("comm: tcp controller listening on ", bound_address, " for ",
             n_ranks, " workers");
   if (options.on_listening) options.on_listening(bound_address);
@@ -313,19 +133,22 @@ TcpCommunicator::TcpCommunicator(std::size_t n_ranks,
       set_cloexec(conn.get());
 
       // Validate the hello before the connection becomes a rank.
-      const std::optional<Message> hello = read_frame_with_deadline(
-          conn.get(), StreamClock::now() + kHandshakeTimeout);
-      const std::uint64_t t1_us = obs::trace_now_us();
-      if (!hello || hello->tag != kTagHello) {
-        log_warn("comm: tcp connection rejected (no valid hello frame)");
-        continue;
-      }
+      std::uint64_t t1_us = 0;
       try {
-        serial::Decoder decoder(hello->payload);
+        const Message hello =
+            read_frame(conn.get(), StreamClock::now() + kHandshakeTimeout);
+        t1_us = obs::trace_now_us();
+        if (hello.tag != kTagHello)
+          throw CommError("frame tag " + std::to_string(hello.tag));
+        serial::Decoder decoder(hello.payload);
         serial::read_header(decoder, serial::PayloadKind::kTcpHello);
         (void)decoder.get_u64();  // worker trace node
         (void)decoder.get_u64();  // t0: the worker keeps its own copy
         decoder.expect_end();
+      } catch (const CommError& error) {
+        log_warn("comm: tcp connection rejected (no hello frame: ",
+                 error.what(), ")");
+        continue;
       } catch (const serial::SerializationError& error) {
         log_warn("comm: tcp connection rejected (bad hello: ", error.what(),
                  ")");
@@ -354,7 +177,7 @@ TcpCommunicator::TcpCommunicator(std::size_t n_ranks,
     // r-th child and kill(r) signals the process behind rank r's socket;
     // forked all at once, the children's connect order would pick ranks.
     const std::string connect_address =
-        "127.0.0.1:" + std::to_string(port);
+        "127.0.0.1:" + split_address(bound_address).port;
     std::fflush(nullptr);
     for (std::size_t r = 0; r < n_ranks; ++r) {
       const pid_t pid = ::fork();
@@ -434,65 +257,7 @@ std::size_t run_tcp_worker(const std::string& address,
                            const WorkerMain& worker_main,
                            std::chrono::milliseconds connect_timeout) {
   WLSMS_EXPECTS(worker_main != nullptr);
-  const HostPort target = split_address(address);
-
-  struct addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  hints.ai_flags = AI_NUMERICSERV;
-  struct addrinfo* resolved = nullptr;
-  const int rc = ::getaddrinfo(target.host.c_str(), target.port.c_str(),
-                               &hints, &resolved);
-  if (rc != 0)
-    throw CommError("tcp: cannot resolve '" + address +
-                    "': " + ::gai_strerror(rc));
-
-  // Non-blocking connect with a deadline: a black-holed controller address
-  // fails in connect_timeout, not the kernel's multi-minute SYN retry.
-  Socket sock;
-  std::string last_error = "no addresses";
-  for (struct addrinfo* ai = resolved; ai != nullptr; ai = ai->ai_next) {
-    Socket candidate(::socket(ai->ai_family, ai->ai_socktype, 0));
-    if (candidate.get() < 0) {
-      last_error = std::string("socket: ") + std::strerror(errno);
-      continue;
-    }
-    const int flags = ::fcntl(candidate.get(), F_GETFL, 0);
-    (void)::fcntl(candidate.get(), F_SETFL, flags | O_NONBLOCK);
-    const int connect_rc =
-        ::connect(candidate.get(), ai->ai_addr, ai->ai_addrlen);
-    if (connect_rc != 0 && errno != EINPROGRESS) {
-      last_error = std::string("connect: ") + std::strerror(errno);
-      continue;
-    }
-    if (connect_rc != 0) {
-      struct pollfd pfd{candidate.get(), POLLOUT, 0};
-      const int ready = ::poll(&pfd, 1,
-                               static_cast<int>(connect_timeout.count()));
-      if (ready <= 0) {
-        last_error = "connect timed out";
-        continue;
-      }
-      int so_error = 0;
-      socklen_t len = sizeof(so_error);
-      (void)::getsockopt(candidate.get(), SOL_SOCKET, SO_ERROR, &so_error,
-                         &len);
-      if (so_error != 0) {
-        last_error = std::string("connect: ") + std::strerror(so_error);
-        continue;
-      }
-    }
-    // Connected: back to blocking for the worker's read loop.
-    (void)::fcntl(candidate.get(), F_SETFL, flags);
-    sock = std::move(candidate);
-    break;
-  }
-  ::freeaddrinfo(resolved);
-  if (sock.get() < 0)
-    throw CommError("tcp: cannot connect to '" + address +
-                    "': " + last_error);
-  set_nodelay(sock.get());
-  set_cloexec(sock.get());
+  Socket sock = connect_with_timeout(address, connect_timeout);
 
   // Handshake: hello out, welcome (rank assignment) back. The welcome also
   // closes the four-timestamp clock probe opened by the hello, giving this
@@ -503,14 +268,19 @@ std::size_t run_tcp_worker(const std::string& address,
   if (!write_all(sock.get(), hello.data(), hello.size(),
                  StreamClock::now() + kHandshakeTimeout))
     throw CommError("tcp: handshake hello to '" + address + "' failed");
-  const std::optional<Message> welcome = read_one_frame_exact(
-      sock.get(), StreamClock::now() + kHandshakeTimeout);
+  Message welcome;
+  try {
+    welcome = read_frame(sock.get(), StreamClock::now() + kHandshakeTimeout);
+  } catch (const CommError& error) {
+    throw CommError("tcp: no welcome from controller at '" + address +
+                    "': " + error.what());
+  }
   const std::uint64_t t3_us = obs::trace_now_us();
-  if (!welcome || welcome->tag != kTagWelcome)
+  if (welcome.tag != kTagWelcome)
     throw CommError("tcp: no welcome from controller at '" + address + "'");
   std::uint64_t rank = 0;
   try {
-    serial::Decoder decoder(welcome->payload);
+    serial::Decoder decoder(welcome.payload);
     serial::read_header(decoder, serial::PayloadKind::kTcpWelcome);
     rank = decoder.get_u64();
     (void)decoder.get_u64();  // n_ranks; informational

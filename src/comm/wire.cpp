@@ -149,54 +149,4 @@ ShardEvict decode_shard_evict(const std::vector<std::byte>& buffer) {
   return evict;
 }
 
-std::vector<std::byte> encode_energy_request(const wl::EnergyRequest& request) {
-  Encoder e;
-  serial::write_header(e, PayloadKind::kEnergyRequest);
-  e.put_u64(request.walker);
-  e.put_u64(request.ticket);
-  e.put_u64(request.session);
-  e.put_u64(request.trace.trace_id);
-  e.put_u64(request.trace.span_id);
-  spin::encode_moments(e, request.config);
-  return e.take();
-}
-
-wl::EnergyRequest decode_energy_request(const std::vector<std::byte>& buffer) {
-  Decoder d(buffer);
-  serial::read_header(d, PayloadKind::kEnergyRequest);
-  wl::EnergyRequest request;
-  request.walker = static_cast<std::size_t>(d.get_u64());
-  request.ticket = d.get_u64();
-  request.session = d.get_u64();
-  request.trace.trace_id = d.get_u64();
-  request.trace.span_id = d.get_u64();
-  request.config = spin::decode_moments(d);
-  d.expect_end();
-  return request;
-}
-
-std::vector<std::byte> encode_energy_result(const wl::EnergyResult& result) {
-  Encoder e;
-  serial::write_header(e, PayloadKind::kEnergyResult);
-  e.put_u64(result.walker);
-  e.put_u64(result.ticket);
-  e.put_double(result.energy);
-  e.put_u8(result.failed ? 1 : 0);
-  return e.take();
-}
-
-wl::EnergyResult decode_energy_result(const std::vector<std::byte>& buffer) {
-  Decoder d(buffer);
-  serial::read_header(d, PayloadKind::kEnergyResult);
-  wl::EnergyResult result;
-  result.walker = static_cast<std::size_t>(d.get_u64());
-  result.ticket = d.get_u64();
-  result.energy = d.get_double();
-  const std::uint8_t failed = d.get_u8();
-  if (failed > 1) throw SerializationError("corrupt energy-result flag");
-  result.failed = failed != 0;
-  d.expect_end();
-  return result;
-}
-
 }  // namespace wlsms::comm

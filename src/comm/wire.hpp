@@ -37,14 +37,12 @@
 #include "common/vec3.hpp"
 #include "obs/trace.hpp"
 #include "spin/moments.hpp"
-#include "wl/energy_service.hpp"
 
 namespace wlsms::comm {
 
-/// Application-level message tags (Message::tag).
+/// Application-level message tags (Message::tag). Tags 1 and 2 (the retired
+/// whole energy request/result) are not reused.
 enum Tag : std::uint32_t {
-  kTagEnergyRequest = 1,
-  kTagEnergyResult = 2,
   kTagShardRequest = 3,
   kTagShardResult = 4,
   kTagShardEvict = 5,
@@ -102,14 +100,5 @@ ShardResult decode_shard_result(const std::vector<std::byte>&);
 
 std::vector<std::byte> encode_shard_evict(const ShardEvict&);
 ShardEvict decode_shard_evict(const std::vector<std::byte>&);
-
-/// Whole-request codecs (a full configuration with its ticket), used when a
-/// group has a single rank and by anything that ships an EnergyService
-/// conversation across a boundary wholesale.
-std::vector<std::byte> encode_energy_request(const wl::EnergyRequest&);
-wl::EnergyRequest decode_energy_request(const std::vector<std::byte>&);
-
-std::vector<std::byte> encode_energy_result(const wl::EnergyResult&);
-wl::EnergyResult decode_energy_result(const std::vector<std::byte>&);
 
 }  // namespace wlsms::comm

@@ -9,8 +9,6 @@ namespace {
 const char* kind_name(PayloadKind kind) {
   switch (kind) {
     case PayloadKind::kCheckpoint: return "checkpoint";
-    case PayloadKind::kEnergyRequest: return "energy-request";
-    case PayloadKind::kEnergyResult: return "energy-result";
     case PayloadKind::kMomentConfiguration: return "moment-configuration";
     case PayloadKind::kShardRequest: return "shard-request";
     case PayloadKind::kShardResult: return "shard-result";

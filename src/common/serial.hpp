@@ -53,11 +53,10 @@ inline constexpr std::uint32_t kSchemaVersion = 5;
 
 /// What a framed buffer carries. The kind is part of the header so a
 /// message routed to the wrong decoder fails loudly instead of
-/// misinterpreting bytes.
+/// misinterpreting bytes. Kinds 2 and 3 (the retired whole energy
+/// request/result) are not reused.
 enum class PayloadKind : std::uint32_t {
   kCheckpoint = 1,
-  kEnergyRequest = 2,
-  kEnergyResult = 3,
   kMomentConfiguration = 4,
   kShardRequest = 5,
   kShardResult = 6,

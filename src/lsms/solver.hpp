@@ -25,8 +25,8 @@
 ///
 /// Domain decomposition follows the paper: each atom's solve is independent
 /// given the t-matrices of its LIZ ("one atom per processor"); here the atom
-/// loop is OpenMP-parallel and, in the distributed harness (src/parallel,
-/// src/cluster), one walker's atoms map onto one LSMS instance.
+/// loop is OpenMP-parallel and, in the distributed harness (src/comm), one
+/// walker's atoms map onto one LSMS instance.
 
 #include <cstddef>
 #include <map>

@@ -4,7 +4,7 @@
 /// Process-wide metrics registry: named counters, gauges, and fixed-bucket
 /// histograms — the software analogue of the paper's PAPI counter harness,
 /// generalized from flops (src/perf keeps those) to run health: WL
-/// acceptance rates, comm reroutes, retrieve latencies, GEMM-pool queue
+/// acceptance rates, comm reroutes, retrieve latencies, serve queue
 /// depths.
 ///
 /// Concurrency model: every writer-side operation lands in a thread-local

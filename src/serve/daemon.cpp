@@ -12,16 +12,17 @@
 #include <fcntl.h>
 #include <omp.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "comm/framing.hpp"
+#include "comm/socket.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/serial.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
-#include "serve/socket_util.hpp"
 
 namespace wlsms::serve {
 
@@ -92,7 +93,7 @@ Daemon::Daemon(std::shared_ptr<const lsms::LsmsSolver> solver,
     : solver_(std::move(solver)),
       options_(std::move(options)),
       scheduler_(solver_, options_.limits) {
-  net::Socket listener = net::make_listener(options_.listen, 32, address_);
+  comm::Socket listener = comm::make_listener(options_.listen, 32, address_);
   set_nonblocking(listener.get());
   listener_ = listener.release();
 
@@ -106,8 +107,8 @@ Daemon::Daemon(std::shared_ptr<const lsms::LsmsSolver> solver,
   stop_read_ = pipe_fds[0];
   stop_write_ = pipe_fds[1];
   set_nonblocking(stop_read_);
-  net::set_cloexec(stop_read_);
-  net::set_cloexec(stop_write_);
+  comm::set_cloexec(stop_read_);
+  comm::set_cloexec(stop_write_);
 
   token_state_ = (static_cast<std::uint64_t>(std::random_device{}()) << 32) ^
                  std::random_device{}();
@@ -240,8 +241,8 @@ void Daemon::accept_pending() {
   while (true) {
     const int fd = ::accept(listener_, nullptr, nullptr);
     if (fd < 0) return;  // EAGAIN, or a transient accept error: try later
-    net::set_nodelay(fd);
-    net::set_cloexec(fd);
+    comm::set_nodelay(fd);
+    comm::set_cloexec(fd);
     set_nonblocking(fd);
     if (options_.client_sndbuf > 0) {
       const int bytes = static_cast<int>(options_.client_sndbuf);

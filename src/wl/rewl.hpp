@@ -44,7 +44,7 @@ struct RewlWindow {
 /// Run parameters for a replica-exchange windowed run.
 struct RewlConfig {
   /// Global grid plus the per-window WL knobs (flatness, check interval,
-  /// walkers *per window*, step caps, update_on_rejection).
+  /// walkers *per window*, step caps).
   WangLandauConfig base;
   std::size_t n_windows = 2;
   /// Fraction of a window's width shared with each neighbour (Vogel et al.

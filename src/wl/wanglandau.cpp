@@ -75,7 +75,6 @@ void WangLandau::advance(Walker& walker) {
       energy_.energy_after_move(walker.config, move, walker.energy);
   ++stats_.total_steps;
 
-  bool accepted = false;
   if (!dos_.contains(e_new)) {
     // Proposals outside the window are rejected outright; the walk still
     // deposits weight at its current energy.
@@ -87,7 +86,6 @@ void WangLandau::advance(Walker& walker) {
       walker.config.set(move.site, move.new_direction);
       walker.energy = e_new;
       ++stats_.accepted_steps;
-      accepted = true;
     }
   }
 
@@ -96,11 +94,10 @@ void WangLandau::advance(Walker& walker) {
   if (stats_.total_steps % (1u << 22) == 0)
     walker.energy = energy_.total_energy(walker.config);
 
-  // Update g and H at the walker's current (post-decision) energy. A
-  // first-time bin visit restarts the flatness clock: the support grew.
-  if (accepted || config_.update_on_rejection) {
-    if (dos_.visit(walker.energy, schedule_->gamma())) dos_.reset_histogram();
-  }
+  // Update g and H at the walker's current (post-decision) energy after
+  // every trial, rejected ones included (classic Wang-Landau). A first-time
+  // bin visit restarts the flatness clock: the support grew.
+  if (dos_.visit(walker.energy, schedule_->gamma())) dos_.reset_histogram();
   schedule_->on_step(stats_.total_steps);
 }
 

@@ -39,12 +39,6 @@ struct WangLandauConfig {
   /// Iterations that end by cap rather than flatness are counted in
   /// WangLandauStats::forced_iterations.
   std::uint64_t max_iteration_steps = 0;
-  /// When true (classic Wang-Landau), g and H are updated at the walker's
-  /// current energy after *every* trial, including rejected ones. When
-  /// false, only accepted arrivals update (the reading suggested by the
-  /// paper's §II-A: "for every accepted move, a histogram H(E) is
-  /// updated"). See tests/test_wl_exact.cpp for the stability comparison.
-  bool update_on_rejection = true;
 };
 
 /// Progress counters of a run.

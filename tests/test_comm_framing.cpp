@@ -8,6 +8,9 @@
 //    kills the rank), never allocate absurd buffers or desync silently;
 //  - write_all must honor its deadline when the peer's socket buffer stays
 //    full (historically it looped forever and wedged the controller).
+// The one-shot reader read_frame gets the mirror-image checks: it stops at
+// the frame's end, and a stalled, closed or corrupt peer is a bounded
+// CommError.
 #include "comm/framing.hpp"
 
 #include <gtest/gtest.h>
@@ -205,6 +208,69 @@ TEST(WriteAll, PeerCloseFailsFast) {
   EXPECT_FALSE(write_all(fds[0], &byte, 1, start + 10s));
   EXPECT_LT(StreamClock::now() - start, 5s);
   ::close(fds[0]);
+}
+
+/// A connected socketpair, closed on scope exit.
+struct SocketPair {
+  int fds[2] = {-1, -1};
+  SocketPair() { EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0); }
+  ~SocketPair() {
+    for (int fd : fds)
+      if (fd >= 0) ::close(fd);
+  }
+  void write(const void* data, std::size_t n) {
+    ASSERT_EQ(::send(fds[0], data, n, MSG_NOSIGNAL), static_cast<ssize_t>(n));
+  }
+};
+
+TEST(ReadFrame, BackToBackFramesComeBackOneReadEach) {
+  // One write carries both frames; a reader that buffered greedily would
+  // swallow the second into the first call and time out on the next.
+  SocketPair pair;
+  std::vector<std::byte> batch;
+  append_frame(batch, text_message(1, "welcome"));
+  append_frame(batch, text_message(2, "queued right behind it"));
+  pair.write(batch.data(), batch.size());
+  const auto deadline = StreamClock::now() + 2s;
+  const Message first = read_frame(pair.fds[1], deadline);
+  EXPECT_EQ(first.tag, 1u);
+  EXPECT_EQ(first.payload.size(), 7u);
+  const Message second = read_frame(pair.fds[1], deadline);
+  EXPECT_EQ(second.tag, 2u);
+  EXPECT_EQ(second.payload.size(), 22u);
+}
+
+TEST(ReadFrame, StalledPayloadTimesOutAtTheDeadline) {
+  // The header promises 996 payload bytes that never come.
+  SocketPair pair;
+  const std::uint32_t header[2] = {1000, 7};
+  pair.write(header, sizeof(header));
+  const auto start = StreamClock::now();
+  EXPECT_THROW((void)read_frame(pair.fds[1], start + 200ms), CommError);
+  EXPECT_LT(StreamClock::now() - start, 200ms + 500ms);
+}
+
+TEST(ReadFrame, CorruptLengthsThrow) {
+  for (const std::uint32_t length :
+       {0u, 3u, kMaxFrameBytes + 1, 0xFFFFFFFFu}) {
+    SocketPair pair;
+    const std::uint32_t header[2] = {length, 7};
+    pair.write(header, sizeof(header));
+    EXPECT_THROW((void)read_frame(pair.fds[1], StreamClock::now() + 2s),
+                 CommError)
+        << "length " << length;
+  }
+}
+
+TEST(ReadFrame, EofMidFrameThrowsWithoutWaitingForTheDeadline) {
+  SocketPair pair;
+  const std::vector<std::byte> frame = frame_bytes(text_message(3, "abcdef"));
+  pair.write(frame.data(), frame.size() - 2);
+  ::close(pair.fds[0]);
+  pair.fds[0] = -1;
+  const auto start = StreamClock::now();
+  EXPECT_THROW((void)read_frame(pair.fds[1], start + 10s), CommError);
+  EXPECT_LT(StreamClock::now() - start, 5s);
 }
 
 }  // namespace

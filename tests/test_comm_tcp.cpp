@@ -4,7 +4,9 @@
 // death, and the distributed energy service end to end — energies
 // bit-identical to the serial solver, a move-local walk, and kill-a-rank
 // failover, mirroring the socketpair suite (test_comm_process.cpp) — plus
-// a hostile worker whose out-of-assignment gathers must be rejected.
+// a hostile worker whose out-of-assignment gathers must be rejected, and a
+// stalled controller that must not hold a worker past its handshake
+// deadline.
 //
 // In the `net` ctest label, NOT `sanitize`: these tests fork worker
 // processes and open real sockets, which tsan does not support. The
@@ -18,13 +20,12 @@
 #include <string>
 #include <thread>
 
-#include <netdb.h>
-#include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include "comm/distributed_service.hpp"
 #include "comm/framing.hpp"
+#include "comm/socket.hpp"
 #include "comm/wire.hpp"
 #include "common/rng.hpp"
 #include "common/serial.hpp"
@@ -51,30 +52,6 @@ Message text_message(std::uint32_t tag, const std::string& text) {
 void echo_worker(WorkerChannel& channel) {
   while (std::optional<Message> message = channel.recv())
     channel.send(*message);
-}
-
-/// Blocking client connect to 127.0.0.1:<port of "host:port" address>, for
-/// tests that speak the protocol (or deliberately don't) by hand.
-int raw_connect(const std::string& address) {
-  const std::size_t colon = address.rfind(':');
-  struct addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  hints.ai_flags = AI_NUMERICSERV;
-  struct addrinfo* resolved = nullptr;
-  if (::getaddrinfo(address.substr(0, colon).c_str(),
-                    address.substr(colon + 1).c_str(), &hints,
-                    &resolved) != 0)
-    return -1;
-  const int fd = ::socket(resolved->ai_family, resolved->ai_socktype, 0);
-  const int rc =
-      fd >= 0 ? ::connect(fd, resolved->ai_addr, resolved->ai_addrlen) : -1;
-  ::freeaddrinfo(resolved);
-  if (rc != 0) {
-    if (fd >= 0) ::close(fd);
-    return -1;
-  }
-  return fd;
 }
 
 TEST(TcpCommunicator, EchoAcrossForkedLoopbackWorkers) {
@@ -122,11 +99,10 @@ TEST(TcpCommunicator, ExternalWorkersJoinAndGarbageConnectionsAreRejected) {
   TcpOptions options;
   options.spawn_workers = false;
   options.on_listening = [&](const std::string& address) {
-    const int fd = raw_connect(address);
-    ASSERT_GE(fd, 0);
+    Socket garbage = connect_with_timeout(address, 2s);
     const char junk[] = "GET / HTTP/1.1\r\n\r\n";
-    (void)::send(fd, junk, sizeof(junk), MSG_NOSIGNAL);
-    ::close(fd);
+    (void)::send(garbage.get(), junk, sizeof(junk), MSG_NOSIGNAL);
+    garbage.close();
     for (int k = 0; k < 2; ++k)
       workers.emplace_back([address] {
         (void)run_tcp_worker(address, echo_worker);
@@ -153,8 +129,8 @@ TEST(TcpCommunicator, CorruptFrameAfterHandshakeIsRankDeathNotCrash) {
   options.spawn_workers = false;
   options.on_listening = [&](const std::string& address) {
     rogue = std::thread([address] {
-      const int fd = raw_connect(address);
-      ASSERT_GE(fd, 0);
+      Socket sock = connect_with_timeout(address, 2s);
+      const int fd = sock.get();
       serial::Encoder hello;
       serial::write_header(hello, serial::PayloadKind::kTcpHello);
       hello.put_u64(0);  // trace node
@@ -163,16 +139,14 @@ TEST(TcpCommunicator, CorruptFrameAfterHandshakeIsRankDeathNotCrash) {
           frame_bytes(Message{kTagHello, hello.take()});
       ASSERT_TRUE(write_all(fd, frame.data(), frame.size(),
                             StreamClock::now() + 2s));
-      // Swallow the welcome header + payload (8 + 52 bytes), then betray
-      // the protocol: a length field far beyond kMaxFrameBytes.
-      char welcome[60];
-      ASSERT_TRUE(read_all(fd, welcome, sizeof(welcome)));
+      // Swallow the welcome, then betray the protocol: a length field far
+      // beyond kMaxFrameBytes.
+      ASSERT_EQ(read_frame(fd, StreamClock::now() + 2s).tag, kTagWelcome);
       const std::uint8_t corrupt[8] = {0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 0, 0};
       (void)::send(fd, corrupt, sizeof(corrupt), MSG_NOSIGNAL);
       // Stay connected so death comes from the corrupt frame, not EOF.
       char sink;
       (void)::recv(fd, &sink, 1, 0);
-      ::close(fd);
     });
     workers.emplace_back([address] {
       (void)run_tcp_worker(address, echo_worker);
@@ -195,6 +169,28 @@ TEST(TcpCommunicator, CorruptFrameAfterHandshakeIsRankDeathNotCrash) {
   comm->shutdown();
   rogue.join();
   for (std::thread& w : workers) w.join();
+}
+
+TEST(TcpWorker, PartialWelcomeThenSilenceFailsAtTheHandshakeDeadline) {
+  // A fake controller reads the hello, sends a welcome header promising 996
+  // payload bytes, and stalls. The worker must give up at its handshake
+  // deadline, not block until the controller closes the connection.
+  std::string address;
+  Socket listener = make_listener("127.0.0.1:0", 1, address);
+  std::thread controller([&listener] {
+    Socket conn(::accept(listener.get(), nullptr, nullptr));
+    EXPECT_NO_THROW((void)read_frame(conn.get(), StreamClock::now() + 5s));
+    const std::uint32_t header[2] = {1000, kTagWelcome};
+    EXPECT_TRUE(write_all(conn.get(), header, sizeof(header),
+                          StreamClock::now() + 1s));
+    // Stall well past the worker's deadline; its close ends the wait early.
+    struct pollfd pfd{conn.get(), POLLIN, 0};
+    (void)::poll(&pfd, 1, static_cast<int>((kHandshakeTimeout + 4s).count()));
+  });
+  const auto start = StreamClock::now();
+  EXPECT_THROW(run_tcp_worker(address, echo_worker), CommError);
+  EXPECT_LT(StreamClock::now() - start, kHandshakeTimeout + 1s);
+  controller.join();
 }
 
 struct Fe16 {

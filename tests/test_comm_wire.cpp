@@ -158,34 +158,6 @@ TEST(CommWire, ShardEvictRoundTripTruncationAndWrongKind) {
   }
 }
 
-TEST(CommWire, EnergyRequestAndResultRoundTrip) {
-  Rng rng(104);
-  wl::EnergyRequest request;
-  request.walker = 5;
-  request.ticket = 77;
-  request.config = random_config(16, rng);
-  request.session = 0x00C0FFEE00C0FFEEull;  // tenant-session id rides along
-  request.trace = {0xAAAAull, 0xBBBBull};   // as does the originating span
-  const wl::EnergyRequest req_back =
-      decode_energy_request(encode_energy_request(request));
-  EXPECT_EQ(req_back.walker, request.walker);
-  EXPECT_EQ(req_back.ticket, request.ticket);
-  EXPECT_EQ(req_back.session, request.session);
-  EXPECT_EQ(req_back.trace.trace_id, request.trace.trace_id);
-  EXPECT_EQ(req_back.trace.span_id, request.trace.span_id);
-  ASSERT_EQ(req_back.config.size(), request.config.size());
-  for (std::size_t i = 0; i < request.config.size(); ++i)
-    EXPECT_TRUE(same_bits(req_back.config[i], request.config[i]));
-
-  wl::EnergyResult result{3, 42, -1.25, true};
-  const wl::EnergyResult res_back =
-      decode_energy_result(encode_energy_result(result));
-  EXPECT_EQ(res_back.walker, result.walker);
-  EXPECT_EQ(res_back.ticket, result.ticket);
-  EXPECT_EQ(res_back.energy, result.energy);
-  EXPECT_EQ(res_back.failed, result.failed);
-}
-
 TEST(CommWire, MomentCodecNeverRenormalizes) {
   // The direction (1, 1, 1)/sqrt(3) does not renormalize to itself bitwise;
   // the codec must hand back exactly what was sent.
@@ -346,14 +318,13 @@ TEST(CommWire, EmptyShardResultRejected) {
 
 TEST(CommWire, WrongPayloadKindRejectedAcrossCodecs) {
   Rng rng(109);
-  wl::EnergyRequest request;
-  request.walker = 0;
+  ShardRequest request;
   request.ticket = 1;
-  request.config = random_config(4, rng);
-  const std::vector<std::byte> bytes = encode_energy_request(request);
-  EXPECT_THROW(decode_shard_request(bytes), SerializationError);
+  request.zones = {0, 1, 2, 3};
+  request.full = random_config(4, rng);
+  const std::vector<std::byte> bytes = encode_shard_request(request);
   EXPECT_THROW(decode_shard_result(bytes), SerializationError);
-  EXPECT_THROW(decode_energy_result(bytes), SerializationError);
+  EXPECT_THROW(decode_shard_evict(bytes), SerializationError);
 }
 
 }  // namespace

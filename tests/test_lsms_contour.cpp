@@ -25,7 +25,9 @@ TEST(GaussLegendre, NodesAreSymmetricAndSorted) {
   gauss_legendre(10, x, w);
   for (std::size_t i = 0; i < 10; ++i) {
     EXPECT_NEAR(x[i] + x[9 - i], 0.0, 1e-13);
-    if (i) EXPECT_GT(x[i], x[i - 1]);
+    if (i) {
+      EXPECT_GT(x[i], x[i - 1]);
+    }
   }
 }
 

@@ -124,8 +124,9 @@ TEST(ServeParity, TcpDaemonMatchesSynchronousAtEveryBatchSize) {
 
     daemon.stop();
     server.join();
-    if (batch_size > 1)
+    if (batch_size > 1) {
       EXPECT_EQ(daemon.scheduler_stats().batched_requests, batch_size);
+    }
   }
 }
 

@@ -17,15 +17,17 @@
 
 #include <dirent.h>
 #include <omp.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "comm/framing.hpp"
+#include "comm/socket.hpp"
 #include "common/rng.hpp"
 #include "lattice/structure.hpp"
 #include "lsms/fe_parameters.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
-#include "serve/socket_util.hpp"
 
 namespace wlsms::serve {
 namespace {
@@ -101,7 +103,7 @@ TEST(ServeTcp, GarbageStreamsAgainstLiveDaemonNeverCrashIt) {
   // a valid frame header with a garbage hello, and a silent half-open
   // connection that must be expired by the handshake deadline.
   for (int round = 0; round < 10; ++round) {
-    net::Socket sock = net::connect_with_timeout(
+    comm::Socket sock = comm::connect_with_timeout(
         fixture.address(), std::chrono::milliseconds(2000));
     std::vector<char> garbage(16 + rng.uniform_index(256));
     for (char& c : garbage)
@@ -403,7 +405,7 @@ TEST(ServeTcp, ClientDeathMidResumeReplayKeepsCheckpointRecoverable) {
   // mid-replay. The daemon must re-checkpoint the unsent remainder and the
   // pending requests — not clobber the file with a near-empty session.
   {
-    net::Socket victim = net::connect_with_timeout(
+    comm::Socket victim = comm::connect_with_timeout(
         fixture.address(), std::chrono::milliseconds(2000));
     const int rcvbuf = 4096;
     (void)::setsockopt(victim.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
