@@ -5,9 +5,16 @@
 // efficiency number behind the Table II projection.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "common/rng.hpp"
+#include "common/units.hpp"
+#include "lattice/structure.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/lu.hpp"
+#include "lsms/contour.hpp"
+#include "lsms/fe_parameters.hpp"
+#include "lsms/kkr.hpp"
 #include "perf/flops.hpp"
 
 namespace {
@@ -59,9 +66,10 @@ void BM_ZgemmNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_ZgemmNaive)->Arg(30)->Arg(65)->Arg(130)->Arg(192);
 
-// Blocked right-looking factorization (panel + TRSM + GEMM trailing
-// update); gemm_frac is the measured share of flops the trailing ZGEMMs
-// retire.
+// Blocked right-looking factorization through zgetrf_in_place: deinterleave
+// into split planes, split_getrf (panel + row-panel substitution + trailing
+// tile), re-interleave; gemm_frac is the measured share of flops booked as
+// the trailing update.
 void BM_Zgetrf(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(2);
@@ -122,5 +130,49 @@ void BM_LogDet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LogDet)->Arg(65)->Arg(130);
+
+// One contour point of one zone exactly as the solver runs it:
+// central_tau_schur on real hopping templates and t^-1 blocks of a random
+// moment configuration. The argument is the member-block order: 28 is the
+// fast 15-atom LIZ, 128 the paper's 65-atom LIZ.
+void BM_ZoneSolve(benchmark::State& state) {
+  const auto order = static_cast<std::size_t>(state.range(0));
+  const double radius = order == 28 ? 5.6 : units::fe_liz_radius_a0;
+  const lattice::Structure cell = lattice::make_fe_supercell(2);
+  const lsms::LizGeometry liz = lsms::build_liz(cell, 0, radius);
+  if (2 * liz.members.size() != order) {
+    state.SkipWithError("no LIZ of this member-block order");
+    return;
+  }
+  const lsms::ScatteringParameters sp = lsms::fe_scattering_parameters();
+  const lsms::Scatterer scatterer(sp);
+  const std::vector<lsms::ContourPoint> contour =
+      lsms::semicircle_contour(sp.band_bottom, sp.fermi_energy, 16);
+  const linalg::Complex z = contour[contour.size() / 2].z;
+  const lsms::SchurTemplates templates = lsms::make_schur_templates(
+      lsms::scalar_propagator_matrix(liz, z), sp.propagator_strength);
+  Rng rng(5);
+  const auto moments = spin::MomentConfiguration::random(cell.size(), rng);
+  std::vector<spin::Spin2x2> members(liz.members.size());
+  for (std::size_t j = 0; j < members.size(); ++j)
+    members[j] = scatterer.t_inverse(moments[liz.members[j].site], z);
+  const spin::Spin2x2 center = scatterer.t_inverse(moments[0], z);
+  lsms::SchurWorkspace ws;
+  perf::FlopWindow window;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    const spin::Spin2x2 tau =
+        lsms::central_tau_schur(templates, center, members.data(), ws);
+    benchmark::DoNotOptimize(tau);
+  }
+  const std::chrono::duration<double, std::micro> loop =
+      std::chrono::steady_clock::now() - t0;
+  state.counters["us"] =
+      benchmark::Counter(loop.count(), benchmark::Counter::kAvgIterations);
+  state.counters["GFlop/s"] = benchmark::Counter(
+      static_cast<double>(window.elapsed()) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ZoneSolve)->Arg(28)->Arg(128);
 
 }  // namespace

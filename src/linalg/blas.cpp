@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "linalg/simd.hpp"
 #include "perf/flops.hpp"
 
 namespace wlsms::linalg {
@@ -84,30 +85,17 @@ void pack_b(std::size_t kc, std::size_t nc, const Complex* b, std::size_t ldb,
 // MR x NR register tile accumulated over a full K block, writing the
 // result into the accr/acci scratch tiles ([j * kMR + i] layout).
 //
-// The production variant uses GCC/Clang vector extensions with the vector
-// width pinned to the ISA instead of relying on the auto-vectorizer (which
-// loses the pattern once the kernel is inlined into the panel sweep). Each
-// complex product is four independent real FMA streams: the four partial
-// sums (ar*br, ai*bi, ar*bi, ai*br) accumulate separately and combine only
-// at writeback, so every FMA starts a fresh dependency chain and the tile
-// sustains the FMA ports instead of waiting on add latency. With AVX-512
-// the 8x4 tile needs 16 of the 32 vector registers for accumulators.
-#if defined(__GNUC__) && (defined(__AVX512F__) || defined(__AVX2__))
-
-#if defined(__AVX512F__)
-constexpr std::size_t kVec = 8;  // doubles per vector register
-#else
-constexpr std::size_t kVec = 4;
-#endif
-static_assert(kMR % kVec == 0, "MR must be a whole number of vectors");
-constexpr std::size_t kMV = kMR / kVec;
-typedef double Vd __attribute__((vector_size(kVec * sizeof(double))));
-
-inline Vd load_vd(const double* p) {
-  Vd v;
-  __builtin_memcpy(&v, p, sizeof(Vd));
-  return v;
-}
+// Written against simd::Vd (linalg/simd.hpp), so the vector width is
+// pinned to the ISA instead of left to the auto-vectorizer (which loses the
+// pattern once the kernel is inlined into the panel sweep); on the scalar
+// fallback the same code runs on plain doubles. Each complex product is
+// four independent real FMA streams: the four partial sums (ar*br, ai*bi,
+// ar*bi, ai*br) accumulate separately and combine only at writeback, so
+// every FMA starts a fresh dependency chain and the tile sustains the FMA
+// ports instead of waiting on add latency. With AVX-512 the 8x4 tile needs
+// 16 of the 32 vector registers for accumulators.
+static_assert(kMR % simd::kVec == 0, "MR must be a whole number of vectors");
+constexpr std::size_t kMV = kMR / simd::kVec;
 
 // Forced inline: called out of line from the panel sweep, the kernel runs
 // measurably slower (about 9 % at order 130 on AVX-512).
@@ -115,13 +103,15 @@ inline Vd load_vd(const double* p) {
     std::size_t kc, const double* __restrict ar, const double* __restrict ai,
     const double* __restrict br, const double* __restrict bi,
     double* __restrict accr, double* __restrict acci) {
+  using simd::Vd;
+  constexpr std::size_t kVec = simd::kVec;
   Vd crp[kNR][kMV] = {}, crm[kNR][kMV] = {};
   Vd cip[kNR][kMV] = {}, cim[kNR][kMV] = {};
   for (std::size_t k = 0; k < kc; ++k) {
     Vd arv[kMV], aiv[kMV];
     for (std::size_t v = 0; v < kMV; ++v) {
-      arv[v] = load_vd(ar + k * kMR + v * kVec);
-      aiv[v] = load_vd(ai + k * kMR + v * kVec);
+      arv[v] = simd::load(ar + k * kMR + v * kVec);
+      aiv[v] = simd::load(ai + k * kMR + v * kVec);
     }
     for (std::size_t j = 0; j < kNR; ++j) {
       const double brj = br[k * kNR + j];
@@ -136,43 +126,10 @@ inline Vd load_vd(const double* p) {
   }
   for (std::size_t j = 0; j < kNR; ++j)
     for (std::size_t v = 0; v < kMV; ++v) {
-      const Vd cr = crp[j][v] - crm[j][v];
-      const Vd ci = cip[j][v] + cim[j][v];
-      __builtin_memcpy(accr + j * kMR + v * kVec, &cr, sizeof(Vd));
-      __builtin_memcpy(acci + j * kMR + v * kVec, &ci, sizeof(Vd));
+      simd::store(accr + j * kMR + v * kVec, crp[j][v] - crm[j][v]);
+      simd::store(acci + j * kMR + v * kVec, cip[j][v] + cim[j][v]);
     }
 }
-
-#else  // portable scalar fallback
-
-void micro_kernel(std::size_t kc, const double* __restrict ar,
-                  const double* __restrict ai, const double* __restrict br,
-                  const double* __restrict bi, double* __restrict accr,
-                  double* __restrict acci) {
-  double cr[kNR][kMR] = {};
-  double ci[kNR][kMR] = {};
-  for (std::size_t k = 0; k < kc; ++k) {
-    const double* __restrict a_r = ar + k * kMR;
-    const double* __restrict a_i = ai + k * kMR;
-    const double* __restrict b_r = br + k * kNR;
-    const double* __restrict b_i = bi + k * kNR;
-    for (std::size_t j = 0; j < kNR; ++j) {
-      const double brj = b_r[j];
-      const double bij = b_i[j];
-      for (std::size_t i = 0; i < kMR; ++i) {
-        cr[j][i] += a_r[i] * brj - a_i[i] * bij;
-        ci[j][i] += a_r[i] * bij + a_i[i] * brj;
-      }
-    }
-  }
-  for (std::size_t j = 0; j < kNR; ++j)
-    for (std::size_t i = 0; i < kMR; ++i) {
-      accr[j * kMR + i] = cr[j][i];
-      acci[j * kMR + i] = ci[j][i];
-    }
-}
-
-#endif
 
 // Writes one micro tile into C: C(i0.., j0..) += alpha * (accr + i*acci).
 void write_tile(std::size_t mr, std::size_t nr, Complex alpha,

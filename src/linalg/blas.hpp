@@ -9,10 +9,12 @@
 /// of flops in ZGEMM) the same way PAPI did.
 ///
 /// Two implementations are provided:
-///  - `zgemm` / `zgemm_view`: the production path. A/B panels are packed
-///    into split real/imaginary planes (so the microkernel is four real
-///    FMA streams the compiler vectorizes cleanly), and the inner kernel is
-///    a register-blocked MR x NR tile accumulated over the full K block.
+///  - `zgemm` / `zgemm_view`: the packed general product. A/B panels are
+///    packed into split real/imaginary planes (so the microkernel is four
+///    real FMA streams on whole vectors), and the inner kernel is a
+///    register-blocked MR x NR tile accumulated over the full K block. The
+///    LU and the LIZ zone solve do not pack: they keep their matrices as
+///    split planes throughout (linalg/split.hpp).
 ///    Every call is serial on the calling thread; the solver parallelizes
 ///    above it, over independent zone solves (OpenMP).
 ///  - `zgemm_naive`: the original cache-tiled j-k-i loop, kept as the
@@ -42,9 +44,10 @@ void zgemm_naive(Complex alpha, const ZMatrix& a, const ZMatrix& b,
 
 /// Raw column-major GEMM on sub-matrix views:
 /// C (m x n, leading dimension ldc) = beta*C + alpha * A (m x k, lda) *
-/// B (k x n, ldb). This is the seam the blocked LU's trailing update and
-/// the Schur-complement solve use, and the seam a future accelerator
-/// backend slots into.
+/// B (k x n, ldb). The blocked LU and the Schur-complement zone solve do
+/// not go through it: they run on split planes with their own unpacked
+/// trailing-update tile (linalg/split.hpp, whose schur_solve is the seam an
+/// accelerator backend would intercept).
 void zgemm_view(std::size_t m, std::size_t n, std::size_t k, Complex alpha,
                 const Complex* a, std::size_t lda, const Complex* b,
                 std::size_t ldb, Complex beta, Complex* c, std::size_t ldc);

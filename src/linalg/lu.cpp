@@ -1,37 +1,30 @@
 #include "linalg/lu.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
-#include "linalg/blas.hpp"
+#include "linalg/split.hpp"
 #include "perf/flops.hpp"
 
 namespace wlsms::linalg {
 
 namespace {
 
-// Unblocked partial-pivoting factorization of the panel occupying columns
-// [k0, k0+width) of an n x n matrix, rows k0..n-1. Row swaps are applied to
-// the *full* rows immediately (equivalent to LAPACK's deferred ZLASWP), so
-// the packed factors are laid out exactly as the unblocked algorithm leaves
-// them. Rank-1 updates stay inside the panel columns; the trailing matrix
-// is updated by the caller via TRSM + GEMM. Returns the swap parity
-// contribution of this panel.
 // Pivot magnitude |re| + |im| (LAPACK's CABS1, as in ZGETF2): a cheaper
 // magnitude proxy that is within sqrt(2) of the modulus but NOT
 // order-equivalent to it (cabs1(3+4i) = 7 > cabs1(6) = 6 while
 // |3+4i| = 5 < 6), so it can select different — equally valid — pivots
-// than the std::abs pivoting used before the blocked rewrite. Factors may
-// therefore differ from earlier releases in row ordering and rounding,
-// within normal partial-pivoting error bounds.
+// than std::abs pivoting would.
 double cabs1(Complex z) { return std::abs(z.real()) + std::abs(z.imag()); }
 
-int factor_panel(ZMatrix& a, std::vector<std::size_t>& pivots, std::size_t k0,
-                 std::size_t width) {
+// The reference: unblocked partial-pivoting LU by rank-1 updates, on the
+// interleaved matrix. Row swaps are applied to the full rows immediately,
+// and the pivot is the first row attaining the largest CABS1, exactly as
+// the blocked split-plane kernel chooses it. Returns the swap parity.
+int zgetrf_unblocked(ZMatrix& a, std::vector<std::size_t>& pivots) {
   const std::size_t n = a.rows();
   int parity = 1;
-  for (std::size_t j = k0; j < k0 + width; ++j) {
+  for (std::size_t j = 0; j < n; ++j) {
     std::size_t pivot_row = j;
     double pivot_mag = cabs1(a(j, j));
     for (std::size_t i = j + 1; i < n; ++i) {
@@ -52,57 +45,14 @@ int factor_panel(ZMatrix& a, std::vector<std::size_t>& pivots, std::size_t k0,
     Complex* colj = a.col(j);
     for (std::size_t i = j + 1; i < n; ++i) colj[i] *= inv_pivot;
 
-    for (std::size_t c = j + 1; c < k0 + width; ++c) {
+    for (std::size_t c = j + 1; c < n; ++c) {
       const Complex ujc = a(j, c);
       if (ujc == Complex{0.0, 0.0}) continue;
       Complex* colc = a.col(c);
       for (std::size_t i = j + 1; i < n; ++i) colc[i] -= colj[i] * ujc;
     }
   }
-  perf::add_flops(perf::Kernel::kPanel,
-                  perf::cost::zgetrf_panel(n - k0, width));
-  return parity;
-}
-
-// B (width x nrhs columns starting at `b`, leading dimension ldb) :=
-// L11^{-1} B with L11 the unit-lower panel block a[k0.., k0..].
-void trsm_unit_lower(const ZMatrix& a, std::size_t k0, std::size_t width,
-                     Complex* b, std::size_t nrhs, std::size_t ldb) {
-  for (std::size_t r = 0; r < nrhs; ++r) {
-    Complex* col = b + r * ldb;
-    for (std::size_t kk = 0; kk < width; ++kk) {
-      const Complex bk = col[kk];
-      if (bk == Complex{0.0, 0.0}) continue;
-      const Complex* lk = a.col(k0 + kk) + k0;
-      for (std::size_t i = kk + 1; i < width; ++i) col[i] -= lk[i] * bk;
-    }
-  }
-  perf::add_flops(perf::Kernel::kTrsm,
-                  perf::cost::ztrsm_unit_lower(width, nrhs));
-}
-
-int zgetrf_unblocked(ZMatrix& a, std::vector<std::size_t>& pivots) {
-  return factor_panel(a, pivots, 0, a.rows());
-}
-
-// Right-looking blocked LU: per pivot panel, factorize the panel, solve
-// the row panel against its unit-lower block, and fold the product of the
-// two into the trailing matrix with one ZGEMM.
-int zgetrf_blocked(ZMatrix& a, std::vector<std::size_t>& pivots) {
-  const std::size_t n = a.rows();
-  int parity = 1;
-  for (std::size_t k0 = 0; k0 < n; k0 += kLuBlockSize) {
-    const std::size_t w = std::min(kLuBlockSize, n - k0);
-    parity *= factor_panel(a, pivots, k0, w);
-    const std::size_t rem = n - k0 - w;
-    if (rem == 0) break;
-    // Row panel: U12 = L11^{-1} A12.
-    trsm_unit_lower(a, k0, w, a.col(k0 + w) + k0, rem, n);
-    // Trailing update A22 -= L21 * U12 — the GEMM that dominates.
-    zgemm_view(rem, rem, w, Complex{-1.0, 0.0}, a.col(k0) + k0 + w, n,
-               a.col(k0 + w) + k0, n, Complex{1.0, 0.0},
-               a.col(k0 + w) + k0 + w, n);
-  }
+  perf::add_flops(perf::Kernel::kPanel, perf::cost::zgetrf_panel(n, n));
   return parity;
 }
 
@@ -126,8 +76,13 @@ int zgetrf_in_place(ZMatrix& a, std::vector<std::size_t>& pivots,
   const std::size_t n = a.rows();
   pivots.resize(n);
   if (n == 0) return 1;
-  return use_blocked(n, algorithm) ? zgetrf_blocked(a, pivots)
-                                   : zgetrf_unblocked(a, pivots);
+  if (!use_blocked(n, algorithm)) return zgetrf_unblocked(a, pivots);
+  // The one blocked LU runs on split planes: deinterleave, factor,
+  // re-interleave.
+  SplitMatrix planes(a);
+  const int parity = split_getrf(planes, pivots);
+  planes.copy_to(a);
+  return parity;
 }
 
 void zgetrs_in_place(const ZMatrix& lu, const std::vector<std::size_t>& pivots,

@@ -2,19 +2,20 @@
 
 /// \file lu.hpp
 /// LU factorization (ZGETRF/ZGETRS equivalents) and the derived operations
-/// the multiple-scattering solver needs: matrix inverse and log-determinant.
+/// built on it: matrix inverse, determinant and log-determinant.
 ///
 /// Two factorization algorithms are provided behind one interface: the
-/// original unblocked rank-1-update loop (reference) and a blocked
-/// right-looking variant (panel factorization + unit-lower TRSM on the row
-/// panel + ZGEMM trailing update) that retires the bulk of its flops in the
-/// packed ZGEMM — the level-3-rich structure the paper's LSMS relies on
-/// (§II-B). `kAuto` picks blocked at and above `kLuBlockedThreshold`.
+/// unblocked rank-1-update loop on the interleaved matrix (the reference)
+/// and the blocked right-looking LU of linalg/split.hpp (panel +
+/// row-panel solve + trailing-update tile on split real/imaginary planes),
+/// which retires the bulk of its flops in the trailing update -- the
+/// level-3-rich structure the paper's LSMS relies on (§II-B). The blocked
+/// path deinterleaves its input, factors it and re-interleaves the result.
+/// `kAuto` picks blocked at and above `kLuBlockedThreshold`.
 ///
-/// Lloyd's formula evaluates ln det M(z) of the LIZ scattering matrix on a
-/// complex-energy contour; the determinant's logarithm is accumulated from
-/// the U diagonal of the pivoted LU factorization, tracking the branch
-/// explicitly so d/dz ln det stays continuous along the contour.
+/// The LSMS solver does not use a determinant: it integrates
+/// z Tr tau_00(z) along the contour (lsms/solver.hpp) and reaches the
+/// blocked LU through lsms::central_tau_schur. `log_det` is a utility.
 
 #include <cstdint>
 #include <optional>
@@ -29,12 +30,12 @@ namespace wlsms::linalg {
 enum class LuAlgorithm {
   kAuto,       ///< blocked for order >= kLuBlockedThreshold, else unblocked
   kUnblocked,  ///< reference rank-1-update loop
-  kBlocked,    ///< right-looking blocked (panel + TRSM + GEMM)
+  kBlocked,    ///< right-looking blocked on split planes (split_getrf)
 };
 
-/// Panel width of the blocked factorization. Narrow enough that the GEMM
+/// Panel width of the blocked factorization. Narrow enough that the
 /// trailing updates dominate the flop count already at LIZ-sized matrices
-/// (n ~ 130: ~80 % of the factorization flops are ZGEMM).
+/// (n ~ 130: ~80 % of the factorization flops are booked as ZGEMM).
 inline constexpr std::size_t kLuBlockSize = 16;
 
 /// Matrix order at and above which kAuto picks the blocked algorithm.
@@ -45,7 +46,8 @@ inline constexpr std::size_t kLuBlockedThreshold = 64;
 /// with row k at step k. Returns the pivot-swap parity (+1/-1). Throws
 /// SingularMatrixError on an exactly zero pivot. Flops are booked per
 /// kernel (panel / TRSM / GEMM); `zgetrf_flops(n)` returns the exact total
-/// the chosen algorithm will report.
+/// the chosen algorithm will report (the same total for both: blocking
+/// only moves flops from the panel to the TRSM and GEMM tags).
 int zgetrf_in_place(ZMatrix& a, std::vector<std::size_t>& pivots,
                     LuAlgorithm algorithm = LuAlgorithm::kAuto);
 
@@ -80,10 +82,10 @@ class LuFactorization {
   /// A^-1 via n solves against the identity.
   ZMatrix inverse() const;
 
-  /// Principal value of ln det A: sum of ln(U_ii) plus i*pi per row swap...
-  /// More precisely: log|det| is exact; the imaginary part is the sum of
-  /// arg(U_ii) over the diagonal (each in (-pi, pi]) with the pivot sign
-  /// folded in, which is the standard KKR practice for Lloyd's formula.
+  /// ln det A from the U diagonal: the real part is sum ln|U_ii| (exact);
+  /// the imaginary part is sum arg(U_ii) (each in (-pi, pi]) plus pi when
+  /// the row swaps are odd. The branch is not unwrapped, so the imaginary
+  /// part is defined modulo 2 pi.
   Complex log_det() const;
 
   /// det A (may overflow/underflow for large matrices; prefer log_det).
@@ -103,7 +105,14 @@ class SingularMatrixError : public std::runtime_error {
  public:
   explicit SingularMatrixError(std::size_t column)
       : std::runtime_error("singular matrix: zero pivot in column " +
-                           std::to_string(column)) {}
+                           std::to_string(column)),
+        column_(column) {}
+
+  /// The elimination step (column) whose pivot was exactly zero.
+  std::size_t column() const { return column_; }
+
+ private:
+  std::size_t column_;
 };
 
 /// Convenience: A^-1.

@@ -9,7 +9,8 @@
 /// every test, bench and example:
 ///
 ///  - exchange splitting 0.20 Ry (~2.7 eV, the Fe d-band splitting scale),
-///  - resonance width 0.10 Ry (~1.4 eV, a d-band width scale),
+///  - resonance width 0.20 Ry (~2.7 eV, a d-band width scale; at this width
+///    the paper-fidelity contour does not converge -- see ROADMAP item 1),
 ///  - Fermi energy placed between the spin resonances, where the substrate's
 ///    extracted nearest-neighbour exchange comes out ferromagnetic (see the
 ///    calibration test in tests/test_lsms_exchange.cpp).

@@ -6,7 +6,6 @@
 #include <cstdint>
 
 #include "common/error.hpp"
-#include "linalg/blas.hpp"
 
 namespace wlsms::lsms {
 
@@ -114,22 +113,22 @@ SchurTemplates make_schur_templates(const linalg::ZMatrix& scalar_propagator,
   WLSMS_EXPECTS(scalar_propagator.square() && scalar_propagator.rows() >= 1);
   const std::size_t l = scalar_propagator.rows() - 1;  // member count
   SchurTemplates t;
-  t.a0 = linalg::ZMatrix(2 * l, 2 * l);
-  t.b0 = linalg::ZMatrix(2 * l, 2);
-  t.c0 = linalg::ZMatrix(2, 2 * l);
+  t.a0 = linalg::SplitMatrix(2 * l, 2 * l);
+  t.b0 = linalg::SplitMatrix(2 * l, 2);
+  t.ct0 = linalg::SplitMatrix(2 * l, 2);
   for (std::size_t k = 0; k < l; ++k) {
     for (std::size_t j = 0; j < l; ++j) {
       if (j == k) continue;
       const Complex g = -strength * scalar_propagator(j + 1, k + 1);
-      t.a0(2 * j, 2 * k) = g;
-      t.a0(2 * j + 1, 2 * k + 1) = g;
+      t.a0.set(2 * j, 2 * k, g);
+      t.a0.set(2 * j + 1, 2 * k + 1, g);
     }
     const Complex gb = -strength * scalar_propagator(k + 1, 0);
-    t.b0(2 * k, 0) = gb;
-    t.b0(2 * k + 1, 1) = gb;
+    t.b0.set(2 * k, 0, gb);
+    t.b0.set(2 * k + 1, 1, gb);
     const Complex gc = -strength * scalar_propagator(0, k + 1);
-    t.c0(0, 2 * k) = gc;
-    t.c0(1, 2 * k + 1) = gc;
+    t.ct0.set(2 * k, 0, gc);
+    t.ct0.set(2 * k + 1, 1, gc);
   }
   return t;
 }
@@ -150,17 +149,13 @@ spin::Spin2x2 central_tau_schur(const SchurTemplates& templates,
     ws.a = templates.a0;
     for (std::size_t j = 0; j < l; ++j) {
       const spin::Spin2x2& ti = member_t_inverse[j];
-      ws.a(2 * j, 2 * j) = ti[0];
-      ws.a(2 * j, 2 * j + 1) = ti[1];
-      ws.a(2 * j + 1, 2 * j) = ti[2];
-      ws.a(2 * j + 1, 2 * j + 1) = ti[3];
+      ws.a.set(2 * j, 2 * j, ti[0]);
+      ws.a.set(2 * j, 2 * j + 1, ti[1]);
+      ws.a.set(2 * j + 1, 2 * j, ti[2]);
+      ws.a.set(2 * j + 1, 2 * j + 1, ti[3]);
     }
     ws.bx = templates.b0;
-    linalg::zgetrf_in_place(ws.a, ws.pivots);
-    linalg::zgetrs_in_place(ws.a, ws.pivots, ws.bx.data(), 2, n);
-    // S -= C * X with X = A^{-1} B.
-    linalg::zgemm_view(2, 2, n, Complex{-1.0, 0.0}, templates.c0.data(), 2,
-                       ws.bx.data(), n, Complex{1.0, 0.0}, s.data(), 2);
+    linalg::schur_solve(ws.a, ws.bx, templates.ct0, ws.pivots, s);
   }
   // tau_00 = S^{-1}, closed form for the 2x2 block. Match the reference
   // full-LU path's failure mode (zgetrf throws on a zero pivot) instead of

@@ -21,11 +21,12 @@
 ///  - `central_tau_block`: factorize the full zone matrix (center ordered
 ///    first) and solve for the two central columns. Reference path.
 ///  - `central_tau_schur`: order the center *last* and eliminate the
-///    member block A by blocked LU, so tau_00 = (D - C A^{-1} B)^{-1} --
-///    the Schur complement of the member block. The elimination is the
-///    GEMM-rich blocked factorization and the full back-substitution for
-///    zone columns is skipped entirely; only geometry-independent 2x2
-///    algebra remains. This is the production hot path.
+///    member block A, so tau_00 = (D - C A^{-1} B)^{-1} -- the Schur
+///    complement of the member block. The elimination is one call of
+///    linalg::schur_solve: the blocked LU of A on split real/imaginary
+///    planes, a two-column solve and a 2x2 product; the full
+///    back-substitution for zone columns is skipped entirely. This is the
+///    production hot path.
 
 #include <cstddef>
 #include <vector>
@@ -33,6 +34,7 @@
 #include "lattice/structure.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/split.hpp"
 #include "lsms/scattering.hpp"
 #include "spin/moments.hpp"
 
@@ -82,14 +84,15 @@ spin::Spin2x2 central_tau_block(const linalg::ZMatrix& kkr);
 ///        [ C  D ]    C: 2 x 2L center-member,   D: 2 x 2 center t^-1,
 ///
 /// with only the site-diagonal 2x2 t^-1 blocks of A and all of D depending
-/// on the moments. `a0`/`b0`/`c0` hold the -strength * g0 hopping terms
-/// (diagonal blocks of a0 zero); one instance per distinct geometry per
-/// contour point, shared between congruent zones and reused by every
-/// energy evaluation.
+/// on the moments. `a0`/`b0`/`ct0` hold the -strength * g0 hopping terms
+/// (diagonal blocks of a0 zero) as split real/imaginary planes, the layout
+/// linalg::schur_solve factors in place; one instance per distinct
+/// geometry per contour point, shared between congruent zones and reused
+/// by every energy evaluation.
 struct SchurTemplates {
-  linalg::ZMatrix a0;  ///< 2L x 2L member block, t^-1 diagonals left zero
-  linalg::ZMatrix b0;  ///< 2L x 2 member-center coupling
-  linalg::ZMatrix c0;  ///< 2 x 2L center-member coupling
+  linalg::SplitMatrix a0;   ///< 2L x 2L member block, t^-1 diagonals zero
+  linalg::SplitMatrix b0;   ///< 2L x 2 member-center coupling
+  linalg::SplitMatrix ct0;  ///< C transposed: 2L x 2 center-member coupling
 };
 
 /// Builds the hopping templates of a zone from its scalar propagator matrix
@@ -98,13 +101,13 @@ SchurTemplates make_schur_templates(const linalg::ZMatrix& scalar_propagator,
                                     double strength);
 
 /// Reusable workspace for central_tau_schur: the member matrix the blocked
-/// LU destroys, the B panel the solve overwrites, and the pivot sequence.
-/// Sized on first use per zone order and reused across contour points and
-/// energy evaluations (one instance per thread), so the hot path performs
-/// no allocation in steady state.
+/// LU destroys, the B panel the solve overwrites (both split planes), and
+/// the pivot sequence. Sized on first use per zone order and reused across
+/// contour points and energy evaluations (one instance per thread), so the
+/// hot path performs no allocation in steady state.
 struct SchurWorkspace {
-  linalg::ZMatrix a;
-  linalg::ZMatrix bx;
+  linalg::SplitMatrix a;
+  linalg::SplitMatrix bx;
   std::vector<std::size_t> pivots;
 };
 
@@ -112,7 +115,7 @@ struct SchurWorkspace {
 /// block: tau_00 = (D - C A^{-1} B)^{-1}. `member_t_inverse[j]` is the
 /// inverse t-matrix of LIZ member j (zone order), `center_t_inverse` that
 /// of the central atom (= D). Agrees with central_tau_block to roundoff;
-/// the member elimination runs the blocked, GEMM-dominated LU.
+/// the member elimination is linalg::schur_solve.
 spin::Spin2x2 central_tau_schur(const SchurTemplates& templates,
                                 const spin::Spin2x2& center_t_inverse,
                                 const spin::Spin2x2* member_t_inverse,

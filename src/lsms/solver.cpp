@@ -245,12 +245,12 @@ std::uint64_t LsmsSolver::flops_per_zone_energy(std::size_t i) const {
   const std::uint64_t l = lizs_[i].members.size();
   if (l == 0) return 0;  // zone is the bare center: closed-form 2x2 only
   const std::uint64_t order = 2 * l;
-  // Member-block factorization + two-column panel solve + 2x2 Schur GEMM;
-  // assembly and the closed-form 2x2 inversion are uncounted on both the
-  // analytic and instrumented sides.
-  const std::uint64_t per_point = linalg::zgetrf_flops(order) +
-                                  perf::cost::zgetrs(order, 2) +
-                                  perf::cost::zgemm(2, 2, order);
+  // linalg::schur_solve: blocked member-block LU + two-column solve + 2x2
+  // Schur product; assembly and the closed-form 2x2 inversion are
+  // uncounted on both the analytic and instrumented sides.
+  const std::uint64_t per_point =
+      linalg::zgetrf_flops(order, linalg::LuAlgorithm::kBlocked) +
+      perf::cost::zgetrs(order, 2) + perf::cost::zgemm(2, 2, order);
   return per_point * contour_.size();
 }
 

@@ -123,8 +123,9 @@ class LsmsSolver {
 
   /// Analytic count of real flops one full energy evaluation retires
   /// (assembly and closed-form 2x2 algebra excluded; member-block
-  /// factorization + panel solve + Schur GEMM, summed over atoms and
-  /// contour points). Matches the instrumented perf counters exactly.
+  /// factorization + two-column solve + 2x2 Schur product, summed over
+  /// atoms and contour points). Matches the instrumented perf counters
+  /// exactly.
   std::uint64_t flops_per_energy() const;
 
   /// Analytic flops of atom i's zone solve across the contour (the

@@ -23,9 +23,10 @@ namespace wlsms::perf {
 /// Kernel classes flops are attributed to. kOther collects everything that
 /// is not one of the named level-3 kernels (GEMV, small closed-form ops).
 enum class Kernel : unsigned {
-  kZgemm = 0,  ///< packed/naive matrix-matrix multiply
-  kTrsm = 1,   ///< triangular solves (TRSM row panels, GETRS substitution)
-  kPanel = 2,  ///< unblocked LU panel factorization (rank-1 updates, scaling)
+  kZgemm = 0,  ///< matrix-matrix products: packed/naive ZGEMM, the blocked
+               ///< LU's trailing update, the 2x2 Schur product
+  kTrsm = 1,   ///< triangular solves (row-panel substitution, GETRS)
+  kPanel = 2,  ///< LU panel steps (pivoting, scaling, in-panel updates)
   kOther = 3,  ///< everything else (GEMV, accumulations)
 };
 
@@ -112,9 +113,10 @@ constexpr std::uint64_t zgetrf_panel(std::uint64_t m, std::uint64_t n) {
 }
 
 /// Blocked right-looking LU of an n x n matrix with block size nb: per
-/// panel, an unblocked panel factorization + a unit-lower TRSM on the row
-/// panel + a ZGEMM trailing update. Exactly the sum of what the blocked
-/// kernel's pieces retire.
+/// panel, a panel factorization + a unit-lower TRSM on the row panel + a
+/// ZGEMM trailing update. Exactly the sum of what the blocked kernel's
+/// pieces retire, and equal to zgetrf_panel(n, n): blocking regroups the
+/// unblocked elimination's arithmetic without adding any.
 constexpr std::uint64_t zgetrf_blocked(std::uint64_t n, std::uint64_t nb) {
   std::uint64_t total = 0;
   for (std::uint64_t k0 = 0; k0 < n; k0 += nb) {

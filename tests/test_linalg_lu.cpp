@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "linalg/blas.hpp"
+#include "linalg/split.hpp"
 #include "perf/flops.hpp"
 
 namespace wlsms::linalg {
@@ -206,6 +208,134 @@ TEST(LuBlocked, GemmCarriesMostBlockedFlops) {
   perf::FlopWindow window;
   zgetrf_in_place(a, pivots, LuAlgorithm::kBlocked);
   EXPECT_GE(window.gemm_fraction(), 0.6);
+}
+
+// ---------------------------------------------------------------------------
+// The split-plane blocked LU against the unblocked reference, at orders that
+// cover every register tile, panel and padding edge: below, at and just past
+// one vector, one 16-column panel, the kAuto threshold, and the paper's zone
+// orders (28 = 15-atom LIZ, 128 = 65-atom LIZ). The matrices get no
+// diagonal shift, so partial pivoting swaps rows in most columns.
+
+ZMatrix random_general(std::size_t n, Rng& rng) {
+  ZMatrix m(n, n);
+  for (std::size_t c = 0; c < n; ++c)
+    for (std::size_t r = 0; r < n; ++r)
+      m(r, c) = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+  return m;
+}
+
+double relative_error(const ZMatrix& got, const ZMatrix& want) {
+  ZMatrix diff = got;
+  diff.axpy(Complex{-1.0, 0.0}, want);
+  return diff.frobenius_norm() / want.frobenius_norm();
+}
+
+class SplitLuOrders : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SplitLuOrders, MatchesUnblockedPivotsAndRebuildsMatrix) {
+  const std::size_t n = GetParam();
+  Rng rng(7000 + n);
+  const ZMatrix a = random_general(n, rng);
+  const LuFactorization blocked(a, LuAlgorithm::kBlocked);
+  const LuFactorization unblocked(a, LuAlgorithm::kUnblocked);
+  EXPECT_EQ(blocked.pivots(), unblocked.pivots());
+  EXPECT_LT(relative_error(reconstruct_plu(blocked), a), 1e-12);
+  EXPECT_LT(relative_error(blocked.packed(), unblocked.packed()), 1e-12);
+}
+
+TEST_P(SplitLuOrders, ZeroColumnThrowsNamingThatColumn) {
+  const std::size_t n = GetParam();
+  for (const std::size_t column : {std::size_t{0}, std::size_t{15},
+                                   std::size_t{16}, n - 1}) {
+    if (column >= n) continue;
+    Rng rng(9000 + n);
+    ZMatrix a = random_general(n, rng);
+    for (std::size_t r = 0; r < n; ++r) a(r, column) = Complex{0.0, 0.0};
+    for (const LuAlgorithm alg :
+         {LuAlgorithm::kBlocked, LuAlgorithm::kUnblocked}) {
+      try {
+        const LuFactorization f(a, alg);
+        ADD_FAILURE() << "no throw for zero column " << column
+                      << ", alg=" << static_cast<int>(alg);
+      } catch (const SingularMatrixError& e) {
+        EXPECT_EQ(e.column(), column) << "alg=" << static_cast<int>(alg);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, SplitLuOrders,
+                         ::testing::Values(1, 2, 7, 8, 15, 16, 17, 28, 33, 63,
+                                           64, 65, 127, 128, 130, 192));
+
+TEST(SplitLu, PivotsOnGeneralMatricesAndKeepsPadRowsZero) {
+  // The planes' pad rows (order 28 pads to 32) must stay exactly zero
+  // through the factorization and the Schur solve, or a later kernel that
+  // sweeps whole vectors would fold garbage into real rows.
+  const std::size_t n = 28;
+  Rng rng(2801);
+  const ZMatrix a = random_general(n, rng);
+  SplitMatrix planes(a);
+  ASSERT_GT(planes.ld(), n);
+  std::vector<std::size_t> pivots;
+  SplitMatrix b(n, 2);
+  SplitMatrix ct(n, 2);
+  for (std::size_t c = 0; c < 2; ++c)
+    for (std::size_t r = 0; r < n; ++r) {
+      b.set(r, c, {rng.uniform(-1, 1), rng.uniform(-1, 1)});
+      ct.set(r, c, {rng.uniform(-1, 1), rng.uniform(-1, 1)});
+    }
+  std::array<Complex, 4> s{};
+  schur_solve(planes, b, ct, pivots, s);
+  std::size_t swaps = 0;
+  for (std::size_t k = 0; k < n; ++k) swaps += pivots[k] != k ? 1 : 0;
+  EXPECT_GT(swaps, 0u);
+  for (const SplitMatrix* m : {&planes, &b})
+    for (std::size_t c = 0; c < m->cols(); ++c)
+      for (std::size_t r = n; r < m->ld(); ++r) {
+        EXPECT_EQ(m->re(c)[r], 0.0) << "row " << r << " col " << c;
+        EXPECT_EQ(m->im(c)[r], 0.0) << "row " << r << " col " << c;
+      }
+}
+
+TEST(SplitLu, SchurSolveMatchesDenseAlgebra) {
+  // s -= C A^-1 B against the interleaved reference LU, and B comes back as
+  // A^-1 B.
+  for (const std::size_t n : {std::size_t{5}, std::size_t{28},
+                              std::size_t{40}, std::size_t{128}}) {
+    Rng rng(4000 + n);
+    const ZMatrix a = random_general(n, rng);
+    ZMatrix b(n, 2);
+    ZMatrix c(2, n);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t k = 0; k < 2; ++k) {
+        b(r, k) = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+        c(k, r) = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+      }
+    const ZMatrix x = LuFactorization(a, LuAlgorithm::kUnblocked).solve(b);
+    const ZMatrix cx = multiply(c, x);
+
+    SplitMatrix planes(a);
+    SplitMatrix bx(b);
+    SplitMatrix ct(n, 2);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t k = 0; k < 2; ++k) ct.set(r, k, c(k, r));
+    std::array<Complex, 4> s = {Complex{1, 0}, Complex{0, 1}, Complex{2, 0},
+                                Complex{0, 2}};
+    std::vector<std::size_t> pivots;
+    schur_solve(planes, bx, ct, pivots, s);
+    ZMatrix x_split;
+    bx.copy_to(x_split);
+    EXPECT_LT(relative_error(x_split, x), 1e-12) << "n=" << n;
+    const Complex expected[4] = {Complex{1, 0} - cx(0, 0),
+                                 Complex{0, 1} - cx(1, 0),
+                                 Complex{2, 0} - cx(0, 1),
+                                 Complex{0, 2} - cx(1, 1)};
+    for (int k = 0; k < 4; ++k)
+      EXPECT_LT(std::abs(s[k] - expected[k]), 1e-11 * std::abs(expected[k]))
+          << "n=" << n << " k=" << k;
+  }
 }
 
 TEST(Lu, SolveMultipleRhsInPlace) {

@@ -219,7 +219,9 @@ TEST(CentralTauSchur, SingularSchurComplementThrows) {
 
 TEST(CentralTauSchur, WorkspaceIsReusableAcrossZoneSizes) {
   // The same workspace must serve zones of different orders back to back
-  // (the solver's thread-local scratch sees every zone of the walk).
+  // (the solver's thread-local scratch sees every zone of the walk). The
+  // padded leading dimension of its planes changes with the order, so the
+  // sequence both shrinks (128 -> 28) and grows again (28 -> 128).
   const Scatterer scatterer(fe_scattering_parameters());
   Rng rng(8);
   const auto moments = spin::MomentConfiguration::random(16, rng);
@@ -227,14 +229,58 @@ TEST(CentralTauSchur, WorkspaceIsReusableAcrossZoneSizes) {
   SchurWorkspace ws;
   const LizGeometry big = build_liz(fe16(), 0, units::fe_liz_radius_a0);
   const LizGeometry small = build_liz(fe16(), 0, 5.6);
-  const spin::Spin2x2 first = schur_tau(scatterer, big, moments, z, ws);
-  (void)first;
-  const spin::Spin2x2 after_shrink = schur_tau(scatterer, small, moments, z, ws);
-  const linalg::ZMatrix p = scalar_propagator_matrix(small, z);
-  const spin::Spin2x2 reference = central_tau_block(
-      assemble_kkr_matrix(scatterer, small, moments, z, p));
+  for (const LizGeometry* liz : {&big, &small, &big}) {
+    const spin::Spin2x2 tau = schur_tau(scatterer, *liz, moments, z, ws);
+    const linalg::ZMatrix p = scalar_propagator_matrix(*liz, z);
+    const spin::Spin2x2 reference = central_tau_block(
+        assemble_kkr_matrix(scatterer, *liz, moments, z, p));
+    for (int c = 0; c < 4; ++c)
+      EXPECT_NEAR(std::abs(tau[c] - reference[c]), 0.0, 1e-12)
+          << "zone size " << liz->zone_size() << " component " << c;
+  }
+}
+
+TEST(CentralTauSchur, PivotingZoneMatchesReferencePath) {
+  // Production zone matrices are diagonally strong enough that partial
+  // pivoting rarely swaps rows, so the swap path of the blocked member LU
+  // would go untested at the paper geometry. Scaling every member's t^-1
+  // block by 1e-3 leaves the member block dominated by the hopping terms,
+  // which forces row swaps; the Schur path must still agree with the full
+  // center-first factorization.
+  const Scatterer scatterer(fe_scattering_parameters());
+  const LizGeometry liz = build_liz(fe16(), 0, units::fe_liz_radius_a0);
+  ASSERT_EQ(liz.zone_size(), 65u);
+  Rng rng(9);
+  const auto moments = spin::MomentConfiguration::random(16, rng);
+  const Complex z{0.25, 0.12};
+  const double scale = 1e-3;
+  const linalg::ZMatrix p = scalar_propagator_matrix(liz, z);
+
+  linalg::ZMatrix kkr = assemble_kkr_matrix(scatterer, liz, moments, z, p);
+  for (std::size_t j = 1; j < liz.zone_size(); ++j)
+    for (std::size_t r = 2 * j; r < 2 * j + 2; ++r)
+      for (std::size_t c = 2 * j; c < 2 * j + 2; ++c) kkr(r, c) *= scale;
+  const spin::Spin2x2 reference = central_tau_block(kkr);
+
+  const SchurTemplates templates =
+      make_schur_templates(p, scatterer.params().propagator_strength);
+  std::vector<spin::Spin2x2> members(liz.members.size());
+  for (std::size_t j = 0; j < liz.members.size(); ++j) {
+    members[j] = scatterer.t_inverse(moments[liz.members[j].site], z);
+    for (Complex& v : members[j]) v *= scale;
+  }
+  SchurWorkspace ws;
+  const spin::Spin2x2 tau = central_tau_schur(
+      templates, scatterer.t_inverse(moments[liz.center], z), members.data(),
+      ws);
+
+  std::size_t swaps = 0;
+  for (std::size_t k = 0; k < ws.pivots.size(); ++k)
+    swaps += ws.pivots[k] != k ? 1 : 0;
+  EXPECT_GT(swaps, 0u);
   for (int c = 0; c < 4; ++c)
-    EXPECT_NEAR(std::abs(after_shrink[c] - reference[c]), 0.0, 1e-12);
+    EXPECT_NEAR(std::abs(tau[c] - reference[c]), 0.0, 1e-12)
+        << "component " << c;
 }
 
 TEST(CentralTau, IsolatedAtomReducesToSingleSiteT) {

@@ -100,6 +100,16 @@ TEST(FlopCosts, BlockedSumsPanelTrsmGemmTerms) {
   EXPECT_EQ(cost::zgetrf_blocked(4, 2), expected);
 }
 
+TEST(FlopCosts, BlockingOnlyMovesFlopsBetweenKernels) {
+  // The blocked LU does the unblocked elimination's arithmetic, regrouped:
+  // the panel, row-panel TRSM and trailing GEMM terms sum to exactly the
+  // unblocked count at every order, so a zone solve books the same total
+  // whichever algorithm factors it.
+  for (const std::uint64_t n : {1u, 2u, 15u, 16u, 17u, 28u, 33u, 128u, 130u})
+    EXPECT_EQ(cost::zgetrf_blocked(n, 16), cost::zgetrf_panel(n, n))
+        << "n=" << n;
+}
+
 TEST(FlopCosts, BlockedApproachesDenseCountFromBelow) {
   // Both count the same O(n^3) elimination; the panel/blocked forms carry
   // the exact lower-order terms, the classical 8n^3/3 only the leading one.
