@@ -65,15 +65,16 @@ ExpositionName map_name(std::string_view raw) {
               "tenant=\"" + escape_label_value(tenant) + "\""};
     }
   }
-  // comm.clock_offset_us.rank<k> -> comm_clock_offset_us{rank="<k>"}
-  constexpr std::string_view kRankPrefix = "comm.clock_offset_us.rank";
-  if (raw.size() > kRankPrefix.size() &&
-      raw.substr(0, kRankPrefix.size()) == kRankPrefix) {
-    const std::string_view rank = raw.substr(kRankPrefix.size());
-    bool digits = !rank.empty();
-    for (const char c : rank) digits = digits && c >= '0' && c <= '9';
-    if (digits)
-      return {"comm_clock_offset_us", "rank=\"" + std::string(rank) + "\""};
+  // <family>.rank<k> -> <family>{rank="<k>"} (per-rank clock offsets),
+  // <family>.window<k> -> <family>{window="<k>"} (per-window WL progress)
+  const std::size_t dot = raw.rfind('.');
+  for (const std::string_view key : {"rank", "window"}) {
+    if (dot == std::string_view::npos || raw.substr(dot + 1, key.size()) != key)
+      continue;
+    const std::string_view index = raw.substr(dot + 1 + key.size());
+    if (!index.empty() && index.find_first_not_of("0123456789") == index.npos)
+      return {sanitize_name(raw.substr(0, dot)),
+              std::string(key) + "=\"" + std::string(index) + "\""};
   }
   return {sanitize_name(raw), ""};
 }

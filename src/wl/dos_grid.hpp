@@ -46,6 +46,8 @@ struct DosGridConfig {
 /// ln g(E) estimate plus visit histogram on a uniform grid.
 class DosGrid {
  public:
+  using Point = double;  ///< a walker's position on the grid: its energy
+
   explicit DosGrid(const DosGridConfig& config);
 
   const DosGridConfig& config() const { return config_; }

@@ -1,9 +1,6 @@
 #include "wl/driver.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "wl/speculator.hpp"
 
@@ -13,111 +10,41 @@ WlDriver::WlDriver(std::size_t n_sites, EnergyService& service,
                    const WangLandauConfig& config,
                    std::unique_ptr<ModificationSchedule> schedule, Rng rng)
     : service_(service),
-      config_(config),
-      dos_(config.grid),
-      schedule_(std::move(schedule)),
-      rng_(rng) {
+      engine_(config, config.n_walkers, std::move(schedule), rng) {
   WLSMS_EXPECTS(n_sites >= 1);
-  WLSMS_EXPECTS(config.n_walkers >= 1);
-  WLSMS_EXPECTS(schedule_ != nullptr);
 
   // A speculating service screens proposals against the live ln g estimate;
   // hand it ours. The driver outlives every run() call, so the pointer stays
   // valid for the whole working life of the service.
   if (auto* speculative = dynamic_cast<SpeculativeEnergyService*>(&service))
-    speculative->attach_dos(&dos_);
+    speculative->attach_dos(&engine_.grid());
 
   walkers_.resize(config.n_walkers);
   for (std::size_t w = 0; w < walkers_.size(); ++w) {
-    walkers_[w].current = spin::MomentConfiguration::random(n_sites, rng_);
-    submit_initial(w);
+    walkers_[w].current =
+        spin::MomentConfiguration::random(n_sites, engine_.rng());
+    walkers_[w].trial = walkers_[w].current;
+    submit(w);
   }
-}
-
-void WlDriver::submit_initial(std::size_t w) {
-  Walker& walker = walkers_[w];
-  walker.trial = walker.current;
-  walker.ticket = next_ticket_++;
-  EnergyRequest request{w, walker.ticket, walker.trial};
-  request.trace = obs::current_trace_context();
-  service_.submit(std::move(request));
 }
 
 void WlDriver::submit_trial(std::size_t w) {
   Walker& walker = walkers_[w];
-  walker.pending_move = move_generator_.propose(walker.current, rng_);
+  walker.pending_move = engine_.propose(walker.current);
   walker.trial = walker.current;
   walker.trial.set(walker.pending_move.site, walker.pending_move.new_direction);
-  walker.ticket = next_ticket_++;
-  service_.submit(trial_request(w));
+  submit(w);
 }
 
-EnergyRequest WlDriver::trial_request(std::size_t w) const {
-  const Walker& walker = walkers_[w];
+void WlDriver::submit(std::size_t w) {
+  Walker& walker = walkers_[w];
+  walker.ticket = next_ticket_++;
   EnergyRequest request{w, walker.ticket, walker.trial};
   request.trace = obs::current_trace_context();
-  request.hint.valid = true;
-  request.hint.current_energy = walker.energy;
-  request.hint.site = walker.pending_move.site;
-  request.hint.old_direction = walker.current[walker.pending_move.site];
-  return request;
-}
-
-void WlDriver::record_visit(Walker& walker) {
-  if (dos_.visit(walker.energy, schedule_->gamma())) dos_.reset_histogram();
-  schedule_->on_step(stats_.total_steps);
-  ++iteration_steps_;
-
-  const std::uint64_t cap = config_.max_iteration_steps > 0
-                                ? config_.max_iteration_steps
-                                : 1000 * dos_.bins();
-  if (stats_.total_steps % config_.check_interval == 0) {
-    {
-      const obs::Span span("wl.flatness_check");
-      const bool flat = dos_.is_flat(config_.flatness);
-      if (flat || iteration_steps_ >= cap) {
-        schedule_->on_flat_histogram(stats_.total_steps);
-        dos_.reset_histogram();
-        ++stats_.iterations;
-        if (!flat) ++stats_.forced_iterations;
-        iteration_steps_ = 0;
-      }
-    }
-    publish_metrics();
-  }
-}
-
-void WlDriver::publish_metrics() {
-  // Batched at flatness-check boundaries (same discipline as WangLandau):
-  // the per-result hot path costs nothing, and counters take deltas against
-  // what was already published so multiple drivers sum correctly.
-  static obs::Counter& steps = obs::Registry::instance().counter("wl.steps");
-  static obs::Counter& accepted =
-      obs::Registry::instance().counter("wl.accepted_steps");
-  static obs::Counter& out_of_range =
-      obs::Registry::instance().counter("wl.out_of_range");
-  static obs::Counter& iterations =
-      obs::Registry::instance().counter("wl.iterations");
-  static obs::Counter& resubmissions =
-      obs::Registry::instance().counter("wl.resubmissions");
-  static obs::Gauge& acceptance_rate =
-      obs::Registry::instance().gauge("wl.acceptance_rate");
-  static obs::Gauge& flatness_ratio =
-      obs::Registry::instance().gauge("wl.flatness_ratio");
-  static obs::Gauge& ln_f = obs::Registry::instance().gauge("wl.ln_f");
-
-  steps.add(stats_.total_steps - published_.total_steps);
-  accepted.add(stats_.accepted_steps - published_.accepted_steps);
-  out_of_range.add(stats_.out_of_range - published_.out_of_range);
-  iterations.add(stats_.iterations - published_.iterations);
-  resubmissions.add(stats_.resubmissions - published_.resubmissions);
-  published_ = stats_;
-
-  if (stats_.total_steps > 0)
-    acceptance_rate.set(static_cast<double>(stats_.accepted_steps) /
-                        static_cast<double>(stats_.total_steps));
-  flatness_ratio.set(dos_.flatness_ratio());
-  ln_f.set(schedule_->gamma());
+  if (walker.seeded)
+    request.hint = {true, walker.energy, walker.pending_move.site,
+                    walker.current[walker.pending_move.site]};
+  service_.submit(std::move(request));
 }
 
 void WlDriver::process(const EnergyResult& result) {
@@ -131,56 +58,34 @@ void WlDriver::process(const EnergyResult& result) {
     // Resilience: the computing instance died; repost the same trial. A
     // seeded walker's repost carries the same move provenance, so a
     // screening decorator recognizes it as a retry, not a fresh proposal.
-    ++stats_.resubmissions;
-    walker.ticket = next_ticket_++;
-    EnergyRequest repost = walker.seeded
-                               ? trial_request(result.walker)
-                               : EnergyRequest{result.walker, walker.ticket,
-                                               walker.trial};
-    repost.trace = obs::current_trace_context();
-    service_.submit(std::move(repost));
+    engine_.note_resubmission();
+    submit(result.walker);
     return;
   }
 
   if (!walker.seeded) {
     // First energy of the walker's starting configuration.
     walker.energy = result.energy;
-    WLSMS_EXPECTS(dos_.contains(walker.energy));
+    WLSMS_EXPECTS(dos().contains(walker.energy));
     walker.seeded = true;
     submit_trial(result.walker);
     return;
   }
 
-  ++stats_.total_steps;
-  if (!dos_.contains(result.energy)) {
-    ++stats_.out_of_range;
-  } else {
-    const double ln_ratio = dos_.ln_g(walker.energy) - dos_.ln_g(result.energy);
-    if (ln_ratio >= 0.0 || rng_.uniform() < std::exp(ln_ratio)) {
-      walker.current = walker.trial;
-      walker.energy = result.energy;
-      ++stats_.accepted_steps;
-    }
+  if (engine_.accept(walker.energy, result.energy)) {
+    walker.current = walker.trial;
+    walker.energy = result.energy;
   }
-  record_visit(walker);
+  engine_.visit(walker.energy);
+  engine_.chance();
   submit_trial(result.walker);
 }
 
 const DriverStats& WlDriver::run() {
-  // One wl.sweep span per flatness-check interval of processed results.
-  while (!schedule_->converged() && stats_.total_steps < config_.max_steps) {
-    const obs::Span span("wl.sweep");
-    const std::uint64_t target = stats_.total_steps + config_.check_interval;
-    while (!schedule_->converged() && stats_.total_steps < config_.max_steps &&
-           stats_.total_steps < target) {
-      process(service_.retrieve());
-    }
-  }
+  engine_.run([this] { process(service_.retrieve()); });
   // Drain so the service is idle when we hand it back.
   while (service_.outstanding() > 0) (void)service_.retrieve();
-  // Final flush: counts accumulated since the last check boundary.
-  publish_metrics();
-  return stats_;
+  return stats();
 }
 
 }  // namespace wlsms::wl

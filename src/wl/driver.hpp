@@ -21,22 +21,15 @@
 #include "spin/moments.hpp"
 #include "spin/moves.hpp"
 #include "wl/dos_grid.hpp"
-#include "wl/energy_function.hpp"
 #include "wl/energy_service.hpp"
+#include "wl/engine.hpp"
 #include "wl/schedule.hpp"
 #include "wl/wanglandau.hpp"
 
 namespace wlsms::wl {
 
-/// Counters of a driver run.
-struct DriverStats {
-  std::uint64_t total_steps = 0;     ///< results processed (energy calcs)
-  std::uint64_t accepted_steps = 0;
-  std::uint64_t out_of_range = 0;
-  std::uint64_t resubmissions = 0;   ///< failed results re-posted
-  std::size_t iterations = 0;        ///< gamma reductions
-  std::size_t forced_iterations = 0; ///< gamma cuts by iteration-step cap
-};
+/// Counters of a driver run (`resubmissions` counts failed results re-posted).
+using DriverStats = WangLandauStats;
 
 /// Asynchronous master-slave Wang-Landau driver (paper Alg. 1 / Fig. 3).
 class WlDriver {
@@ -51,9 +44,9 @@ class WlDriver {
   /// then drains outstanding requests so the service is left idle.
   const DriverStats& run();
 
-  const DosGrid& dos() const { return dos_; }
-  const DriverStats& stats() const { return stats_; }
-  const ModificationSchedule& schedule() const { return *schedule_; }
+  const DosGrid& dos() const { return engine_.grid(); }
+  const DriverStats& stats() const { return engine_.stats(); }
+  const ModificationSchedule& schedule() const { return engine_.schedule(); }
   std::size_t n_walkers() const { return walkers_.size(); }
 
  private:
@@ -66,25 +59,17 @@ class WlDriver {
     std::uint64_t ticket = 0;            ///< ticket of the in-flight request
   };
 
-  void submit_initial(std::size_t w);
+  /// Proposes a move of walker `w` and submits the trial.
   void submit_trial(std::size_t w);
-  /// The in-flight trial of walker `w` as a hinted request (fresh or retry).
-  EnergyRequest trial_request(std::size_t w) const;
+  /// Posts walker `w`'s `trial` under a fresh ticket (first, new or retry);
+  /// once seeded, with the move provenance as its hint.
+  void submit(std::size_t w);
   void process(const EnergyResult& result);
-  void record_visit(Walker& walker);
-  void publish_metrics();
 
   EnergyService& service_;
-  WangLandauConfig config_;
-  DosGrid dos_;
-  std::unique_ptr<ModificationSchedule> schedule_;
-  Rng rng_;
-  spin::UniformSphereMove move_generator_;
+  Engine<DosGrid> engine_;
   std::vector<Walker> walkers_;
-  DriverStats stats_;
   std::uint64_t next_ticket_ = 1;
-  std::uint64_t iteration_steps_ = 0;
-  DriverStats published_;  ///< counts already pushed to the registry
 };
 
 }  // namespace wlsms::wl

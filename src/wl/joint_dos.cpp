@@ -132,6 +132,21 @@ bool JointDos::is_flat(double flatness_a, double min_mean_visits) const {
   return static_cast<double>(min_count) >= flatness_a * mean;
 }
 
+double JointDos::flatness_ratio() const {
+  std::uint64_t min_count = ~std::uint64_t{0};
+  std::uint64_t sum = 0;
+  std::size_t n_hit = 0;
+  for (std::uint64_t h : histogram_) {
+    if (h == 0) continue;
+    ++n_hit;
+    sum += h;
+    min_count = std::min(min_count, h);
+  }
+  if (n_hit < 2) return 0.0;
+  return static_cast<double>(min_count) * static_cast<double>(n_hit) /
+         static_cast<double>(sum);
+}
+
 std::size_t JointDos::hit_cells() const {
   std::size_t n = 0;
   for (std::uint64_t h : histogram_) n += (h > 0);

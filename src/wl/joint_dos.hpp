@@ -36,6 +36,10 @@ struct JointDosConfig {
 /// ln g(E, M) estimate plus visit histogram on a uniform 2-D grid.
 class JointDos {
  public:
+  struct Point {  ///< a walker's position on the grid
+    double e = 0.0, m = 0.0;
+  };
+
   explicit JointDos(const JointDosConfig& config);
 
   const JointDosConfig& config() const { return config_; }
@@ -46,13 +50,16 @@ class JointDos {
   double m_center(std::size_t bm) const;
 
   bool contains(double e, double m) const;
+  bool contains(const Point& p) const { return contains(p.e, p.m); }
 
   /// Bilinear-interpolated ln g at (e, m); requires contains(e, m).
   double ln_g(double e, double m) const;
+  double ln_g(const Point& p) const { return ln_g(p.e, p.m); }
 
   /// One WL visit at (e, m): 2-D kernel update, histogram hit, mark visited.
   /// Returns true when the cell was visited for the first time.
   bool visit(double e, double m, double gamma);
+  bool visit(const Point& p, double gamma) { return visit(p.e, p.m, gamma); }
 
   void reset_histogram();
 
@@ -67,6 +74,10 @@ class JointDos {
   /// spuriously shrunken support by also requiring the hit-cell count to
   /// stay near the previous iteration's (JointWangLandau::step).
   bool is_flat(double flatness_a, double min_mean_visits = 10.0) const;
+
+  /// min/mean of H over the cells hit in the current iteration — the
+  /// quantity is_flat compares against flatness_a (0 with fewer than two).
+  double flatness_ratio() const;
 
   /// Number of cells with H > 0 in the current iteration.
   std::size_t hit_cells() const;

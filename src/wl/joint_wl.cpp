@@ -1,6 +1,6 @@
 #include "wl/joint_wl.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/error.hpp"
 
@@ -10,82 +10,48 @@ JointWangLandau::JointWangLandau(const EnergyFunction& energy,
                                  const JointWangLandauConfig& config,
                                  std::unique_ptr<ModificationSchedule> schedule,
                                  Rng rng)
-    : energy_(energy),
-      config_(config),
-      dos_(config.grid),
-      schedule_(std::move(schedule)),
-      rng_(rng) {
-  WLSMS_EXPECTS(schedule_ != nullptr);
-  WLSMS_EXPECTS(config.flatness > 0.0 && config.flatness < 1.0);
-  config_w_ = spin::MomentConfiguration::random(energy_.n_sites(), rng_);
-  energy_w_ = energy_.total_energy(config_w_);
-  m_w_ = config_w_.magnetization_z();
-  WLSMS_EXPECTS(dos_.contains(energy_w_, m_w_));
+    : energy_(energy), engine_(config, 1, std::move(schedule), rng) {
+  config_w_ =
+      spin::MomentConfiguration::random(energy_.n_sites(), engine_.rng());
+  at_ = {energy_.total_energy(config_w_), config_w_.magnetization_z()};
+  WLSMS_EXPECTS(dos().contains(at_));
 }
 
 bool JointWangLandau::step() {
-  if (converged() || stats_.total_steps >= config_.max_steps) return false;
+  if (engine_.done()) return false;
 
-  const spin::TrialMove move = move_generator_.propose(config_w_, rng_);
-  const double e_new = energy_.energy_after_move(config_w_, move, energy_w_);
+  const spin::TrialMove move = engine_.propose(config_w_);
   // M_z after a single-moment update follows from the old total moment.
   const double n = static_cast<double>(config_w_.size());
-  const double m_new =
-      m_w_ + (move.new_direction.normalized().z - config_w_[move.site].z) / n;
-  ++stats_.total_steps;
-
-  if (!dos_.contains(e_new, m_new)) {
-    ++stats_.out_of_range;
-  } else {
-    const double ln_ratio = dos_.ln_g(energy_w_, m_w_) - dos_.ln_g(e_new, m_new);
-    if (ln_ratio >= 0.0 || rng_.uniform() < std::exp(ln_ratio)) {
-      config_w_.set(move.site, move.new_direction);
-      energy_w_ = e_new;
-      m_w_ = m_new;
-      ++stats_.accepted_steps;
-    }
+  const JointDos::Point to{
+      energy_.energy_after_move(config_w_, move, at_.e),
+      at_.m + (move.new_direction.normalized().z - config_w_[move.site].z) / n};
+  if (engine_.accept(at_, to)) {
+    config_w_.set(move.site, move.new_direction);
+    at_ = to;
   }
+  if (engine_.refresh_due())
+    at_ = {energy_.total_energy(config_w_), config_w_.magnetization_z()};
+  engine_.visit(at_);
 
-  // Refresh the incrementally tracked E and M_z periodically so floating-
-  // point drift cannot accumulate over long walks.
-  if (stats_.total_steps % (1u << 20) == 0) {
-    energy_w_ = energy_.total_energy(config_w_);
-    m_w_ = config_w_.magnetization_z();
-  }
-
-  if (dos_.visit(energy_w_, m_w_, schedule_->gamma())) dos_.reset_histogram();
-  schedule_->on_step(stats_.total_steps);
-  ++iteration_steps_;
-
-  const std::uint64_t cap = config_.max_iteration_steps > 0
-                                ? config_.max_iteration_steps
-                                : 1000 * dos_.e_bins() * dos_.m_bins();
-  if (stats_.total_steps % config_.check_interval == 0) {
-    // Flatness over currently-hit cells, guarded against a spuriously
-    // shrunken support: the hit-cell count must stay near the previous
-    // iteration's (a trapped walk covers far fewer cells and must not look
-    // flat just because its few cells are even).
-    const std::size_t hit = dos_.hit_cells();
+  // Flatness over currently-hit cells, guarded against a spuriously shrunken
+  // support: the hit-cell count must stay near the previous iteration's (a
+  // trapped walk covers far fewer cells and must not look flat just because
+  // its few cells are even).
+  std::size_t hit = 0;
+  const bool cut = engine_.chance([&](const JointDos& grid, double flatness) {
+    hit = grid.hit_cells();
     const bool coverage_ok =
-        previous_hit_cells_ == 0 ||
-        hit >= (3 * previous_hit_cells_) / 4;
-    const bool flat = coverage_ok && dos_.is_flat(config_.flatness);
-    if (flat || iteration_steps_ >= cap) {
-      previous_hit_cells_ = std::max(previous_hit_cells_, hit);
-      schedule_->on_flat_histogram(stats_.total_steps);
-      dos_.reset_histogram();
-      ++stats_.iterations;
-      if (!flat) ++stats_.forced_iterations;
-      iteration_steps_ = 0;
-    }
-  }
-  return !converged() && stats_.total_steps < config_.max_steps;
+        previous_hit_cells_ == 0 || hit >= (3 * previous_hit_cells_) / 4;
+    return coverage_ok && grid.is_flat(flatness);
+  });
+  if (cut) previous_hit_cells_ = std::max(previous_hit_cells_, hit);
+  return !engine_.done();
 }
 
-const JointWangLandauStats& JointWangLandau::run() {
-  while (step()) {
-  }
-  return stats_;
+const WangLandauStats& JointWangLandau::run() {
+  engine_.run([this] { step(); });
+  return stats();
 }
 
 }  // namespace wlsms::wl

@@ -12,8 +12,8 @@
 
 #include "common/rng.hpp"
 #include "spin/moments.hpp"
-#include "spin/moves.hpp"
 #include "wl/energy_function.hpp"
+#include "wl/engine.hpp"
 #include "wl/joint_dos.hpp"
 #include "wl/schedule.hpp"
 
@@ -30,15 +30,6 @@ struct JointWangLandauConfig {
   std::uint64_t max_iteration_steps = 0;
 };
 
-/// Counters of a joint run.
-struct JointWangLandauStats {
-  std::uint64_t total_steps = 0;
-  std::uint64_t accepted_steps = 0;
-  std::uint64_t out_of_range = 0;
-  std::size_t iterations = 0;
-  std::size_t forced_iterations = 0;  ///< gamma cuts by iteration-step cap
-};
-
 /// Single-walker Wang-Landau estimator of ln g(E, M_z).
 class JointWangLandau {
  public:
@@ -50,25 +41,18 @@ class JointWangLandau {
   bool step();
 
   /// Runs to convergence (or the cap); returns the stats.
-  const JointWangLandauStats& run();
+  const WangLandauStats& run();
 
-  bool converged() const { return schedule_->converged(); }
-  const JointDos& dos() const { return dos_; }
-  const JointWangLandauStats& stats() const { return stats_; }
+  bool converged() const { return engine_.schedule().converged(); }
+  const JointDos& dos() const { return engine_.grid(); }
+  const WangLandauStats& stats() const { return engine_.stats(); }
   const spin::MomentConfiguration& configuration() const { return config_w_; }
 
  private:
   const EnergyFunction& energy_;
-  JointWangLandauConfig config_;
-  JointDos dos_;
-  std::unique_ptr<ModificationSchedule> schedule_;
-  Rng rng_;
-  spin::UniformSphereMove move_generator_;
+  Engine<JointDos> engine_;
   spin::MomentConfiguration config_w_;
-  double energy_w_ = 0.0;
-  double m_w_ = 0.0;
-  JointWangLandauStats stats_;
-  std::uint64_t iteration_steps_ = 0;
+  JointDos::Point at_;  ///< the walker's (E, M_z)
   std::size_t previous_hit_cells_ = 0;
 };
 

@@ -1,8 +1,10 @@
 #include "wl/multimaster.hpp"
 
-#include <thread>
+#include <algorithm>
+#include <memory>
 
 #include "common/error.hpp"
+#include "wl/rewl.hpp"
 
 namespace wlsms::wl {
 
@@ -39,68 +41,42 @@ MultiMasterResult run_multimaster(const EnergyFunction& energy,
   WLSMS_EXPECTS(n_masters >= 1);
   WLSMS_EXPECTS(gamma_final > 0.0 && gamma_final < 1.0);
 
+  std::vector<WangLandau> masters;
+  masters.reserve(n_masters);
+  for (std::size_t m = 0; m < n_masters; ++m)
+    masters.emplace_back(energy, per_master_config,
+                         std::make_unique<HalvingSchedule>(1.0, gamma_final),
+                         seed_rng.split(static_cast<unsigned>(m)));
+  WindowRunner runner(std::move(masters));
+
   MultiMasterResult result{DosGrid(per_master_config.grid), {}, 0};
-  result.per_master.resize(n_masters);
-
-  // Persistent per-master state across gamma levels.
-  std::vector<std::vector<spin::MomentConfiguration>> walker_configs(n_masters);
-  std::vector<DosGrid> master_dos;
-  master_dos.reserve(n_masters);
-  for (std::size_t m = 0; m < n_masters; ++m)
-    master_dos.emplace_back(per_master_config.grid);
-  std::vector<Rng> rngs;
-  rngs.reserve(n_masters);
-  for (std::size_t m = 0; m < n_masters; ++m)
-    rngs.push_back(seed_rng.split(static_cast<unsigned>(m)));
-
-  double gamma = 1.0;
-  while (gamma > gamma_final) {
-    // Each master runs at fixed `gamma` until its own histogram is flat
-    // (one halving of a per-level schedule), in parallel.
-    std::vector<std::thread> threads;
-    threads.reserve(n_masters);
-    for (std::size_t m = 0; m < n_masters; ++m) {
-      threads.emplace_back([&, m] {
-        auto schedule = std::make_unique<HalvingSchedule>(gamma, 0.6 * gamma);
-        WangLandau sampler(energy, per_master_config, std::move(schedule),
-                           rngs[m]);
-        rngs[m].jump();  // fresh stream next level
-        // Seed from the previous level's state.
-        if (!walker_configs[m].empty())
-          for (std::size_t w = 0; w < sampler.n_walkers(); ++w)
-            sampler.set_walker(w, walker_configs[m][w]);
-        sampler.dos().set_ln_g_values(master_dos[m].ln_g_values());
-        sampler.dos().set_visited(master_dos[m].visited());
-
-        sampler.run();
-
-        result.per_master[m].total_steps += sampler.stats().total_steps;
-        result.per_master[m].accepted_steps += sampler.stats().accepted_steps;
-        result.per_master[m].out_of_range += sampler.stats().out_of_range;
-        result.per_master[m].iterations += sampler.stats().iterations;
-        master_dos[m].set_ln_g_values(sampler.dos().ln_g_values());
-        master_dos[m].set_visited(sampler.dos().visited());
-        walker_configs[m].clear();
-        for (std::size_t w = 0; w < sampler.n_walkers(); ++w)
-          walker_configs[m].push_back(sampler.walker_config(w));
-      });
-    }
-    for (std::thread& t : threads) t.join();
-
-    // Merge and broadcast.
+  for (bool done = false; !done;) {
+    // One level: each master walks until its own gamma cut, then all share
+    // the merged estimate. The run ends once the masters have converged or
+    // one has reached its step cap.
+    runner.round([](WangLandau& master) {
+      const std::size_t level = master.stats().iterations;
+      while (master.stats().iterations == level && master.step()) {
+      }
+    });
     std::vector<const DosGrid*> views;
-    views.reserve(n_masters);
-    for (const DosGrid& d : master_dos) views.push_back(&d);
-    DosGrid merged = merge_dos_estimates(views);
-    for (DosGrid& d : master_dos) {
-      d.set_ln_g_values(merged.ln_g_values());
-      d.set_visited(merged.visited());
+    for (std::size_t m = 0; m < n_masters; ++m)
+      views.push_back(&runner[m].dos());
+    result.merged_dos = merge_dos_estimates(views);
+    for (std::size_t m = 0; m < n_masters; ++m) {
+      runner[m].dos().set_ln_g_values(result.merged_dos.ln_g_values());
+      runner[m].dos().set_visited(result.merged_dos.visited());
+      done = done || runner[m].done();
     }
-    result.merged_dos = std::move(merged);
-
-    gamma *= 0.5;
-    ++result.gamma_levels;
   }
+  runner.flush();
+
+  for (std::size_t m = 0; m < n_masters; ++m)
+    result.per_master.push_back(runner[m].stats());
+  // A master stopped by the step cap completed the fewest levels.
+  result.gamma_levels =
+      std::ranges::min(result.per_master, {}, &WangLandauStats::iterations)
+          .iterations;
   return result;
 }
 

@@ -7,15 +7,14 @@
 /// scale to large numbers of walkers without running into limitations of
 /// Amdahl's law."
 ///
-/// Implementation: K masters run concurrently on std::threads, each owning a
-/// private DosGrid and a share of the walkers, all on identical energy
-/// windows. Whenever a master's histogram goes flat the masters synchronize
-/// at a barrier, their ln g estimates are merged (averaged bin-wise over the
-/// union of visited bins), the merged estimate is broadcast back, gamma is
-/// halved globally, and all histograms reset. Averaging independent ln g
-/// estimates at equal gamma reduces the estimator variance like 1/K while
-/// the walk itself parallelizes perfectly, which is exactly the property the
-/// single-master throughput ablation (bench_ablation_masters) quantifies.
+/// Implementation: K masters on identical energy windows, each a persistent
+/// WangLandau sampler with its own walkers and HalvingSchedule, advanced on
+/// a WindowRunner (rewl.hpp). A gamma level ends when every master has cut
+/// gamma once; the ln g estimates are then averaged bin-wise over the union
+/// of visited bins and copied back into every master. Averaging independent
+/// estimates at equal gamma reduces the variance like 1/K while the walk
+/// parallelizes perfectly (bench_ablation_masters). A fixed seed reproduces
+/// the run bit for bit.
 
 #include <cstddef>
 #include <memory>
@@ -32,7 +31,7 @@ namespace wlsms::wl {
 struct MultiMasterResult {
   DosGrid merged_dos;             ///< final merged estimate
   std::vector<WangLandauStats> per_master;
-  std::size_t gamma_levels = 0;   ///< global gamma reductions performed
+  std::size_t gamma_levels = 0;   ///< levels every master completed
 };
 
 /// Merges ln g estimates bin-wise: the merged bin is the mean over the
@@ -40,10 +39,10 @@ struct MultiMasterResult {
 /// testing. All grids must share a layout.
 DosGrid merge_dos_estimates(const std::vector<const DosGrid*>& estimates);
 
-/// Runs `n_masters` masters of `walkers_per_master` walkers each until the
-/// halving schedule reaches `gamma_final` (or each master hits
-/// `max_steps_per_master`). `energy` must be safe for concurrent calls
-/// (every backend in this library is: they are logically const).
+/// Runs `n_masters` masters until the halving schedule reaches `gamma_final`
+/// or a master has taken `max_steps` steps (a whole-run cap). `energy` must
+/// be safe for concurrent calls (every backend in this library is: they are
+/// logically const).
 MultiMasterResult run_multimaster(const EnergyFunction& energy,
                                   const WangLandauConfig& per_master_config,
                                   std::size_t n_masters, double gamma_final,

@@ -4,12 +4,12 @@
 #include <cmath>
 #include <latch>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace wlsms::wl {
 
@@ -203,6 +203,35 @@ DosGrid stitch_window_estimates(const DosGridConfig& global,
   return stitched;
 }
 
+WindowRunner::WindowRunner(std::vector<WangLandau> windows)
+    : windows_(std::move(windows)), pool_(windows_.size()) {
+  for (std::size_t k = 0; k < windows_.size(); ++k)
+    windows_[k].engine().set_gauge_suffix(".window" + std::to_string(k));
+}
+
+std::size_t WindowRunner::round(
+    const std::function<void(WangLandau&)>& work) {
+  std::vector<WangLandau*> active;
+  for (WangLandau& window : windows_)
+    if (!window.done()) active.push_back(&window);
+  // The latch is the barrier that also publishes each sampler's state back
+  // to this thread.
+  std::latch round_done(static_cast<std::ptrdiff_t>(active.size()));
+  for (WangLandau* window : active) {
+    pool_.post([&work, &round_done, window] {
+      const obs::Span window_span("wl.window_run");
+      work(*window);
+      round_done.count_down();
+    });
+  }
+  round_done.wait();
+  return active.size();
+}
+
+void WindowRunner::flush() {
+  for (WangLandau& window : windows_) window.engine().publish_metrics();
+}
+
 RewlResult run_rewl(const EnergyFunction& energy, const RewlConfig& config,
                     const ModificationSchedule& schedule_prototype,
                     Rng root_rng) {
@@ -216,7 +245,7 @@ RewlResult run_rewl(const EnergyFunction& energy, const RewlConfig& config,
   // Per-window samplers with walkers seeded inside their window. Every
   // window draws from its own split of the root stream; the exchange sweep
   // owns stream n.
-  std::vector<std::unique_ptr<WangLandau>> samplers;
+  std::vector<WangLandau> samplers;
   samplers.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     WangLandauConfig wc = config.base;
@@ -227,17 +256,13 @@ RewlResult run_rewl(const EnergyFunction& energy, const RewlConfig& config,
     for (std::size_t walker = 0; walker < wc.n_walkers; ++walker)
       initial.push_back(seed_configuration_in_band(
           energy, windows[i].grid.e_min, windows[i].grid.e_max, window_rng));
-    samplers.push_back(std::make_unique<WangLandau>(
-        energy, wc, schedule_prototype.clone(), window_rng, initial));
+    samplers.emplace_back(energy, wc, schedule_prototype.clone(), window_rng,
+                          initial);
   }
   Rng exchange_rng = root_rng.split(static_cast<unsigned>(n));
+  WindowRunner runner(std::move(samplers));
 
   RewlResult result{DosGrid(config.base.grid), windows, {}, {}, 0, 0, 0, 0};
-
-  const auto window_done = [&](std::size_t i) {
-    return samplers[i]->converged() ||
-           samplers[i]->stats().total_steps >= config.base.max_steps;
-  };
 
   static obs::Counter& rounds_counter =
       obs::Registry::instance().counter("rewl.rounds");
@@ -248,28 +273,14 @@ RewlResult run_rewl(const EnergyFunction& energy, const RewlConfig& config,
   static obs::Gauge& exchange_accept_rate =
       obs::Registry::instance().gauge("rewl.exchange_accept_rate");
 
-  parallel::ThreadPool pool(n);
   while (result.rounds < config.max_rounds) {
     const obs::Span round_span("rewl.round");
-    std::vector<std::size_t> active;
-    for (std::size_t i = 0; i < n; ++i)
-      if (!window_done(i)) active.push_back(i);
-    if (active.empty()) break;
-
-    // One round: every active window advances exchange_interval steps on
-    // the pool. The latch is the barrier that also publishes each window's
-    // state back to this thread.
-    std::latch round_done(static_cast<std::ptrdiff_t>(active.size()));
-    for (std::size_t i : active) {
-      pool.post([&, i] {
-        const obs::Span window_span("rewl.window_run");
-        WangLandau& sampler = *samplers[i];
-        for (std::uint64_t s = 0; s < config.exchange_interval; ++s)
-          if (!sampler.step()) break;
-        round_done.count_down();
-      });
-    }
-    round_done.wait();
+    // One round: every active window advances exchange_interval steps.
+    const std::size_t ran = runner.round([&](WangLandau& sampler) {
+      for (std::uint64_t s = 0; s < config.exchange_interval; ++s)
+        if (!sampler.step()) break;
+    });
+    if (ran == 0) break;
     ++result.rounds;
     rounds_counter.inc();
 
@@ -277,9 +288,9 @@ RewlResult run_rewl(const EnergyFunction& energy, const RewlConfig& config,
     // (0,1)(2,3)... and (1,2)(3,4)... between rounds.
     const obs::Span exchange_span("rewl.exchange_sweep");
     for (std::size_t i = result.rounds % 2; i + 1 < n; i += 2) {
-      if (window_done(i) || window_done(i + 1)) continue;
-      WangLandau& a = *samplers[i];
-      WangLandau& b = *samplers[i + 1];
+      WangLandau& a = runner[i];
+      WangLandau& b = runner[i + 1];
+      if (a.done() || b.done()) continue;
       const std::size_t wa = static_cast<std::size_t>(
           exchange_rng.uniform_index(a.n_walkers()));
       const std::size_t wb = static_cast<std::size_t>(
@@ -310,16 +321,14 @@ RewlResult run_rewl(const EnergyFunction& energy, const RewlConfig& config,
           static_cast<double>(result.exchange_accepts) /
           static_cast<double>(result.exchange_attempts));
   }
+  runner.flush();
 
-  result.per_window.reserve(n);
   std::vector<const DosGrid*> views;
-  views.reserve(n);
-  result.window_dos.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    result.per_window.push_back(samplers[i]->stats());
-    result.window_dos.push_back(samplers[i]->dos());
+    result.per_window.push_back(runner[i].stats());
+    result.window_dos.push_back(runner[i].dos());
+    views.push_back(&runner[i].dos());
   }
-  for (const DosGrid& dos : result.window_dos) views.push_back(&dos);
   result.stitched =
       stitch_window_estimates(config.base.grid, windows, views);
   return result;

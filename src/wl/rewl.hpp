@@ -23,15 +23,38 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "parallel/thread_pool.hpp"
 #include "wl/dos_grid.hpp"
 #include "wl/energy_function.hpp"
 #include "wl/schedule.hpp"
 #include "wl/wanglandau.hpp"
 
 namespace wlsms::wl {
+
+/// Persistent WangLandau samplers (REWL windows, multimaster masters) run
+/// in barrier-synchronized rounds on one thread pool. Sampler k publishes
+/// its gauges as `wl.<gauge>.window<k>`; the counters stay one global sum.
+class WindowRunner {
+ public:
+  explicit WindowRunner(std::vector<WangLandau> windows);
+
+  WangLandau& operator[](std::size_t k) { return windows_[k]; }
+
+  /// Runs `work` concurrently on every sampler not yet done and returns how
+  /// many ran, once all have finished (their state is then visible here).
+  std::size_t round(const std::function<void(WangLandau&)>& work);
+
+  /// Publishes every sampler's counts and gauges (once, at the end).
+  void flush();
+
+ private:
+  std::vector<WangLandau> windows_;
+  parallel::ThreadPool pool_;
+};
 
 /// One energy window of the decomposition, aligned to global grid bins so
 /// stitched estimates map bin-for-bin onto the global grid.
@@ -100,7 +123,7 @@ DosGrid stitch_window_estimates(const DosGridConfig& global,
 
 /// Runs replica-exchange windowed Wang-Landau: one WangLandau sampler per
 /// window (walkers seeded inside the window), `exchange_interval` steps per
-/// round on a thread pool, then a deterministic sweep of replica-exchange
+/// round on a WindowRunner, then a deterministic sweep of replica-exchange
 /// attempts between adjacent windows with acceptance
 ///   min(1, g_i(E_i) g_j(E_j) / (g_i(E_j) g_j(E_i))),
 /// alternating even/odd pairings per round. Terminates when every window's

@@ -4,8 +4,6 @@
 
 #include "common/error.hpp"
 #include "common/units.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace wlsms::wl {
 
@@ -13,24 +11,11 @@ WangLandau::WangLandau(const EnergyFunction& energy,
                        const WangLandauConfig& config,
                        std::unique_ptr<ModificationSchedule> schedule, Rng rng)
     : energy_(energy),
-      config_(config),
-      dos_(config.grid),
-      schedule_(std::move(schedule)),
-      rng_(rng) {
-  WLSMS_EXPECTS(config.n_walkers >= 1);
-  WLSMS_EXPECTS(config.flatness > 0.0 && config.flatness < 1.0);
-  WLSMS_EXPECTS(config.check_interval >= 1);
-  WLSMS_EXPECTS(schedule_ != nullptr);
-
-  walkers_.reserve(config.n_walkers);
-  for (std::size_t w = 0; w < config.n_walkers; ++w) {
-    Walker walker;
-    walker.config =
-        spin::MomentConfiguration::random(energy_.n_sites(), rng_);
-    walker.energy = energy_.total_energy(walker.config);
-    WLSMS_EXPECTS(dos_.contains(walker.energy));
-    walkers_.push_back(std::move(walker));
-  }
+      engine_(config, config.n_walkers, std::move(schedule), rng),
+      walkers_(config.n_walkers) {
+  for (std::size_t w = 0; w < walkers_.size(); ++w)
+    set_walker(w, spin::MomentConfiguration::random(energy_.n_sites(),
+                                                    engine_.rng()));
 }
 
 WangLandau::WangLandau(const EnergyFunction& energy,
@@ -39,136 +24,44 @@ WangLandau::WangLandau(const EnergyFunction& energy,
                        const std::vector<spin::MomentConfiguration>&
                            initial_walkers)
     : energy_(energy),
-      config_(config),
-      dos_(config.grid),
-      schedule_(std::move(schedule)),
-      rng_(rng) {
-  WLSMS_EXPECTS(config.n_walkers >= 1);
-  WLSMS_EXPECTS(config.flatness > 0.0 && config.flatness < 1.0);
-  WLSMS_EXPECTS(config.check_interval >= 1);
-  WLSMS_EXPECTS(schedule_ != nullptr);
+      engine_(config, config.n_walkers, std::move(schedule), rng),
+      walkers_(config.n_walkers) {
   WLSMS_EXPECTS(initial_walkers.size() == config.n_walkers);
-
-  walkers_.reserve(config.n_walkers);
-  for (const spin::MomentConfiguration& initial : initial_walkers) {
-    WLSMS_EXPECTS(initial.size() == energy_.n_sites());
-    Walker walker;
-    walker.config = initial;
-    walker.energy = energy_.total_energy(walker.config);
-    WLSMS_EXPECTS(dos_.contains(walker.energy));
-    walkers_.push_back(std::move(walker));
-  }
+  for (std::size_t w = 0; w < walkers_.size(); ++w)
+    set_walker(w, initial_walkers[w]);
 }
 
 void WangLandau::set_walker(std::size_t w,
                             const spin::MomentConfiguration& config) {
   WLSMS_EXPECTS(w < walkers_.size());
   WLSMS_EXPECTS(config.size() == energy_.n_sites());
-  walkers_[w].config = config;
-  walkers_[w].energy = energy_.total_energy(config);
-  WLSMS_EXPECTS(dos_.contains(walkers_[w].energy));
+  walkers_[w] = {config, energy_.total_energy(config)};
+  WLSMS_EXPECTS(dos().contains(walkers_[w].energy));
 }
 
 void WangLandau::advance(Walker& walker) {
-  const spin::TrialMove move = move_generator_.propose(walker.config, rng_);
+  const spin::TrialMove move = engine_.propose(walker.config);
   const double e_new =
       energy_.energy_after_move(walker.config, move, walker.energy);
-  ++stats_.total_steps;
-
-  if (!dos_.contains(e_new)) {
-    // Proposals outside the window are rejected outright; the walk still
-    // deposits weight at its current energy.
-    ++stats_.out_of_range;
-  } else {
-    // Flat-histogram acceptance, eq. 5: min[1, g(E_old)/g(E_new)].
-    const double ln_ratio = dos_.ln_g(walker.energy) - dos_.ln_g(e_new);
-    if (ln_ratio >= 0.0 || rng_.uniform() < std::exp(ln_ratio)) {
-      walker.config.set(move.site, move.new_direction);
-      walker.energy = e_new;
-      ++stats_.accepted_steps;
-    }
+  if (engine_.accept(walker.energy, e_new)) {
+    walker.config.set(move.site, move.new_direction);
+    walker.energy = e_new;
   }
-
-  // Refresh the incrementally tracked energy periodically so floating-point
-  // drift cannot accumulate over long walks.
-  if (stats_.total_steps % (1u << 22) == 0)
+  if (engine_.refresh_due())
     walker.energy = energy_.total_energy(walker.config);
-
-  // Update g and H at the walker's current (post-decision) energy after
-  // every trial, rejected ones included (classic Wang-Landau). A first-time
-  // bin visit restarts the flatness clock: the support grew.
-  if (dos_.visit(walker.energy, schedule_->gamma())) dos_.reset_histogram();
-  schedule_->on_step(stats_.total_steps);
+  engine_.visit(walker.energy);
 }
 
 bool WangLandau::step() {
-  if (converged() || stats_.total_steps >= config_.max_steps) return false;
+  if (engine_.done()) return false;
   for (Walker& walker : walkers_) advance(walker);
-  iteration_steps_ += walkers_.size();
-
-  const std::uint64_t cap = config_.max_iteration_steps > 0
-                                ? config_.max_iteration_steps
-                                : 1000 * dos_.bins();
-  if (stats_.total_steps / config_.check_interval !=
-      (stats_.total_steps - walkers_.size()) / config_.check_interval) {
-    {
-      const obs::Span span("wl.flatness_check");
-      const bool flat = dos_.is_flat(config_.flatness);
-      if (flat || iteration_steps_ >= cap) {
-        schedule_->on_flat_histogram(stats_.total_steps);
-        dos_.reset_histogram();
-        ++stats_.iterations;
-        if (!flat) ++stats_.forced_iterations;
-        iteration_steps_ = 0;
-      }
-    }
-    publish_metrics();
-  }
-  return !converged() && stats_.total_steps < config_.max_steps;
-}
-
-void WangLandau::publish_metrics() {
-  // Batched at flatness-check boundaries so the per-step hot path stays
-  // untouched; counters take deltas against what was already published.
-  static obs::Counter& steps = obs::Registry::instance().counter("wl.steps");
-  static obs::Counter& accepted =
-      obs::Registry::instance().counter("wl.accepted_steps");
-  static obs::Counter& out_of_range =
-      obs::Registry::instance().counter("wl.out_of_range");
-  static obs::Counter& iterations =
-      obs::Registry::instance().counter("wl.iterations");
-  static obs::Gauge& acceptance_rate =
-      obs::Registry::instance().gauge("wl.acceptance_rate");
-  static obs::Gauge& flatness_ratio =
-      obs::Registry::instance().gauge("wl.flatness_ratio");
-  static obs::Gauge& ln_f = obs::Registry::instance().gauge("wl.ln_f");
-
-  steps.add(stats_.total_steps - published_.total_steps);
-  accepted.add(stats_.accepted_steps - published_.accepted_steps);
-  out_of_range.add(stats_.out_of_range - published_.out_of_range);
-  iterations.add(stats_.iterations - published_.iterations);
-  published_ = stats_;
-
-  if (stats_.total_steps > 0)
-    acceptance_rate.set(static_cast<double>(stats_.accepted_steps) /
-                        static_cast<double>(stats_.total_steps));
-  flatness_ratio.set(dos_.flatness_ratio());
-  ln_f.set(schedule_->gamma());
+  engine_.chance();
+  return !engine_.done();
 }
 
 const WangLandauStats& WangLandau::run() {
-  // One wl.sweep span per flatness-check interval: coarse enough not to
-  // swamp the trace ring, fine enough to show the walk's cadence.
-  while (true) {
-    const obs::Span span("wl.sweep");
-    const std::uint64_t target = stats_.total_steps + config_.check_interval;
-    bool more = true;
-    while ((more = step()) && stats_.total_steps < target) {
-    }
-    if (!more) break;
-  }
-  publish_metrics();  // counts accumulated since the last check boundary
-  return stats_;
+  engine_.run([this] { step(); });
+  return stats();
 }
 
 const spin::MomentConfiguration& WangLandau::walker_config(

@@ -4,12 +4,12 @@
 /// Sequential Wang-Landau sampler: M walkers sharing one density of states,
 /// advanced round-robin in a single thread.
 ///
-/// This is the reference implementation of the paper's Algorithm 1 with the
-/// energy calculation inlined; it is the engine behind the fully converged
-/// production runs on the extracted-exchange surrogate (DESIGN.md §2), and
-/// the ground truth the asynchronous master-slave driver (driver.hpp) is
-/// validated against. One "WL step" = one trial move = one energy
-/// evaluation, matching the step counts of the paper's Table I.
+/// The paper's Algorithm 1 with the energy calculation inlined, as a loop
+/// over the Wang-Landau Engine (engine.hpp): the fully converged production
+/// runs on the extracted-exchange surrogate (DESIGN.md §2), every REWL
+/// window and multimaster master, and the ground truth the master-slave
+/// driver (driver.hpp) is validated against. One "WL step" = one trial move
+/// = one energy evaluation, matching the step counts of the paper's Table I.
 
 #include <cstdint>
 #include <memory>
@@ -17,9 +17,9 @@
 
 #include "common/rng.hpp"
 #include "spin/moments.hpp"
-#include "spin/moves.hpp"
 #include "wl/dos_grid.hpp"
 #include "wl/energy_function.hpp"
+#include "wl/engine.hpp"
 #include "wl/schedule.hpp"
 
 namespace wlsms::wl {
@@ -39,15 +39,6 @@ struct WangLandauConfig {
   /// Iterations that end by cap rather than flatness are counted in
   /// WangLandauStats::forced_iterations.
   std::uint64_t max_iteration_steps = 0;
-};
-
-/// Progress counters of a run.
-struct WangLandauStats {
-  std::uint64_t total_steps = 0;     ///< trial moves = energy evaluations
-  std::uint64_t accepted_steps = 0;
-  std::uint64_t out_of_range = 0;    ///< proposals outside the grid window
-  std::size_t iterations = 0;        ///< gamma cuts (flat or forced)
-  std::size_t forced_iterations = 0; ///< gamma cuts by iteration-step cap
 };
 
 /// Sequential multi-walker Wang-Landau estimator of ln g(E).
@@ -70,22 +61,26 @@ class WangLandau {
   /// Replaces walker w's configuration (e.g. to seed from a checkpoint).
   void set_walker(std::size_t w, const spin::MomentConfiguration& config);
 
-  /// Advances every walker by one WL step. Returns false once converged
-  /// (schedule at its floor) or the step cap is reached.
+  /// Advances every walker by one WL step. Returns false once done
+  /// (schedule at its floor or step cap reached).
   bool step();
 
   /// Runs until convergence or the step cap; returns the stats.
   const WangLandauStats& run();
 
-  bool converged() const { return schedule_->converged(); }
+  bool converged() const { return engine_.schedule().converged(); }
+  bool done() const { return engine_.done(); }
 
-  const DosGrid& dos() const { return dos_; }
-  DosGrid& dos() { return dos_; }
-  const WangLandauStats& stats() const { return stats_; }
-  const ModificationSchedule& schedule() const { return *schedule_; }
+  const DosGrid& dos() const { return engine_.grid(); }
+  DosGrid& dos() { return engine_.grid(); }
+  const WangLandauStats& stats() const { return engine_.stats(); }
+  const ModificationSchedule& schedule() const { return engine_.schedule(); }
   std::size_t n_walkers() const { return walkers_.size(); }
   const spin::MomentConfiguration& walker_config(std::size_t w) const;
   double walker_energy(std::size_t w) const;
+
+  /// The sampler's engine (gauge naming and metric flushes of a runner).
+  Engine<DosGrid>& engine() { return engine_; }
 
  private:
   struct Walker {
@@ -94,18 +89,10 @@ class WangLandau {
   };
 
   void advance(Walker& walker);
-  void publish_metrics();
 
   const EnergyFunction& energy_;
-  WangLandauConfig config_;
-  DosGrid dos_;
-  std::unique_ptr<ModificationSchedule> schedule_;
-  Rng rng_;
-  spin::UniformSphereMove move_generator_;
+  Engine<DosGrid> engine_;
   std::vector<Walker> walkers_;
-  WangLandauStats stats_;
-  std::uint64_t iteration_steps_ = 0;  ///< steps since the last gamma cut
-  WangLandauStats published_;  ///< counts already pushed to the registry
 };
 
 /// Convenience: a grid window bracketing a Heisenberg-like model whose

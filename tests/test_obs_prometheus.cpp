@@ -1,7 +1,8 @@
 // Prometheus text exposition and the exponential histogram bucket helper:
 // bucket edges and value->bucket assignment, name mangling (dots, tenants,
-// per-rank clock gauges -> labels), and the exposition format invariants a
-// scraper relies on (one # TYPE per family, cumulative buckets, +Inf).
+// per-rank clock gauges and per-window WL gauges -> labels), and the
+// exposition format invariants a scraper relies on (one # TYPE per family,
+// cumulative buckets, +Inf).
 #include <cmath>
 #include <string>
 #include <vector>
@@ -84,6 +85,25 @@ TEST(PrometheusExposition, RankGaugesBecomeOneLabeledFamily) {
   EXPECT_NE(text.find("comm_clock_offset_us{rank=\"1\"} 3"),
             std::string::npos);
   EXPECT_NE(text.find("comm_clock_offset_us 0.25"), std::string::npos);
+}
+
+TEST(PrometheusExposition, WindowGaugesBecomeOneLabeledFamily) {
+  MetricsSnapshot snapshot;
+  snapshot.gauges["wl.ln_f.window0"] = 0.25;
+  snapshot.gauges["wl.ln_f.window12"] = 0.5;
+  snapshot.gauges["wl.ln_f"] = 1.0;  // a single-engine run's own series
+  snapshot.gauges["wl.ln_f.windowx"] = 2.0;  // not an index: no label
+  const std::string text = expose_prometheus(snapshot);
+  std::size_t headers = 0;
+  for (std::size_t at = text.find("# TYPE wl_ln_f gauge");
+       at != std::string::npos;
+       at = text.find("# TYPE wl_ln_f gauge", at + 1))
+    ++headers;
+  EXPECT_EQ(headers, 1u);
+  EXPECT_NE(text.find("wl_ln_f{window=\"0\"} 0.25\n"), std::string::npos);
+  EXPECT_NE(text.find("wl_ln_f{window=\"12\"} 0.5\n"), std::string::npos);
+  EXPECT_NE(text.find("wl_ln_f 1\n"), std::string::npos);
+  EXPECT_NE(text.find("wl_ln_f_windowx 2\n"), std::string::npos);
 }
 
 TEST(PrometheusExposition, TenantHistogramsShareAFamilyWithLabels) {

@@ -143,6 +143,30 @@ TEST(WlDriver, StepCountsExcludeSeedingAndResubmissions) {
   EXPECT_LE(stats.total_steps, 1000u + config.n_walkers);
 }
 
+TEST(WlDriver, InvalidConfigThrows) {
+  // check_interval = 0 used to make run() spin forever (every sweep's target
+  // equalled the current step count); flatness outside (0, 1) can never be
+  // met or always is. All are refused before any request is posted.
+  HeisenbergEnergy energy = fe16_energy();
+  SynchronousEnergyService service(energy);
+  const auto make = [&](const WangLandauConfig& config) {
+    WlDriver driver(16, service, config,
+                    std::make_unique<HalvingSchedule>(1.0, 1e-3), Rng(1));
+  };
+  WangLandauConfig config = driver_config(energy);
+  config.check_interval = 0;
+  EXPECT_THROW(make(config), ContractError);
+  for (double flatness : {0.0, 1.0, 1.5, -0.2}) {
+    config = driver_config(energy);
+    config.flatness = flatness;
+    EXPECT_THROW(make(config), ContractError) << "flatness " << flatness;
+  }
+  config = driver_config(energy);
+  config.n_walkers = 0;
+  EXPECT_THROW(make(config), ContractError);
+  EXPECT_EQ(service.outstanding(), 0u);
+}
+
 TEST(WlDriver, AllWalkersParticipate) {
   // With a synchronous FIFO service every walker's requests interleave;
   // acceptance bookkeeping must stay within totals.

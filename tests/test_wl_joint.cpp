@@ -56,10 +56,13 @@ TEST(JointDos, FlatnessOverVisitedCells) {
       for (std::size_t bm = 5; bm < 15; ++bm)
         dos.visit(dos.e_center(be), dos.m_center(bm), 0.01);
   EXPECT_TRUE(dos.is_flat(0.9));
+  EXPECT_DOUBLE_EQ(dos.flatness_ratio(), 1.0);  // 100 cells, 30 hits each
   // Heavily revisit one cell: imbalance breaks flatness.
   for (int k = 0; k < 2000; ++k)
     dos.visit(dos.e_center(12), dos.m_center(7), 0.01);
   EXPECT_FALSE(dos.is_flat(0.9));
+  // min 30 over mean (99 * 30 + 2030) / 100 = 50.
+  EXPECT_DOUBLE_EQ(dos.flatness_ratio(), 0.6);
 }
 
 TEST(JointDos, ContractViolations) {
@@ -67,6 +70,28 @@ TEST(JointDos, ContractViolations) {
   EXPECT_THROW(dos.visit(5.0, 0.0, 1.0), ContractError);
   EXPECT_THROW(dos.ln_g(0.0, 5.0), ContractError);
   EXPECT_THROW(dos.cell_ln_g(99, 0), ContractError);
+}
+
+TEST(JointWangLandau, InvalidConfigThrows) {
+  // check_interval = 0 used to divide by zero on the first step (SIGFPE).
+  const HeisenbergEnergy energy(heisenberg::HeisenbergModel(
+      lattice::make_cubic_cluster(lattice::CubicLattice::kSimpleCubic, 1.0, 2,
+                                  1, 1),
+      {0.4}));
+  const auto make = [&](const JointWangLandauConfig& config) {
+    JointWangLandau sampler(energy, config,
+                            std::make_unique<HalvingSchedule>(1.0, 1e-3),
+                            Rng(1));
+  };
+  JointWangLandauConfig config;
+  config.grid = small_grid();
+  config.check_interval = 0;
+  EXPECT_THROW(make(config), ContractError);
+  config.check_interval = 100;
+  for (double flatness : {0.0, 1.0, 2.0}) {
+    config.flatness = flatness;
+    EXPECT_THROW(make(config), ContractError) << "flatness " << flatness;
+  }
 }
 
 class ConvergedAnisotropicDimer : public ::testing::Test {

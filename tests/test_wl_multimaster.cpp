@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/units.hpp"
@@ -177,6 +178,92 @@ TEST(MultiMaster, FourMastersStillConverge) {
   const double t = 1.0 / (units::k_boltzmann_ry * 2.0);
   EXPECT_NEAR(thermo::observables_at(table, t).internal_energy,
               -langevin(2.0), 0.05);
+}
+
+WangLandauConfig short_single_bond_config() {
+  WangLandauConfig per_master;
+  per_master.grid = {-1.02, 1.02, 102, 0.005};
+  per_master.n_walkers = 2;
+  per_master.check_interval = 2000;
+  per_master.flatness = 0.8;
+  per_master.max_iteration_steps = 20000;
+  per_master.max_steps = 4000000;
+  return per_master;
+}
+
+TEST(MultiMaster, ForcedIterationsAreReportedPerMaster) {
+  // An iteration cap far below what any histogram needs to go flat (and a
+  // flatness no random histogram meets): every level ends by the cap, so
+  // every master reports one forced cut per level.
+  const auto structure = lattice::make_cubic_cluster(
+      lattice::CubicLattice::kSimpleCubic, 1.0, 2, 1, 1);
+  const HeisenbergEnergy energy(
+      heisenberg::HeisenbergModel(structure, {1.0}));
+  WangLandauConfig per_master = short_single_bond_config();
+  per_master.flatness = 0.999;
+  per_master.max_iteration_steps = 100;
+
+  const MultiMasterResult result =
+      run_multimaster(energy, per_master, 3, 1e-2, Rng(5));
+  EXPECT_EQ(result.gamma_levels, 7u);  // 2^-7 <= 1e-2
+  ASSERT_EQ(result.per_master.size(), 3u);
+  for (const WangLandauStats& stats : result.per_master) {
+    EXPECT_EQ(stats.iterations, result.gamma_levels);
+    EXPECT_EQ(stats.forced_iterations, result.gamma_levels);
+  }
+}
+
+TEST(MultiMaster, StepCapEndsTheWholeRun) {
+  // max_steps caps each master's whole run, not each level: the run stops
+  // at the first master to reach it, long before gamma reaches 1e-6 (20
+  // levels of at most 20000 steps each).
+  const auto structure = lattice::make_cubic_cluster(
+      lattice::CubicLattice::kSimpleCubic, 1.0, 2, 1, 1);
+  const HeisenbergEnergy energy(
+      heisenberg::HeisenbergModel(structure, {1.0}));
+  WangLandauConfig per_master = short_single_bond_config();
+  per_master.max_steps = 30000;
+  const MultiMasterResult result =
+      run_multimaster(energy, per_master, 2, 1e-6, Rng(6));
+  std::uint64_t longest = 0;
+  for (const WangLandauStats& stats : result.per_master) {
+    EXPECT_LT(stats.total_steps, per_master.max_steps + per_master.n_walkers);
+    longest = std::max(longest, stats.total_steps);
+  }
+  EXPECT_GE(longest, per_master.max_steps);
+  EXPECT_LT(result.gamma_levels, 20u);
+}
+
+TEST(MultiMaster, FixedSeedReproducesBitIdenticalOutput) {
+  // Masters advance on pool threads from private streams split from one
+  // seed, and merges run on the coordinator between levels, so the run is
+  // independent of thread scheduling.
+  const auto structure = lattice::make_cubic_cluster(
+      lattice::CubicLattice::kSimpleCubic, 1.0, 2, 1, 1);
+  const HeisenbergEnergy energy(
+      heisenberg::HeisenbergModel(structure, {1.0}));
+  const WangLandauConfig per_master = short_single_bond_config();
+
+  const MultiMasterResult a =
+      run_multimaster(energy, per_master, 3, 1e-3, Rng(23));
+  const MultiMasterResult b =
+      run_multimaster(energy, per_master, 3, 1e-3, Rng(23));
+  EXPECT_EQ(a.merged_dos.ln_g_values(), b.merged_dos.ln_g_values());
+  EXPECT_EQ(a.merged_dos.visited(), b.merged_dos.visited());
+  EXPECT_EQ(a.gamma_levels, b.gamma_levels);
+  ASSERT_EQ(a.per_master.size(), b.per_master.size());
+  for (std::size_t m = 0; m < a.per_master.size(); ++m) {
+    EXPECT_EQ(a.per_master[m].total_steps, b.per_master[m].total_steps);
+    EXPECT_EQ(a.per_master[m].accepted_steps, b.per_master[m].accepted_steps);
+    EXPECT_EQ(a.per_master[m].out_of_range, b.per_master[m].out_of_range);
+    EXPECT_EQ(a.per_master[m].iterations, b.per_master[m].iterations);
+    EXPECT_EQ(a.per_master[m].forced_iterations,
+              b.per_master[m].forced_iterations);
+  }
+
+  const MultiMasterResult c =
+      run_multimaster(energy, per_master, 3, 1e-3, Rng(24));
+  EXPECT_NE(a.merged_dos.ln_g_values(), c.merged_dos.ln_g_values());
 }
 
 TEST(MultiMaster, InvalidArgumentsThrow) {

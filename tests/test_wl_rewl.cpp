@@ -9,12 +9,14 @@
 #include "common/error.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "common/units.hpp"
 #include "heisenberg/heisenberg.hpp"
 #include "lattice/cluster.hpp"
 #include "lattice/structure.hpp"
 #include "lsms/fe_parameters.hpp"
+#include "obs/metrics.hpp"
 #include "thermo/observables.hpp"
 
 namespace wlsms::wl {
@@ -276,6 +278,37 @@ TEST(Rewl, PerWindowStatsAndWindowDosAreReported) {
     EXPECT_EQ(result.window_dos[w].bins(), result.windows[w].n_bins);
   }
   EXPECT_GT(result.rounds, 0u);
+}
+
+TEST(Rewl, EachWindowPublishesItsOwnProgressGauges) {
+  // Windows run on pool threads; each keeps its own ln f series instead of
+  // overwriting one shared gauge, and the final flush leaves every series
+  // at its window's final gamma and every counted step in wl.steps — also
+  // the steps after the last flatness check of a window stopped by its cap.
+  const HeisenbergEnergy energy = single_bond_energy(1.0);
+  RewlConfig config = single_bond_config();
+  config.n_windows = 2;
+  config.base.max_steps = 30001;
+  const obs::Counter& steps = obs::Registry::instance().counter("wl.steps");
+  const std::uint64_t steps_before = steps.value();
+  const RewlResult result =
+      run_rewl(energy, config, HalvingSchedule(1.0, 1e-3), Rng(8));
+  ASSERT_EQ(result.per_window.size(), 2u);
+  EXPECT_EQ(steps.value() - steps_before,
+            result.per_window[0].total_steps +
+                result.per_window[1].total_steps);
+  for (std::size_t w = 0; w < 2; ++w) {
+    const std::string k = std::to_string(w);
+    const double final_gamma = std::ldexp(
+        1.0, -static_cast<int>(result.per_window[w].iterations));
+    EXPECT_EQ(obs::Registry::instance().gauge("wl.ln_f.window" + k).value(),
+              final_gamma)
+        << "window " << w;
+    EXPECT_GT(obs::Registry::instance()
+                  .gauge("wl.acceptance_rate.window" + k)
+                  .value(),
+              0.0);
+  }
 }
 
 }  // namespace
