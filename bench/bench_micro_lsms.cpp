@@ -32,7 +32,8 @@ BENCHMARK(BM_LsmsEnergy_LizRadius)->Arg(50)->Arg(56)->Arg(77)->MinTime(0.2);
 // The paper's production geometry: 11.5 a0 LIZ (65-atom zones, 130 x 130
 // zone matrices) and the 16-point contour. One iteration = one full energy
 // evaluation of the 16-atom cell; gemm_frac is the measured share of flops
-// retired by the packed ZGEMM (acceptance bar: >= 0.6).
+// booked under the kZgemm tag — linalg::schur_solve's trailing update and
+// 2x2 Schur product (acceptance bar: >= 0.6).
 void BM_LsmsEnergy_PaperGeometry(benchmark::State& state) {
   const lsms::LsmsSolver solver(lattice::make_fe_supercell(2),
                                 lsms::fe_lsms_parameters());
@@ -62,16 +63,16 @@ void BM_LsmsEnergy_ContourPoints(benchmark::State& state) {
 BENCHMARK(BM_LsmsEnergy_ContourPoints)->Arg(4)->Arg(8)->Arg(16)->MinTime(0.2);
 
 void BM_LsmsIncrementalMove(benchmark::State& state) {
+  // One move-local evaluation: re-solve only the zones the moved site
+  // enters (the t^-1 table is rebuilt for the whole configuration).
   const lsms::LsmsSolver solver(lattice::make_fe_supercell(2),
                                 lsms::fe_lsms_parameters_fast());
   Rng rng(3);
-  const auto config = spin::MomentConfiguration::random(16, rng);
-  const lsms::LocalEnergies current = solver.energies(config);
-  spin::TrialMove move;
-  move.site = 3;
+  auto config = spin::MomentConfiguration::random(16, rng);
+  const std::vector<lsms::ZoneJob> jobs = {{&config, solver.affected_sites(3)}};
   for (auto _ : state) {
-    move.new_direction = rng.unit_vector();
-    benchmark::DoNotOptimize(solver.energy_after_move(config, move, current));
+    config.set(3, rng.unit_vector());
+    benchmark::DoNotOptimize(solver.solve_zones(jobs));
   }
   state.counters["affected_atoms"] =
       static_cast<double>(solver.affected_sites(3).size());

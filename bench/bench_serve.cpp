@@ -35,7 +35,7 @@ constexpr int kReps = 5;              // timing reps, min taken
 
 /// Serving-fidelity substrate: the fast contour but a 50-member LIZ, so the
 /// order-100 member blocks sit above the blocked-LU threshold and every
-/// zone solve runs the blocked LU and packed GEMM.
+/// zone solve runs the blocked LU of linalg::schur_solve.
 std::shared_ptr<const lsms::LsmsSolver> serving_solver() {
   lsms::LsmsParameters params = lsms::fe_lsms_parameters_fast();
   params.liz_radius = 9.1;  // 1st-4th bcc shells: 50 neighbours

@@ -73,7 +73,9 @@ int main() {
     Rng rng(1);
     const auto config = spin::MomentConfiguration::random(16, rng);
     perf::FlopWindow window;
-    solver.local_energy(0, config);
+    // Serial: the solve's flops land on this thread's tally, which the
+    // window reads exactly.
+    solver.solve_zones({{&config, {0}}}, lsms::ZoneThreading::kSerial);
     std::printf(
         "measured on this host: %.1f%% of retired flops in ZGEMM for one "
         "65-atom LIZ solve\n",

@@ -6,9 +6,10 @@
 /// The paper's numbers come from the Cray XT5 partition of Jaguar at ORNL:
 /// quad-core AMD Opterons at 2.3 GHz (9.2 GFlop/s peak per core), two
 /// sockets per node, and a measured sustained fraction of 75.8 % of peak
-/// for the WL-LSMS hot loop (Table II). This environment has one CPU core,
-/// so the scaling section of the paper is reproduced by simulation against
-/// this description (DESIGN.md §2, substitution 3).
+/// for the WL-LSMS hot loop (Table II). A workstation has a handful of
+/// cores, not the paper's 147,464, so the scaling section of the paper is
+/// reproduced by simulation against this description (DESIGN.md §2,
+/// substitution 3).
 
 #include <cstddef>
 

@@ -106,10 +106,14 @@ void run_shard_worker(WorkerChannel& channel,
       // Adopted from the originating driver span (possibly in another
       // process), so the merged trace nests this rank's solve under it.
       const obs::Span span("comm.shard_solve", request.trace);
-      result.energies = solver->shard_energies(
-          spin::MomentConfiguration::from_raw_directions(directions),
-          std::vector<std::size_t>(request.zones.begin(),
-                                   request.zones.end()));
+      const spin::MomentConfiguration config =
+          spin::MomentConfiguration::from_raw_directions(directions);
+      lsms::ZoneJob job{&config, {request.zones.begin(), request.zones.end()}};
+      // Serial: a fork()ed rank must stay off libgomp.
+      result.energies =
+          solver->solve_zones({std::move(job)}, lsms::ZoneThreading::kSerial)
+              .front()
+              .per_atom;
     }
     channel.send({kTagShardResult, encode_shard_result(result)});
   }

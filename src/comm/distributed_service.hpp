@@ -81,8 +81,8 @@ class DistributedEnergyService final : public wl::EnergyService {
  public:
   /// Workers run per-atom zone solves of `solver`. With the process
   /// transport the solver must be fully constructed before this call (the
-  /// children inherit it copy-on-write); workers run the strictly serial
-  /// `shard_energies`, off every OpenMP path — see communicator.hpp fork
+  /// children inherit it copy-on-write); workers call `solve_zones` in
+  /// serial mode, off every OpenMP path — see communicator.hpp fork
   /// discipline.
   DistributedEnergyService(std::shared_ptr<const lsms::LsmsSolver> solver,
                            DistributedConfig config);

@@ -1,5 +1,6 @@
 #include "comm/wire.hpp"
 
+#include <cmath>
 #include <string>
 
 #include "spin/serialize.hpp"
@@ -93,7 +94,8 @@ ShardRequest decode_shard_request(const std::vector<std::byte>& buffer) {
       m.direction.z = d.get_double();
       if (m.site >= request.n_total_atoms)
         throw SerializationError("corrupt shard-request moved site index");
-      if (!(m.direction.norm2() > 0.0))
+      const double norm2 = m.direction.norm2();
+      if (!(std::isfinite(norm2) && norm2 > 0.0))
         throw SerializationError("corrupt shard-request direction");
     }
   }

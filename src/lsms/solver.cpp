@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
-#include <limits>
+#include <map>
+#include <numeric>
+#include <utility>
 
 #include "common/error.hpp"
 #include "linalg/lu.hpp"
@@ -57,27 +59,8 @@ LsmsSolver::LsmsSolver(lattice::Structure structure, LsmsParameters params)
     list.erase(std::unique(list.begin(), list.end()), list.end());
   }
 
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  t_cache_directions_.assign(n, Vec3{nan, nan, nan});
-  t_cache_table_.assign(n * contour_.size(), spin::Spin2x2{});
-}
-
-void LsmsSolver::refresh_t_table(const spin::MomentConfiguration& moments,
-                                 std::vector<spin::Spin2x2>& out) const {
-  const obs::Span span("lsms.t_table_refresh");
-  const std::size_t n_points = contour_.size();
-  std::lock_guard<std::mutex> lock(t_cache_mutex_);
-  for (std::size_t i = 0; i < n_atoms(); ++i) {
-    const Vec3& e = moments[i];
-    // NaN-initialized cache directions compare unequal to everything, so the
-    // first call populates every site; later calls only touch moved sites.
-    if (e == t_cache_directions_[i]) continue;
-    t_cache_directions_[i] = e;
-    spin::Spin2x2* row = t_cache_table_.data() + i * n_points;
-    for (std::size_t k = 0; k < n_points; ++k)
-      row[k] = scatterer_.t_inverse(e, contour_[k].z);
-  }
-  out = t_cache_table_;
+  all_zones_.resize(n);
+  std::iota(all_zones_.begin(), all_zones_.end(), std::size_t{0});
 }
 
 double LsmsSolver::zone_energy(
@@ -107,137 +90,87 @@ double LsmsSolver::zone_energy(
   return -accumulated.imag() / pi;
 }
 
-double LsmsSolver::local_energy(std::size_t i,
-                                const spin::MomentConfiguration& moments) const {
-  WLSMS_EXPECTS(i < n_atoms());
-  WLSMS_EXPECTS(moments.size() == n_atoms());
-  static thread_local std::vector<spin::Spin2x2> table;
-  refresh_t_table(moments, table);
-  return zone_energy(lizs_[i], table);
+std::vector<LocalEnergies> LsmsSolver::solve_zones(
+    const std::vector<ZoneJob>& jobs, ZoneThreading threading) const {
+  const obs::Span span("lsms.solve_zones");
+  const std::size_t n = n_atoms();
+  const std::size_t n_points = contour_.size();
+
+  // The flattened (job, slot) index of every zone solve of the call.
+  std::vector<std::pair<std::size_t, std::size_t>> solves;
+  std::vector<LocalEnergies> out(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const ZoneJob& job = jobs[j];
+    WLSMS_EXPECTS(job.moments != nullptr);
+    WLSMS_EXPECTS(job.moments->size() == n);
+    for (std::size_t k = 0; k < job.zones.size(); ++k) {
+      WLSMS_EXPECTS(job.zones[k] < n);
+      WLSMS_EXPECTS(k == 0 || job.zones[k - 1] < job.zones[k]);
+      solves.emplace_back(j, k);
+    }
+    out[j].per_atom.assign(job.zones.size(), 0.0);
+  }
+
+  // One t^-1 table per job (site-major, one Spin2x2 per site per contour
+  // point). t_inverse is pure, so a zone sees bitwise the same t-matrices
+  // whichever job, call or thread built them.
+  std::vector<std::vector<spin::Spin2x2>> tables(jobs.size());
+  {
+    const obs::Span table_span("lsms.t_table_refresh");
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      tables[j].resize(n * n_points);
+      for (std::size_t i = 0; i < n; ++i) {
+        const Vec3& e = (*jobs[j].moments)[i];
+        spin::Spin2x2* row = tables[j].data() + i * n_points;
+        for (std::size_t k = 0; k < n_points; ++k)
+          row[k] = scatterer_.t_inverse(e, contour_[k].z);
+      }
+    }
+  }
+
+  const auto solve = [&](std::size_t s) {
+    const auto [j, k] = solves[s];
+    out[j].per_atom[k] = zone_energy(lizs_[jobs[j].zones[k]], tables[j]);
+  };
+  if (threading == ZoneThreading::kSerial) {
+    for (std::size_t s = 0; s < solves.size(); ++s) solve(s);
+  } else {
+    // Every (job, zone) solve is independent, so one dynamic loop spreads
+    // the whole call over the cores. An exception must not escape an
+    // OpenMP region (the runtime terminates), so the first one is kept and
+    // rethrown after the loop; the serving scheduler retries a failed
+    // batch request by request.
+    const std::int64_t n_solves = static_cast<std::int64_t>(solves.size());
+    std::exception_ptr failure;
+#pragma omp parallel for schedule(dynamic)
+    for (std::int64_t s = 0; s < n_solves; ++s) {
+      try {
+        solve(static_cast<std::size_t>(s));
+      } catch (...) {
+#pragma omp critical(lsms_solve_failure)
+        if (!failure) failure = std::current_exception();
+      }
+    }
+    if (failure) std::rethrow_exception(failure);
+  }
+  for (LocalEnergies& energies : out)
+    for (double e : energies.per_atom) energies.total += e;
+  return out;
 }
 
 LocalEnergies LsmsSolver::energies(
     const spin::MomentConfiguration& moments) const {
-  const obs::Span span("lsms.energies");
-  WLSMS_EXPECTS(moments.size() == n_atoms());
-  std::vector<spin::Spin2x2> table;
-  refresh_t_table(moments, table);
-  LocalEnergies out;
-  out.per_atom.assign(n_atoms(), 0.0);
-  const std::int64_t n = static_cast<std::int64_t>(n_atoms());
-#pragma omp parallel for schedule(dynamic)
-  for (std::int64_t i = 0; i < n; ++i)
-    out.per_atom[static_cast<std::size_t>(i)] =
-        zone_energy(lizs_[static_cast<std::size_t>(i)], table);
-  for (double e : out.per_atom) out.total += e;
-  return out;
+  return std::move(solve_zones({{&moments, all_zones_}}).front());
 }
 
 double LsmsSolver::energy(const spin::MomentConfiguration& moments) const {
   return energies(moments).total;
 }
 
-std::vector<double> LsmsSolver::shard_energies(
-    const spin::MomentConfiguration& moments,
-    const std::vector<std::size_t>& zones) const {
-  const obs::Span span("lsms.shard_solve");
-  WLSMS_EXPECTS(moments.size() == n_atoms());
-  for (std::size_t zone : zones) WLSMS_EXPECTS(zone < n_atoms());
-  std::vector<spin::Spin2x2> table;
-  refresh_t_table(moments, table);
-  std::vector<double> out;
-  out.reserve(zones.size());
-  for (std::size_t zone : zones) out.push_back(zone_energy(lizs_[zone], table));
-  return out;
-}
-
-std::vector<LocalEnergies> LsmsSolver::batch_energies(
-    const std::vector<const spin::MomentConfiguration*>& configs) const {
-  const obs::Span span("lsms.batch_energies");
-  const std::size_t n_configs = configs.size();
-  const std::size_t n = n_atoms();
-  const std::size_t n_points = contour_.size();
-  for (const spin::MomentConfiguration* config : configs) {
-    WLSMS_EXPECTS(config != nullptr);
-    WLSMS_EXPECTS(config->size() == n);
-  }
-
-  // Per-configuration t^-1 tables, computed directly rather than through
-  // the shared incremental cache (which alternating configurations would
-  // thrash into full recomputes anyway). t_inverse is pure, so the values
-  // are bitwise the ones refresh_t_table hands energies().
-  std::vector<std::vector<spin::Spin2x2>> tables(n_configs);
-  std::vector<LocalEnergies> out(n_configs);
-  for (std::size_t c = 0; c < n_configs; ++c) {
-    tables[c].resize(n * n_points);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Vec3& e = (*configs[c])[i];
-      spin::Spin2x2* row = tables[c].data() + i * n_points;
-      for (std::size_t k = 0; k < n_points; ++k)
-        row[k] = scatterer_.t_inverse(e, contour_[k].z);
-    }
-    out[c].per_atom.assign(n, 0.0);
-  }
-
-  // Every (configuration, zone) solve is independent, so one dynamic loop
-  // spreads the whole batch over the cores, exactly as energies() spreads
-  // one configuration's zones. An exception must not escape an OpenMP
-  // region (the runtime terminates), so the first one is kept and rethrown
-  // after the loop; the serving scheduler retries a failed batch request
-  // by request.
-  const std::int64_t n_solves = static_cast<std::int64_t>(n_configs * n);
-  std::exception_ptr failure;
-#pragma omp parallel for schedule(dynamic)
-  for (std::int64_t s = 0; s < n_solves; ++s) {
-    const std::size_t c = static_cast<std::size_t>(s) / n;
-    const std::size_t i = static_cast<std::size_t>(s) % n;
-    try {
-      out[c].per_atom[i] = zone_energy(lizs_[i], tables[c]);
-    } catch (...) {
-#pragma omp critical(lsms_batch_failure)
-      if (!failure) failure = std::current_exception();
-    }
-  }
-  if (failure) std::rethrow_exception(failure);
-  for (LocalEnergies& energies : out)
-    for (double e : energies.per_atom) energies.total += e;
-  return out;
-}
-
 const std::vector<std::size_t>& LsmsSolver::affected_sites(
     std::size_t site) const {
   WLSMS_EXPECTS(site < n_atoms());
   return affected_[site];
-}
-
-LocalEnergies LsmsSolver::energy_after_move(
-    const spin::MomentConfiguration& moments, const spin::TrialMove& move,
-    const LocalEnergies& current) const {
-  const obs::Span span("lsms.energy_after_move");
-  WLSMS_EXPECTS(moments.size() == n_atoms());
-  WLSMS_EXPECTS(current.per_atom.size() == n_atoms());
-  WLSMS_EXPECTS(move.site < n_atoms());
-
-  spin::MomentConfiguration trial = moments;
-  trial.set(move.site, move.new_direction);
-
-  // The incremental refresh recomputes t^-1 only for sites whose direction
-  // differs from the cached configuration -- for the usual accept/reject
-  // walk that is the moved site alone (plus a possible revert).
-  std::vector<spin::Spin2x2> table;
-  refresh_t_table(trial, table);
-
-  LocalEnergies out = current;
-  const std::vector<std::size_t>& affected = affected_[move.site];
-  const std::int64_t n_affected = static_cast<std::int64_t>(affected.size());
-#pragma omp parallel for schedule(dynamic)
-  for (std::int64_t k = 0; k < n_affected; ++k) {
-    const std::size_t i = affected[static_cast<std::size_t>(k)];
-    out.per_atom[i] = zone_energy(lizs_[i], table);
-  }
-  out.total = 0.0;
-  for (double e : out.per_atom) out.total += e;
-  return out;
 }
 
 std::uint64_t LsmsSolver::flops_per_zone_energy(std::size_t i) const {

@@ -19,19 +19,21 @@
 /// by Schur complement of the member block (center ordered last), whose
 /// elimination is a blocked, GEMM-dominated LU. Configuration-independent
 /// hopping blocks are precomputed per distinct geometry per contour point;
-/// the inverse single-site t-matrices are cached per (site, contour point)
-/// and refreshed incrementally — after a single-moment trial move only the
-/// moved site's entries are recomputed.
+/// the inverse single-site t-matrices are built per configuration, once for
+/// each job of a solve_zones call. t_inverse is pure, so a built solver
+/// never changes after construction and any number of threads may call it
+/// at once.
 ///
 /// Domain decomposition follows the paper: each atom's solve is independent
-/// given the t-matrices of its LIZ ("one atom per processor"); here the atom
-/// loop is OpenMP-parallel and, in the distributed harness (src/comm), one
-/// walker's atoms map onto one LSMS instance.
+/// given the t-matrices of its LIZ ("one atom per processor"). Every energy
+/// this solver computes goes through one entry point, solve_zones: a list
+/// of (configuration, zone list) jobs whose zone solves run in one OpenMP
+/// loop, or serially on the caller's thread in the fork()ed worker ranks of
+/// the distributed harness (src/comm).
 
 #include <cstddef>
-#include <map>
+#include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "lattice/structure.hpp"
@@ -39,7 +41,6 @@
 #include "lsms/kkr.hpp"
 #include "lsms/scattering.hpp"
 #include "spin/moments.hpp"
-#include "spin/moves.hpp"
 
 namespace wlsms::lsms {
 
@@ -54,6 +55,19 @@ struct LsmsParameters {
 struct LocalEnergies {
   std::vector<double> per_atom;  ///< e_i [Ry]
   double total = 0.0;            ///< Sum_i e_i [Ry]
+};
+
+/// One configuration and the zones (LIZ centre atoms) whose local band
+/// energies a solve_zones call should compute for it.
+struct ZoneJob {
+  const spin::MomentConfiguration* moments = nullptr;
+  std::vector<std::size_t> zones;  ///< strictly ascending, each < n_atoms()
+};
+
+/// Where solve_zones runs its zone solves.
+enum class ZoneThreading {
+  kOpenMp,  ///< one OpenMP loop over every (job, zone) pair of the call
+  kSerial,  ///< the calling thread alone, no OpenMP: fork()ed worker ranks
 };
 
 /// Frozen-potential multiple-scattering energy engine for one structure.
@@ -77,49 +91,32 @@ class LsmsSolver {
   /// Atoms per LIZ (zone size, centre included) of site i.
   std::size_t liz_size(std::size_t i) const { return lizs_[i].zone_size(); }
 
-  /// Local band energy of atom i for the given moments [Ry].
-  double local_energy(std::size_t i,
-                      const spin::MomentConfiguration& moments) const;
+  /// The local band energies of every job's zones. Result j holds
+  /// e_{zones[k]} in per_atom[k] (zone-list order) and their sum, taken in
+  /// that order, in total; a job listing every zone therefore gets exactly
+  /// energies(). Each e_i depends only on its zone's t-matrices, so it is
+  /// bitwise the same in any job, call, batch or threading mode. A zone
+  /// solve's exception (SingularMatrixError on a zero pivot) reaches the
+  /// caller; with kOpenMp the first one is rethrown once the loop has
+  /// finished.
+  std::vector<LocalEnergies> solve_zones(
+      const std::vector<ZoneJob>& jobs,
+      ZoneThreading threading = ZoneThreading::kOpenMp) const;
 
-  /// Total energy and the per-atom breakdown (atom loop is OpenMP-parallel).
+  /// Total energy and the per-atom breakdown: solve_zones over every zone.
   LocalEnergies energies(const spin::MomentConfiguration& moments) const;
-
-  /// Local band energies of the listed zones (LIZ centre atoms), one per
-  /// entry in list order: the worker-rank kernel of the distributed energy
-  /// service (src/comm), which splits the zones one evaluation must solve —
-  /// every zone for a fresh walker, only those a move touches otherwise —
-  /// across the ranks of an LSMS group. Strictly serial — no OpenMP — so it
-  /// is safe in fork()ed worker processes; each e_i is bitwise identical to
-  /// energies().per_atom[i] (same zone solve, same t-table refresh).
-  std::vector<double> shard_energies(
-      const spin::MomentConfiguration& moments,
-      const std::vector<std::size_t>& zones) const;
 
   /// Total energy only.
   double energy(const spin::MomentConfiguration& moments) const;
 
-  /// Energies of many independent configurations at once: the serving
-  /// scheduler's cross-walker batching path (DESIGN.md §12). Every
-  /// (configuration, zone) solve of the batch goes into one OpenMP loop,
-  /// so a batch of B walkers keeps B x N zone solves in flight instead of
-  /// N. Bit-identical per configuration to energies(): each zone runs the
-  /// same zone solve and each total is summed in atom order. The first
-  /// exception a zone solve throws (SingularMatrixError on a zero pivot)
-  /// is rethrown once the loop has finished.
-  std::vector<LocalEnergies> batch_energies(
-      const std::vector<const spin::MomentConfiguration*>& configs) const;
+  /// Every zone, ascending: the zone list of an energies() job.
+  const std::vector<std::size_t>& all_zones() const { return all_zones_; }
 
   /// Sites whose local energy changes when `site` moves: site itself plus
-  /// every atom whose LIZ contains it. Mirrors the paper's communication
-  /// pattern (a t-matrix is sent exactly to the zones that list it).
+  /// every atom whose LIZ contains it, ascending. Mirrors the paper's
+  /// communication pattern (a t-matrix is sent exactly to the zones that
+  /// list it).
   const std::vector<std::size_t>& affected_sites(std::size_t site) const;
-
-  /// Energy after applying `move` to `moments`, given the current per-atom
-  /// breakdown; recomputes only affected_sites(move.site). Returns the new
-  /// breakdown. `moments` is left unchanged.
-  LocalEnergies energy_after_move(const spin::MomentConfiguration& moments,
-                                  const spin::TrialMove& move,
-                                  const LocalEnergies& current) const;
 
   /// Analytic count of real flops one full energy evaluation retires
   /// (assembly and closed-form 2x2 algebra excluded; member-block
@@ -136,13 +133,6 @@ class LsmsSolver {
   double zone_energy(const LizGeometry& liz,
                      const std::vector<spin::Spin2x2>& t_table) const;
 
-  /// Copies the t^-1 table for `moments` into `out` (site-major, one
-  /// Spin2x2 per site per contour point), refreshing the shared cache
-  /// incrementally: only sites whose direction changed since the last call
-  /// are recomputed. Thread-safe; the copy decouples concurrent callers.
-  void refresh_t_table(const spin::MomentConfiguration& moments,
-                       std::vector<spin::Spin2x2>& out) const;
-
   lattice::Structure structure_;
   LsmsParameters params_;
   Scatterer scatterer_;
@@ -152,11 +142,7 @@ class LsmsSolver {
   /// shared between congruent zones.
   std::vector<std::shared_ptr<const std::vector<SchurTemplates>>> templates_;
   std::vector<std::vector<std::size_t>> affected_;
-
-  /// Incremental per-(site, contour point) t^-1 cache (see refresh_t_table).
-  mutable std::mutex t_cache_mutex_;
-  mutable std::vector<Vec3> t_cache_directions_;
-  mutable std::vector<spin::Spin2x2> t_cache_table_;
+  std::vector<std::size_t> all_zones_;
 };
 
 }  // namespace wlsms::lsms

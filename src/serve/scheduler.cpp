@@ -45,12 +45,11 @@ SchedulerMetrics& scheduler_metrics() {
 
 BatchScheduler::BatchScheduler(std::shared_ptr<const lsms::LsmsSolver> solver,
                                ServeLimits limits)
-    : solver_(std::move(solver)), limits_(limits), energy_(solver_) {
+    : solver_(std::move(solver)), limits_(limits) {
   WLSMS_EXPECTS(solver_ != nullptr);
   WLSMS_EXPECTS(limits_.max_pending >= 1);
   WLSMS_EXPECTS(limits_.max_session_outstanding >= 1);
   WLSMS_EXPECTS(limits_.max_batch >= 1);
-  singleton_ = std::make_unique<wl::SynchronousEnergyService>(energy_);
 }
 
 BatchScheduler::Admission BatchScheduler::submit(std::uint64_t session,
@@ -90,9 +89,18 @@ BatchScheduler::oldest_pending_since() const {
   return oldest;
 }
 
-wl::EnergyResult BatchScheduler::solve_singleton(wl::EnergyRequest request) {
-  singleton_->submit(std::move(request));
-  return singleton_->retrieve();
+std::vector<double> BatchScheduler::solve(
+    std::span<const Queued> requests) const {
+  const obs::Span span("lsms.batch_energies");
+  std::vector<lsms::ZoneJob> jobs;
+  jobs.reserve(requests.size());
+  for (const Queued& queued : requests)
+    jobs.push_back({&queued.request.config, solver_->all_zones()});
+  std::vector<double> totals;
+  totals.reserve(requests.size());
+  for (const lsms::LocalEnergies& energies : solver_->solve_zones(jobs))
+    totals.push_back(energies.total);
+  return totals;
 }
 
 void BatchScheduler::run_next_batch(std::vector<Completed>& out) {
@@ -156,41 +164,33 @@ void BatchScheduler::run_next_batch(std::vector<Completed>& out) {
             .count());
   };
 
-  if (batch.size() == 1) {
-    // Light load: the synchronous reference path, unbatched.
+  // Light load dispatches a batch of one through the same call.
+  const bool lone = batch.size() == 1;
+  try {
+    const std::vector<double> totals = solve(batch);
+    if (lone)
+      ++stats_.singleton_requests;
+    else
+      stats_.batched_requests += batch.size();
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      complete(batch[i], totals[i], false);
+    return;
+  } catch (const linalg::SingularMatrixError&) {
+    if (lone) {
+      ++stats_.singleton_requests;
+      complete(batch.front(), 0.0, true);
+      return;
+    }
+  }
+  // One singular member matrix abandons the co-batched solves mid-flight;
+  // retry each request alone so only the truly singular ones fail.
+  metrics.batch_failures.inc();
+  for (const Queued& queued : batch) {
     ++stats_.singleton_requests;
     try {
-      wl::EnergyResult result = solve_singleton(batch.front().request);
-      complete(batch.front(), result.energy, result.failed);
+      complete(queued, solve({&queued, 1}).front(), false);
     } catch (const linalg::SingularMatrixError&) {
-      complete(batch.front(), 0.0, true);
-    }
-    return;
-  }
-
-  std::vector<const spin::MomentConfiguration*> configs;
-  configs.reserve(batch.size());
-  for (const Queued& queued : batch)
-    configs.push_back(&queued.request.config);
-  try {
-    const std::vector<lsms::LocalEnergies> energies =
-        solver_->batch_energies(configs);
-    stats_.batched_requests += batch.size();
-    for (std::size_t i = 0; i < batch.size(); ++i)
-      complete(batch[i], energies[i].total, false);
-  } catch (const linalg::SingularMatrixError&) {
-    // One singular member matrix abandons the co-batched solves mid-flight;
-    // retry each request alone so only the truly singular ones fail —
-    // exactly what the singleton path would have produced.
-    metrics.batch_failures.inc();
-    for (const Queued& queued : batch) {
-      ++stats_.singleton_requests;
-      try {
-        wl::EnergyResult result = solve_singleton(queued.request);
-        complete(queued, result.energy, result.failed);
-      } catch (const linalg::SingularMatrixError&) {
-        complete(queued, 0.0, true);
-      }
+      complete(queued, 0.0, true);
     }
   }
 }

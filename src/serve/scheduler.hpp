@@ -7,13 +7,12 @@
 ///
 /// Coalescing (DESIGN.md §12): every pending request is an independent
 /// walker configuration of the same structure, so one batch of B requests
-/// is B x N independent zone solves, which LsmsSolver::batch_energies runs
-/// in one OpenMP loop — the paper's traffic shape (M walkers, shared
-/// solver substrate) keeping every core busy. Under light load (a lone
-/// pending request) the scheduler falls back to a real
-/// SynchronousEnergyService, and because both paths run the same zone
-/// solves and sum each total in atom order, they return bit-identical
-/// energies.
+/// is B x N independent zone solves, which one LsmsSolver::solve_zones call
+/// runs in one OpenMP loop — the paper's traffic shape (M walkers, shared
+/// solver substrate) keeping every core busy. A lone pending request is a
+/// batch of one through the same call, and because every zone solve is
+/// the one energies() runs and every total is summed in atom order, any
+/// batch returns energies bit-identical to the synchronous service.
 
 #include <chrono>
 #include <cstdint>
@@ -21,11 +20,11 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "lsms/solver.hpp"
 #include "serve/protocol.hpp"
-#include "wl/energy_function.hpp"
 #include "wl/energy_service.hpp"
 
 namespace wlsms::serve {
@@ -86,10 +85,10 @@ class BatchScheduler {
 
   /// Forms the next batch — round-robin across sessions, one request per
   /// session per lap, up to max_batch — solves it, and appends the results
-  /// to `out`. A batch of one runs through the synchronous reference
-  /// service; a failed batch (singular matrix) is retried request by
-  /// request so only the genuinely failing ones come back failed=true,
-  /// matching singleton semantics. No-op when nothing is pending.
+  /// to `out`. A failed batch of several (singular matrix) is retried
+  /// request by request, so only the genuinely failing ones come back
+  /// failed=true, as if each had been dispatched alone. No-op when nothing
+  /// is pending.
   void run_next_batch(std::vector<Completed>& out);
 
   /// Removes and returns every pending request of `session` (disconnect ->
@@ -107,16 +106,12 @@ class BatchScheduler {
     std::uint64_t admitted_us = 0;  ///< obs::trace_now_us() at admission
   };
 
-  wl::EnergyResult solve_singleton(wl::EnergyRequest request);
+  /// Total energies of `requests`, in order, from one solve_zones call
+  /// over every zone of each (inside the lsms.batch_energies span).
+  std::vector<double> solve(std::span<const Queued> requests) const;
 
   std::shared_ptr<const lsms::LsmsSolver> solver_;
   ServeLimits limits_;
-  /// The singleton / retry path: a real SynchronousEnergyService over the
-  /// same solver, constructed directly — the factory (wlsms_factory) sits
-  /// above the serve client and thus above this library, so the daemon
-  /// cannot link back into it.
-  wl::LsmsEnergy energy_;
-  std::unique_ptr<wl::EnergyService> singleton_;
 
   /// Ordered by session id for deterministic round-robin; the cursor
   /// rotates so one chatty session cannot starve the others.

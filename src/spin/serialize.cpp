@@ -1,5 +1,7 @@
 #include "spin/serialize.hpp"
 
+#include <cmath>
+
 namespace wlsms::spin {
 
 void encode_moments(serial::Encoder& encoder,
@@ -22,8 +24,10 @@ MomentConfiguration decode_moments(serial::Decoder& decoder) {
     d.x = decoder.get_double();
     d.y = decoder.get_double();
     d.z = decoder.get_double();
-    if (!(d.norm2() > 0.0))
-      throw serial::SerializationError("corrupt moment direction (zero/NaN)");
+    const double norm2 = d.norm2();
+    if (!(std::isfinite(norm2) && norm2 > 0.0))
+      throw serial::SerializationError(
+          "corrupt moment direction (zero or non-finite)");
   }
   return MomentConfiguration::from_raw_directions(std::move(dirs));
 }

@@ -17,7 +17,9 @@ void encode_moments(serial::Encoder& encoder,
                     const MomentConfiguration& moments);
 
 /// Reads a configuration previously written by encode_moments; throws
-/// serial::SerializationError on truncation or a corrupt site count.
+/// serial::SerializationError on truncation, a corrupt site count, or a
+/// direction whose squared norm is zero or not finite (a NaN or ±inf
+/// component).
 MomentConfiguration decode_moments(serial::Decoder& decoder);
 
 /// Framed single-configuration convenience (header + payload), used where

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "spin/serialize.hpp"
@@ -251,6 +252,40 @@ TEST(CommWire, ZeroDirectionThrows) {
   request.moved_sites = {{0, Vec3{0.0, 0.0, 0.0}}};
   EXPECT_THROW(decode_shard_request(encode_shard_request(request)),
                SerializationError);
+}
+
+/// The direction components every decoder must refuse: a zero vector and
+/// one NaN, +inf or -inf component.
+std::vector<Vec3> corrupt_directions() {
+  const double inf = std::numeric_limits<double>::infinity();
+  return {Vec3{0.0, 0.0, 0.0},
+          Vec3{std::numeric_limits<double>::quiet_NaN(), 0.0, 0.0},
+          Vec3{inf, 0.0, 0.0}, Vec3{0.0, -inf, 0.0}};
+}
+
+TEST(CommWire, MomentDecoderRejectsZeroAndNonFiniteDirections) {
+  for (const Vec3& bad : corrupt_directions()) {
+    serial::Encoder encoder;
+    encoder.put_u64(2);
+    for (const Vec3& d : {Vec3{0.0, 0.0, 1.0}, bad}) {
+      encoder.put_double(d.x);
+      encoder.put_double(d.y);
+      encoder.put_double(d.z);
+    }
+    serial::Decoder decoder(encoder.bytes());
+    EXPECT_THROW(spin::decode_moments(decoder), SerializationError)
+        << bad.x << " " << bad.y << " " << bad.z;
+  }
+}
+
+TEST(CommWire, DeltaDirectionRejectsZeroAndNonFinite) {
+  for (const Vec3& bad : corrupt_directions()) {
+    ShardRequest request = delta_request({0, 1});
+    request.moved_sites = {{0, bad}};
+    EXPECT_THROW(decode_shard_request(encode_shard_request(request)),
+                 SerializationError)
+        << bad.x << " " << bad.y << " " << bad.z;
+  }
 }
 
 // ---- invalid zone lists ---------------------------------------------------

@@ -25,6 +25,14 @@ LsmsSolver fast_solver(std::size_t n_cells = 2) {
                     fe_lsms_parameters_fast());
 }
 
+// e_i alone, from a one-zone solve_zones job. kSerial keeps the solve on
+// the calling thread, whose flop tally a FlopWindow reads exactly.
+double single_zone_energy(const LsmsSolver& solver, std::size_t i,
+                          const spin::MomentConfiguration& config,
+                          ZoneThreading threading = ZoneThreading::kOpenMp) {
+  return solver.solve_zones({{&config, {i}}}, threading).front().per_atom[0];
+}
+
 // Applies a global SO(3) rotation (angle about axis) to every moment.
 spin::MomentConfiguration rotate_all(const spin::MomentConfiguration& config,
                                      const Vec3& axis_raw, double angle) {
@@ -95,10 +103,10 @@ TEST(LsmsSolver, TotalEqualsSumOfLocalEnergies) {
   const LocalEnergies all = solver.energies(config);
   double sum = 0.0;
   for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_NEAR(solver.local_energy(i, config), all.per_atom[i], 1e-12);
+    EXPECT_EQ(single_zone_energy(solver, i, config), all.per_atom[i]);
     sum += all.per_atom[i];
   }
-  EXPECT_NEAR(all.total, sum, 1e-12);
+  EXPECT_EQ(all.total, sum);
 }
 
 TEST(LsmsSolver, LocalEnergiesEqualOnEquivalentSitesOfFm) {
@@ -110,25 +118,29 @@ TEST(LsmsSolver, LocalEnergiesEqualOnEquivalentSitesOfFm) {
 }
 
 TEST(LsmsSolver, EnergyAfterMoveMatchesFullRecompute) {
+  // Move-local evaluation: after a one-site move only the zones of
+  // affected_sites(site) are re-solved and every other e_i is kept, which
+  // must be bitwise the full recompute of the moved configuration.
   const LsmsSolver solver = fast_solver();
   Rng rng(4);
   auto config = spin::MomentConfiguration::random(16, rng);
   LocalEnergies current = solver.energies(config);
 
   for (int k = 0; k < 3; ++k) {
-    spin::TrialMove move;
-    move.site = rng.uniform_index(16);
-    move.new_direction = rng.unit_vector();
+    const std::size_t site = rng.uniform_index(16);
+    config.set(site, rng.unit_vector());
+    const std::vector<std::size_t>& affected = solver.affected_sites(site);
+    ASSERT_LT(affected.size(), 16u);
+    const LocalEnergies moved =
+        solver.solve_zones({{&config, affected}}).front();
+    for (std::size_t a = 0; a < affected.size(); ++a)
+      current.per_atom[affected[a]] = moved.per_atom[a];
+    current.total = 0.0;
+    for (double e : current.per_atom) current.total += e;
 
-    const LocalEnergies incremental =
-        solver.energy_after_move(config, move, current);
-    config.set(move.site, move.new_direction);
     const LocalEnergies recomputed = solver.energies(config);
-
-    EXPECT_NEAR(incremental.total, recomputed.total, 1e-10);
-    for (std::size_t i = 0; i < 16; ++i)
-      EXPECT_NEAR(incremental.per_atom[i], recomputed.per_atom[i], 1e-10);
-    current = incremental;
+    EXPECT_EQ(current.per_atom, recomputed.per_atom);
+    EXPECT_EQ(current.total, recomputed.total);
   }
 }
 
@@ -181,7 +193,7 @@ TEST(LsmsSolver, InstrumentedFlopsMatchAnalyticCount) {
     const LsmsSolver solver = fast_solver();
     const auto config = spin::MomentConfiguration::random(16, rng);
     perf::FlopWindow window;
-    solver.local_energy(0, config);
+    single_zone_energy(solver, 0, config, ZoneThreading::kSerial);
     EXPECT_EQ(window.elapsed(), solver.flops_per_zone_energy(0));
   }
   {
@@ -190,19 +202,20 @@ TEST(LsmsSolver, InstrumentedFlopsMatchAnalyticCount) {
     ASSERT_EQ(solver.liz_size(0), 65u);
     const auto config = spin::MomentConfiguration::random(16, rng);
     perf::FlopWindow window;
-    solver.local_energy(0, config);
+    single_zone_energy(solver, 0, config, ZoneThreading::kSerial);
     EXPECT_EQ(window.elapsed(), solver.flops_per_zone_energy(0));
   }
 }
 
 TEST(LsmsSolver, GemmFractionDominatesAtPaperGeometry) {
   // The acceptance bar of the GEMM-rich refactor: at the paper's LIZ the
-  // packed ZGEMM retires at least 60 % of the flops of an energy zone.
+  // flops booked under the kZgemm tag (linalg::schur_solve's trailing
+  // update and 2x2 Schur product) are at least 60 % of an energy zone's.
   const LsmsSolver solver(lattice::make_fe_supercell(2), fe_lsms_parameters());
   Rng rng(12);
   const auto config = spin::MomentConfiguration::random(16, rng);
   perf::FlopWindow window;
-  solver.local_energy(0, config);
+  single_zone_energy(solver, 0, config, ZoneThreading::kSerial);
   EXPECT_GE(window.gemm_fraction(), 0.6);
 }
 
@@ -224,7 +237,7 @@ TEST(LsmsSolver, SchurPathMatchesReferenceAssembly) {
     accumulated += cp.weight * cp.z * (tau[0] + tau[3]);
   }
   const double reference = -accumulated.imag() / std::acos(-1.0);
-  EXPECT_NEAR(solver.local_energy(0, config), reference, 1e-10);
+  EXPECT_NEAR(single_zone_energy(solver, 0, config), reference, 1e-10);
 }
 
 TEST(LsmsSolver, BatchEnergiesMatchEnergiesBitwise) {
@@ -232,7 +245,7 @@ TEST(LsmsSolver, BatchEnergiesMatchEnergiesBitwise) {
   // energies() returns for every configuration of the batch, at any batch
   // size and any OpenMP team size. Two substrates: the fast LIZ (order-28
   // member blocks, unblocked LU) and the 50-neighbour LIZ the serve bench
-  // uses (order-100 blocks, so the blocked LU and packed GEMM run).
+  // uses (order-100 blocks, so linalg::schur_solve runs the blocked LU).
   LsmsParameters serving = fe_lsms_parameters_fast();
   serving.liz_radius = 9.1;
   const LsmsSolver fast = fast_solver();
@@ -252,13 +265,13 @@ TEST(LsmsSolver, BatchEnergiesMatchEnergiesBitwise) {
       omp_set_num_threads(threads);
       for (const std::size_t size : {1, 3, 9}) {
         // The last slot repeats the first configuration.
-        std::vector<const spin::MomentConfiguration*> batch;
+        std::vector<ZoneJob> batch;
         std::vector<std::size_t> index;
         for (std::size_t b = 0; b < size; ++b) {
           index.push_back(b + 1 < size ? b : 0);
-          batch.push_back(&configs[index.back()]);
+          batch.push_back({&configs[index.back()], solver->all_zones()});
         }
-        const std::vector<LocalEnergies> got = solver->batch_energies(batch);
+        const std::vector<LocalEnergies> got = solver->solve_zones(batch);
         ASSERT_EQ(got.size(), size);
         for (std::size_t b = 0; b < size; ++b) {
           EXPECT_EQ(got[b].per_atom, reference[index[b]].per_atom)
@@ -270,6 +283,50 @@ TEST(LsmsSolver, BatchEnergiesMatchEnergiesBitwise) {
     }
   }
   omp_set_num_threads(saved_threads);
+}
+
+TEST(LsmsSolver, SolveZonesMixesJobsBitIdenticallyInBothModes) {
+  // One call may mix configurations, partial and full zone lists and an
+  // empty list; every e_i is energies()' own, in zone-list order, whether
+  // the call runs on OpenMP or serially.
+  const LsmsSolver solver = fast_solver();
+  Rng rng(15);
+  std::vector<spin::MomentConfiguration> configs;
+  std::vector<LocalEnergies> reference;
+  for (int c = 0; c < 3; ++c) {
+    configs.push_back(spin::MomentConfiguration::random(16, rng));
+    reference.push_back(solver.energies(configs.back()));
+  }
+  const std::vector<ZoneJob> jobs = {{&configs[0], {1, 4, 15}},
+                                     {&configs[1], solver.all_zones()},
+                                     {&configs[2], {}},
+                                     {&configs[0], solver.affected_sites(7)}};
+  for (const ZoneThreading mode :
+       {ZoneThreading::kOpenMp, ZoneThreading::kSerial}) {
+    const std::vector<LocalEnergies> got = solver.solve_zones(jobs, mode);
+    ASSERT_EQ(got.size(), jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const std::size_t c = j == 3 ? 0 : j;
+      ASSERT_EQ(got[j].per_atom.size(), jobs[j].zones.size());
+      for (std::size_t k = 0; k < jobs[j].zones.size(); ++k)
+        EXPECT_EQ(got[j].per_atom[k],
+                  reference[c].per_atom[jobs[j].zones[k]])
+            << "job " << j << ", slot " << k;
+    }
+    EXPECT_EQ(got[1].total, reference[1].total);
+    EXPECT_EQ(got[2].total, 0.0);
+  }
+}
+
+TEST(LsmsSolver, SolveZonesRejectsMalformedJobs) {
+  const LsmsSolver solver = fast_solver();
+  Rng rng(16);
+  const auto config = spin::MomentConfiguration::random(16, rng);
+  EXPECT_THROW(solver.solve_zones({{nullptr, {0}}}), ContractError);
+  EXPECT_THROW(solver.solve_zones({{&config, {16}}}), ContractError);
+  EXPECT_THROW(solver.solve_zones({{&config, {3, 2}}}), ContractError);
+  EXPECT_THROW(solver.solve_zones({{&config, {2, 2}}}), ContractError);
+  EXPECT_TRUE(solver.solve_zones({}).empty());
 }
 
 TEST(LsmsSolver, EnergyScalesExtensively) {
@@ -290,7 +347,7 @@ TEST(LsmsSolver, ContractViolations) {
   Rng rng(6);
   const auto wrong_size = spin::MomentConfiguration::random(8, rng);
   EXPECT_THROW(solver.energy(wrong_size), ContractError);
-  EXPECT_THROW(solver.local_energy(99, wrong_size), ContractError);
+  EXPECT_THROW(single_zone_energy(solver, 99, wrong_size), ContractError);
   EXPECT_THROW(solver.affected_sites(99), ContractError);
 }
 

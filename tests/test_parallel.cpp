@@ -8,9 +8,11 @@
 #include <cmath>
 #include <set>
 
+#include "comm/factory.hpp"
 #include "heisenberg/heisenberg.hpp"
 #include "lattice/structure.hpp"
 #include "lsms/fe_parameters.hpp"
+#include "lsms/solver.hpp"
 #include "parallel/async_service.hpp"
 #include "parallel/failure.hpp"
 #include "parallel/thread_pool.hpp"
@@ -72,6 +74,43 @@ TEST(AsyncEnergyService, CompletesAllRequestsWithCorrectEnergies) {
     EXPECT_EQ(result.walker, result.ticket % 8);
   }
   EXPECT_EQ(service.outstanding(), 0u);
+}
+
+TEST(AsyncEnergyService, ConcurrentLsmsCallersMatchSerialEnergiesBitwise) {
+  // Four instance threads call one LsmsSolver at once. A built solver never
+  // changes, so every result must be == the energies().total the same
+  // configuration gives when solved alone.
+  const auto solver = std::make_shared<const lsms::LsmsSolver>(
+      lattice::make_fe_supercell(2), lsms::fe_lsms_parameters_fast());
+  const wl::LsmsEnergy energy(solver);
+  Rng rng(21);
+  constexpr std::uint64_t kRequests = 24;
+  std::vector<spin::MomentConfiguration> configs;
+  std::vector<double> serial;
+  for (std::uint64_t t = 0; t < kRequests; ++t) {
+    configs.push_back(spin::MomentConfiguration::random(16, rng));
+    serial.push_back(solver->energies(configs.back()).total);
+  }
+
+  comm::EnergyServiceSpec spec;
+  spec.kind = comm::ServiceKind::kAsyncThreads;
+  spec.energy = &energy;
+  spec.n_instances = 4;
+  const std::unique_ptr<wl::EnergyService> service =
+      comm::make_energy_service(spec);
+  for (std::uint64_t t = 0; t < kRequests; ++t)
+    service->submit({t % 8, t, configs[t]});
+  EXPECT_EQ(service->outstanding(), kRequests);
+  std::set<std::uint64_t> seen;
+  for (std::uint64_t k = 0; k < kRequests; ++k) {
+    const wl::EnergyResult result = service->retrieve();
+    EXPECT_FALSE(result.failed);
+    ASSERT_LT(result.ticket, kRequests);
+    EXPECT_TRUE(seen.insert(result.ticket).second);
+    EXPECT_EQ(result.energy, serial[result.ticket])
+        << "ticket " << result.ticket;
+  }
+  EXPECT_EQ(service->outstanding(), 0u);
 }
 
 TEST(AsyncEnergyService, OutstandingTracksInFlightWork) {
