@@ -113,7 +113,8 @@ ScalingOptions ScalingOptions::parse(const Options& options) {
 
 DistributedOptions DistributedOptions::parse(const Options& options) {
   DistributedOptions parsed;
-  parsed.transport = options.get_string("transport", parsed.transport);
+  parsed.transport = comm::parse_transport(options.get_string(
+      "transport", comm::transport_name(parsed.transport)));
   parsed.groups = get_size(options, "groups", parsed.groups, 1);
   parsed.group_size = get_size(options, "group-size", parsed.group_size, 1);
   parsed.cells = get_size(options, "cells", parsed.cells, 1);
@@ -122,6 +123,10 @@ DistributedOptions DistributedOptions::parse(const Options& options) {
   parsed.check = get_bool(options, "check", parsed.check);
   parsed.wl_steps = options.get_u64("wl-steps", parsed.wl_steps);
   parsed.wl_walkers = get_size(options, "wl-walkers", parsed.wl_walkers, 1);
+  for (const char* key : {"listen", "external"})
+    if (parsed.transport != comm::Transport::kTcp && options.has(key))
+      throw std::runtime_error(std::string("--") + key +
+                               ": applies only to --transport tcp");
   parsed.listen = options.get_string("listen", parsed.listen);
   parsed.external = get_bool(options, "external", parsed.external);
   parsed.status_listen = options.get_string("status-listen", "");

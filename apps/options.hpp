@@ -7,15 +7,17 @@
 /// named fields instead of re-pulling keys ad hoc. Every parse() throws
 /// std::runtime_error on a malformed or out-of-range value.
 ///
-/// The structs are plain data over the cli::Options map only — no library
-/// types — so wlsms_cli_lib (and test_cli) stay dependency-free; the
-/// commands translate fields into library configs at the call site.
+/// The structs are plain data over the cli::Options map; the one library
+/// type is comm::Transport, so an unknown --transport is refused here, with
+/// every other option, before any command starts work. The commands
+/// translate fields into library configs at the call site.
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "cli.hpp"
+#include "comm/communicator.hpp"
 
 namespace wlsms::cli {
 
@@ -75,7 +77,7 @@ struct ScalingOptions {
 };
 
 struct DistributedOptions {
-  std::string transport = "inprocess";
+  comm::Transport transport = comm::Transport::kInProcess;
   std::size_t groups = 2;
   std::size_t group_size = 2;
   std::size_t cells = 2;
@@ -84,6 +86,8 @@ struct DistributedOptions {
   bool check = true;
   std::uint64_t wl_steps = 0;
   std::size_t wl_walkers = 4;
+  /// tcp only: parse() refuses --listen and --external with any other
+  /// transport.
   std::string listen = "127.0.0.1:0";
   bool external = false;
   /// When non-empty, the controller also serves live Prometheus text on

@@ -9,8 +9,8 @@
 //            exchange constants
 //   scaling  simulate the paper's Cray XT5 runs (Fig. 7 / Table II)
 //   distributed  evaluate LSMS energies sharded over real worker ranks
-//            (threads, forked processes, or TCP workers) and cross-check
-//            against the serial solver
+//            (threads, or TCP workers: forked locally or on other nodes)
+//            and cross-check against the serial solver
 //   worker   join a TCP controller as one worker rank (the multi-node
 //            worker side of `distributed --transport tcp --external 1`)
 //   serve    run the persistent multi-tenant energy daemon: clients submit
@@ -27,7 +27,7 @@
 //   wlsms thermo --dos fe250.csv --tmin 300 --tmax 1500 --points 13
 //   wlsms extract --liz 5.6 --contour 8 --shells 2
 //   wlsms scaling --walkers 144 --steps 20
-//   wlsms distributed --transport process --groups 2 --group-size 2
+//   wlsms distributed --transport tcp --groups 2 --group-size 2
 //   wlsms distributed --transport tcp --listen 0.0.0.0:7777 --external 1
 //   wlsms worker --connect controller-host:7777
 //   wlsms serve --cells 2 --listen 127.0.0.1:7878 --checkpoint-dir /tmp/wlsms
@@ -82,7 +82,7 @@ int usage() {
       "  extract  [--liz R_a0] [--contour N] [--shells S] [--samples M]\n"
       "           [--cells N]\n"
       "  scaling  [--walkers N] [--steps N] [--atoms N]\n"
-      "  distributed  [--transport inprocess|process|tcp] [--groups M]\n"
+      "  distributed  [--transport inprocess|tcp] [--groups M]\n"
       "           [--group-size N] [--cells C] [--evals K] [--seed S]\n"
       "           [--check 0|1] [--wl-steps N] [--wl-walkers W]\n"
       "           [--status-listen HOST:PORT]   (live Prometheus endpoint;\n"
@@ -365,8 +365,8 @@ int cmd_distributed(const cli::DistributedOptions& opt) {
   spec.energy = &energy;
   spec.distributed.n_groups = opt.groups;
   spec.distributed.group_size = opt.group_size;
-  spec.distributed.transport = comm::parse_transport(opt.transport);
-  if (spec.distributed.transport == comm::Transport::kTcp) {
+  spec.distributed.transport = opt.transport;
+  if (opt.transport == comm::Transport::kTcp) {
     spec.distributed.tcp.listen = opt.listen;
     if (opt.external) {
       // External workers: print where to point `wlsms worker` and wait for
@@ -414,7 +414,7 @@ int cmd_distributed(const cli::DistributedOptions& opt) {
           .count();
 
   io::TextTable table({"quantity", "value"});
-  table.row({"transport", comm::transport_name(spec.distributed.transport)});
+  table.row({"transport", comm::transport_name(opt.transport)});
   table.row({"worker ranks",
              std::to_string(opt.groups) + " groups x " +
                  std::to_string(opt.group_size)});

@@ -1,16 +1,19 @@
 // The communication layer measured for real: submit -> retrieve round-trip
-// latency of the distributed energy service on both transports, the
-// group-sharded evaluation time of the paper's 16-site iron cell, and a
-// Fig.-7-style weak-scaling series over genuine fork()ed OS processes
-// (groups x 1 rank, fixed WL evaluations per group — the paper's "adding
-// walkers adds cores at constant runtime" experiment, scaled to this host).
+// latency of the distributed energy service on both transports (threads
+// and loopback TCP), the group-sharded evaluation time of the paper's
+// 16-site iron cell, the wire traffic of a delta-scatter walk and of a
+// coalesced burst, and a Fig.-7-style weak-scaling series over loopback
+// TCP workers, each a fork()ed OS process (groups x 1 rank, fixed WL
+// evaluations per group — the paper's "adding walkers adds cores at
+// constant runtime" experiment, scaled to this host).
 //
 // Every distributed total is cross-checked against the serial solver: the
 // per-atom gather plus atom-ordered sum makes them bit-identical, and this
 // bench fails loudly if they ever are not.
 //
 // Writes BENCH_comm.json (path = argv[1], default ./BENCH_comm.json) for
-// regression tracking; `ctest -L perf` runs it as perf_comm.
+// regression tracking; `ctest -L perf` runs it as perf_comm, which fails
+// unless every series reads max |dE| = 0.
 #include "bench_common.hpp"
 
 #include <cmath>
@@ -27,9 +30,9 @@ namespace {
 
 using namespace wlsms;
 
-/// Wire-level counters of the byte-stream transports (process + tcp): a
-/// "frame" is one logical message, a "batch" is one physical write —
-/// frames/batch is the controller-side coalescing win.
+/// Wire-level counters of the TCP transport: a "frame" is one logical
+/// message, a "batch" is one physical write — frames/batch is the
+/// controller-side coalescing win.
 struct StreamCounters {
   std::uint64_t frames = 0;
   std::uint64_t batches = 0;
@@ -203,8 +206,6 @@ int main(int argc, char** argv) {
   constexpr std::size_t kLatencyEvals = 6;
   const EvalRun lat_inproc = run_evals(energy, comm::Transport::kInProcess, 1,
                                        1, kLatencyEvals, 11);
-  const EvalRun lat_proc =
-      run_evals(energy, comm::Transport::kProcess, 1, 1, kLatencyEvals, 11);
   const EvalRun lat_tcp =
       run_evals(energy, comm::Transport::kTcp, 1, 1, kLatencyEvals, 11);
 
@@ -212,8 +213,6 @@ int main(int argc, char** argv) {
   constexpr std::size_t kShardEvals = 6;
   const EvalRun shard_inproc = run_evals(energy, comm::Transport::kInProcess,
                                          1, 4, kShardEvals, 13);
-  const EvalRun shard_proc =
-      run_evals(energy, comm::Transport::kProcess, 1, 4, kShardEvals, 13);
   const EvalRun shard_tcp =
       run_evals(energy, comm::Transport::kTcp, 1, 4, kShardEvals, 13);
 
@@ -226,10 +225,8 @@ int main(int argc, char** argv) {
                                    : io::format_double(run.max_diff, 12)});
   };
   add_row("inprocess 1x1", lat_inproc, kLatencyEvals);
-  add_row("process   1x1", lat_proc, kLatencyEvals);
   add_row("tcp       1x1 (loopback)", lat_tcp, kLatencyEvals);
   add_row("inprocess 1x4 (sharded)", shard_inproc, kShardEvals);
-  add_row("process   1x4 (sharded)", shard_proc, kShardEvals);
   add_row("tcp       1x4 (sharded)", shard_tcp, kShardEvals);
   table.print();
 
@@ -264,18 +261,19 @@ int main(int argc, char** argv) {
   if (burst.wire.batches >= burst.wire.frames)
     std::printf("  ** coalescing had no effect — every frame paid a write **\n");
 
-  // --- weak scaling over real OS processes (Fig. 7 shape) -----------------
-  // Fixed evaluations per group; each group is one fork()ed rank. On a
-  // multi-core host the runtime stays near-flat as groups are added; the
-  // series still verifies the multi-process plumbing end to end on any
-  // host (and the largest point runs >= 4 real processes).
-  std::printf("\nweak scaling, process transport, %d evals per group:\n", 3);
+  // --- weak scaling over loopback TCP workers (Fig. 7 shape) --------------
+  // Fixed evaluations per group; each group is one TCP rank, a fork()ed
+  // worker process. On a multi-core host the runtime stays near-flat as
+  // groups are added; the series still verifies the multi-process plumbing
+  // end to end on any host (and the largest point runs 4 real processes).
   constexpr std::size_t kEvalsPerGroup = 3;
+  std::printf("\nweak scaling, tcp transport, %zu evals per group:\n",
+              kEvalsPerGroup);
   const std::vector<std::size_t> group_counts = {1, 2, 4};
   std::vector<EvalRun> weak;
   io::TextTable wtable({"groups (= processes)", "runtime [s]", "vs 1 group"});
   for (std::size_t g : group_counts) {
-    weak.push_back(run_evals(energy, comm::Transport::kProcess, g, 1,
+    weak.push_back(run_evals(energy, comm::Transport::kTcp, g, 1,
                              g * kEvalsPerGroup, 17));
     wtable.row({std::to_string(g), io::format_double(weak.back().seconds, 3),
                 io::format_double(weak.back().seconds / weak.front().seconds,
@@ -284,10 +282,8 @@ int main(int argc, char** argv) {
   wtable.print();
 
   double worst_diff = std::max(
-      std::max(lat_inproc.max_diff, lat_proc.max_diff),
-      std::max(shard_inproc.max_diff, shard_proc.max_diff));
-  worst_diff = std::max(worst_diff, lat_tcp.max_diff);
-  worst_diff = std::max(worst_diff, shard_tcp.max_diff);
+      std::max(lat_inproc.max_diff, lat_tcp.max_diff),
+      std::max(shard_inproc.max_diff, shard_tcp.max_diff));
   worst_diff = std::max(worst_diff, walk.max_diff);
   for (const EvalRun& run : weak)
     worst_diff = std::max(worst_diff, run.max_diff);
@@ -303,20 +299,18 @@ int main(int argc, char** argv) {
                "{\n"
                "  \"serial_s_per_eval\": %.6e,\n"
                "  \"latency_s_per_eval\": {\"inprocess\": %.6e, "
-               "\"process\": %.6e, \"tcp\": %.6e},\n"
+               "\"tcp\": %.6e},\n"
                "  \"sharded_1x4_s_per_eval\": {\"inprocess\": %.6e, "
-               "\"process\": %.6e, \"tcp\": %.6e},\n"
+               "\"tcp\": %.6e},\n"
                "  \"delta_walk_tcp_1x4\": {\"evals\": %zu, "
                "\"frames_per_eval\": %.4f, \"batches_per_eval\": %.4f, "
                "\"bytes_per_eval\": %.1f},\n"
                "  \"coalescing_burst_tcp_4x16\": {\"frames\": %llu, "
                "\"batches\": %llu, \"frames_per_batch\": %.4f},\n"
-               "  \"weak_scaling_process\": [\n",
+               "  \"weak_scaling_tcp\": [\n",
                serial_s, lat_inproc.seconds / kLatencyEvals,
-               lat_proc.seconds / kLatencyEvals,
                lat_tcp.seconds / kLatencyEvals,
                shard_inproc.seconds / kShardEvals,
-               shard_proc.seconds / kShardEvals,
                shard_tcp.seconds / kShardEvals, walk.evals,
                static_cast<double>(walk.wire.frames) / walk.evals,
                static_cast<double>(walk.wire.batches) / walk.evals,

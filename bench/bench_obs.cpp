@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
+#include <vector>
 
 #include "io/table.hpp"
 #include "lsms/solver.hpp"
@@ -25,21 +26,22 @@ namespace {
 using namespace wlsms;
 
 constexpr std::size_t kEvalsPerRep = 60;
-constexpr std::size_t kReps = 5;
-constexpr std::size_t kMaxReps = 20;
+constexpr std::size_t kReps = 80;
 constexpr double kBudgetPercent = 2.0;
 
-/// Wall seconds for one repetition of the workload: kEvalsPerRep full
-/// energy evaluations of random moment configurations. When `stamped`,
-/// each evaluation additionally pays the full distributed-tracing tax a
-/// request pays in production: the driver's context capture (propagated on
-/// the wire), the scheduler's six critical-path stage stamps, and the
-/// daemon's per-request span emission.
-double run_workload(const lsms::LsmsSolver& solver, Rng& rng,
-                    bool stamped = false) {
+/// Wall seconds of each evaluation in one repetition of the workload:
+/// kEvalsPerRep full energy evaluations of random moment configurations.
+/// When `stamped`, each evaluation additionally pays the full
+/// distributed-tracing tax a request pays in production: the driver's
+/// context capture (propagated on the wire), the scheduler's six
+/// critical-path stage stamps, and the daemon's per-request span emission.
+std::vector<double> run_workload(const lsms::LsmsSolver& solver, Rng& rng,
+                                 bool stamped = false) {
   double sink = 0.0;
-  perf::Timer timer;
+  std::vector<double> seconds;
+  seconds.reserve(kEvalsPerRep);
   for (std::size_t k = 0; k < kEvalsPerRep; ++k) {
+    perf::Timer timer;
     obs::TraceContext context;
     std::uint64_t begin_us = 0;
     if (stamped) {
@@ -54,11 +56,18 @@ double run_workload(const lsms::LsmsSolver& solver, Rng& rng,
       for (int stage = 0; stage < 6; ++stage) last = obs::trace_now_us();
       obs::emit_span("bench.request", begin_us, last, context);
     }
+    seconds.push_back(timer.seconds());
   }
-  const double seconds = timer.seconds();
   // Keep the optimizer honest.
   if (sink == 0.1234567) std::printf("%f\n", sink);
   return seconds;
+}
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2]
+                    : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
 /// ns per operation of `op` iterated `iterations` times.
@@ -93,20 +102,28 @@ int main(int argc, char** argv) {
     (void)run_workload(solver, rng);
   }
 
-  // Alternate baseline and instrumented repetitions and keep the minimum of
-  // each: min-of-reps cancels scheduler noise, alternation cancels drift.
-  // If the measurement still reads over budget after kReps (e.g. the CPU is
-  // hot from a preceding test suite), keep sampling up to kMaxReps — extra
-  // reps can only tighten both minima, so a build that is genuinely within
-  // budget converges while a real regression keeps failing.
-  double base_s = 1e300;
-  double instr_s = 1e300;
-  std::size_t reps_used = 0;
+  // Each repetition runs the same kEvalsPerRep configurations (one seed)
+  // once uninstrumented and once instrumented, so evaluation k of one arm
+  // pairs with evaluation k of the other, about one repetition (~12 ms)
+  // apart. The overhead is the median over all kReps * kEvalsPerRep pairs
+  // of the instrumented/uninstrumented time ratio: pairing cancels host
+  // load that drifts slower than a repetition, and the median ignores the
+  // pairs in which a preempted OpenMP thread stalled one side. Which arm
+  // runs second shifts the ratio by 1-2 % on a shared 4-vCPU host, so the
+  // arms take turns going first. (Min-of-reps per arm, the earlier
+  // estimate, hangs on the one luckiest repetition of each arm; on that
+  // host it read -8 % ... +8 % for one unchanged binary.)
+  std::vector<double> base_eval_s;
+  std::vector<double> instr_eval_s;
+  std::vector<double> ratios;
   const std::string snapshot_path = out_path + ".snapshots.jsonl";
-  for (std::size_t rep = 0; rep < kMaxReps; ++rep) {
-    {
+  for (std::size_t rep = 0; rep < kReps; ++rep) {
+    const bool base_first = rep % 2 == 0;
+    std::vector<double> base;
+    std::vector<double> instr;
+    if (base_first) {
       Rng rng(42 + rep);
-      base_s = std::min(base_s, run_workload(solver, rng));
+      base = run_workload(solver, rng);
     }
     {
       obs::enable_tracing();
@@ -115,16 +132,22 @@ int main(int argc, char** argv) {
       config.interval = std::chrono::milliseconds(100);
       obs::SnapshotWriter writer(config);
       Rng rng(42 + rep);
-      instr_s = std::min(instr_s, run_workload(solver, rng, true));
+      instr = run_workload(solver, rng, true);
       obs::disable_tracing();
       obs::reset_trace_for_testing();
     }
-    reps_used = rep + 1;
-    if (reps_used >= kReps &&
-        100.0 * (instr_s - base_s) / base_s <= kBudgetPercent)
-      break;
+    if (!base_first) {
+      Rng rng(42 + rep);
+      base = run_workload(solver, rng);
+    }
+    for (std::size_t k = 0; k < kEvalsPerRep; ++k)
+      ratios.push_back(instr[k] / base[k]);
+    base_eval_s.insert(base_eval_s.end(), base.begin(), base.end());
+    instr_eval_s.insert(instr_eval_s.end(), instr.begin(), instr.end());
   }
-  const double overhead_percent = 100.0 * (instr_s - base_s) / base_s;
+  const double base_s = median(base_eval_s);
+  const double instr_s = median(instr_eval_s);
+  const double overhead_percent = 100.0 * (median(ratios) - 1.0);
 
   // Primitive latencies, the per-call costs the budget is built from.
   obs::Counter& counter = obs::Registry::instance().counter("bench.counter");
@@ -160,9 +183,12 @@ int main(int argc, char** argv) {
   obs::reset_trace_for_testing();
 
   io::TextTable table({"quantity", "value"});
-  table.row({"uninstrumented", io::format_double(1e3 * base_s, 2) + " ms"});
-  table.row({"instrumented", io::format_double(1e3 * instr_s, 2) + " ms"});
-  table.row({"overhead", io::format_double(overhead_percent, 2) + " %"});
+  table.row({"uninstrumented eval (median)",
+             io::format_double(1e6 * base_s, 1) + " us"});
+  table.row({"instrumented eval (median)",
+             io::format_double(1e6 * instr_s, 1) + " us"});
+  table.row({"overhead (paired median)",
+             io::format_double(overhead_percent, 2) + " %"});
   table.row({"budget", io::format_double(kBudgetPercent, 1) + " %"});
   table.row({"counter add", io::format_double(counter_ns, 1) + " ns"});
   table.row({"gauge set", io::format_double(gauge_ns, 1) + " ns"});
@@ -190,13 +216,13 @@ int main(int argc, char** argv) {
   workload.emplace("atoms",
                    obs::JsonValue(std::uint64_t{solver.n_atoms()}));
   workload.emplace("evals_per_rep", obs::JsonValue(std::uint64_t{kEvalsPerRep}));
-  workload.emplace("reps", obs::JsonValue(std::uint64_t{reps_used}));
+  workload.emplace("reps", obs::JsonValue(std::uint64_t{kReps}));
 
   obs::JsonValue::Object doc;
   doc.emplace("bench", obs::JsonValue(std::string("obs_overhead")));
   doc.emplace("workload", obs::JsonValue(std::move(workload)));
-  doc.emplace("uninstrumented_s", obs::JsonValue(base_s));
-  doc.emplace("instrumented_s", obs::JsonValue(instr_s));
+  doc.emplace("uninstrumented_eval_s", obs::JsonValue(base_s));
+  doc.emplace("instrumented_eval_s", obs::JsonValue(instr_s));
   doc.emplace("overhead_percent", obs::JsonValue(overhead_percent));
   doc.emplace("budget_percent", obs::JsonValue(kBudgetPercent));
   doc.emplace("within_budget",

@@ -10,38 +10,18 @@ std::size_t Communicator::n_alive() const {
 }
 
 Transport parse_transport(const std::string& name) {
-  if (name == "inprocess" || name == "threads") return Transport::kInProcess;
-  if (name == "process" || name == "fork") return Transport::kProcess;
-  if (name == "tcp" || name == "net") return Transport::kTcp;
+  if (name == "inprocess") return Transport::kInProcess;
+  if (name == "tcp") return Transport::kTcp;
   throw CommError("unknown transport '" + name +
-                  "' (expected 'inprocess', 'process', or 'tcp')");
+                  "' (expected 'inprocess' or 'tcp')");
 }
 
 const char* transport_name(Transport transport) {
   switch (transport) {
     case Transport::kInProcess: return "inprocess";
-    case Transport::kProcess: return "process";
     case Transport::kTcp: return "tcp";
   }
   return "unknown";
-}
-
-std::unique_ptr<Communicator> make_communicator(Transport transport,
-                                                std::size_t n_ranks,
-                                                WorkerMain worker_main) {
-  switch (transport) {
-    case Transport::kInProcess:
-      return make_in_process_communicator(n_ranks, std::move(worker_main));
-    case Transport::kProcess:
-      return make_process_communicator(n_ranks, std::move(worker_main));
-    case Transport::kTcp:
-      // Default options: loopback listener on an ephemeral port, workers
-      // forked locally. Callers needing external workers pass TcpOptions
-      // through make_tcp_communicator directly.
-      return make_tcp_communicator(n_ranks, std::move(worker_main),
-                                   TcpOptions{});
-  }
-  throw CommError("unknown transport");
 }
 
 }  // namespace wlsms::comm

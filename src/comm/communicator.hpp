@@ -3,9 +3,9 @@
 /// \file communicator.hpp
 /// Transport-agnostic controller <-> worker messaging: the API seam that
 /// lets the Wang-Landau master drive LSMS groups without knowing whether a
-/// "rank" is a thread in this process or a forked OS process on the other
-/// end of a UNIX-domain socket (paper §II-C / Fig. 3: one WL driver feeding
-/// M independent N-core LSMS instances).
+/// "rank" is a thread in this process or a process at the other end of a
+/// TCP connection, possibly on another node (paper §II-C / Fig. 3: one WL
+/// driver feeding M independent N-core LSMS instances).
 ///
 /// Topology: a Communicator owns a fixed set of worker ranks, all spawned
 /// at construction, each running the caller-supplied worker function over
@@ -24,18 +24,18 @@
 ///  - kInProcess: each rank is a std::thread with lock-guarded queues.
 ///    Deterministic enough for the sanitizer-labeled stress suites; kill()
 ///    closes the rank's queues so death is emulated exactly.
-///  - kProcess: each rank is a fork()ed child on a socketpair. kill() is
-///    SIGKILL. Real isolation — a crashing worker cannot take the driver
-///    down — at the cost of copy-on-write duplication of the parent.
-///    Fork safety: create the communicator before starting any in-process
-///    thread pools, and keep worker code off OpenMP paths; the child only
-///    ever runs the worker function plus what it calls.
 ///  - kTcp: each rank is a TCP connection accepted by a controller-side
 ///    listener after a magic/version/rank handshake. Workers either run on
 ///    other nodes (`wlsms worker --connect host:port`) or, for loopback
 ///    tests and single-host use, are fork()ed locally and connect back to
-///    the listener. Same frames, heartbeats, and EOF-death detection as
-///    kProcess — both byte-stream transports share src/comm/framing.
+///    the listener; kill() SIGKILLs a spawned worker and closes an external
+///    one's connection. Frames, heartbeats and EOF-death detection run over
+///    the byte-stream codec of src/comm/framing.
+///    Fork safety for spawned workers: create the communicator before
+///    starting any in-process thread pools, and keep worker code off
+///    OpenMP paths; the child only ever runs the worker function plus what
+///    it calls, inheriting the parent (a pre-built LsmsSolver, say)
+///    copy-on-write.
 
 #include <chrono>
 #include <cstddef>
@@ -133,41 +133,22 @@ class Communicator {
 /// Which realization of the Communicator to build.
 enum class Transport {
   kInProcess,  ///< worker ranks are threads of this process
-  kProcess,    ///< worker ranks are fork()ed OS processes
   kTcp,        ///< worker ranks are TCP connections (loopback or remote)
 };
 
-/// Parses "inprocess" / "process" / "tcp" (the CLI --transport values).
+/// Parses "inprocess" / "tcp" (the CLI --transport values); throws
+/// CommError naming both on anything else.
 Transport parse_transport(const std::string& name);
 const char* transport_name(Transport transport);
-
-/// Tuning knobs shared by the byte-stream transports (kProcess, kTcp).
-struct StreamOptions {
-  /// Upper bound on one controller-side send (all retries included). A peer
-  /// whose socket buffer stays full past this — a SIGSTOPped child, a
-  /// partitioned node — is marked dead and `send` returns false instead of
-  /// wedging the controller. Defaults to the heartbeat-timeout scale.
-  std::chrono::milliseconds send_deadline{5000};
-  /// One shared grace period for the whole teardown: shutdown() polls every
-  /// child in one pass for this long, then SIGKILLs the stragglers together
-  /// (teardown is O(grace), not O(ranks * grace)).
-  std::chrono::milliseconds shutdown_grace{5000};
-  /// Controller-side frame coalescing: small frames to one rank are corked
-  /// into a single batched write, flushed at the next poll cycle, once the
-  /// cork is older than this budget, or when it outgrows
-  /// `coalesce_max_bytes`. Zero disables corking entirely.
-  std::chrono::milliseconds coalesce_budget{1};
-  std::size_t coalesce_max_bytes = 256 * 1024;
-};
 
 /// How to build a kTcp communicator.
 struct TcpOptions {
   /// Controller bind address as host:port; port 0 picks an ephemeral port.
   std::string listen = "127.0.0.1:0";
   /// True (default): fork one local worker per rank, each connecting back
-  /// to the listener over loopback — self-contained, like kProcess. False:
-  /// expect `n_ranks` external workers (`wlsms worker --connect`) to dial
-  /// in; `worker_main` is not used.
+  /// to the listener over loopback — self-contained. False: expect
+  /// `n_ranks` external workers (`wlsms worker --connect`) to dial in;
+  /// `worker_main` is not used.
   bool spawn_workers = true;
   /// Called once the listener is bound, with the actual "host:port" (the
   /// ephemeral port resolved). With external workers this is the moment to
@@ -178,24 +159,25 @@ struct TcpOptions {
   std::chrono::milliseconds accept_timeout{15000};
   /// Worker-side non-blocking connect deadline.
   std::chrono::milliseconds connect_timeout{5000};
-  StreamOptions stream;
+  /// Upper bound on one controller-side send (all retries included). A peer
+  /// whose socket buffer stays full past this — a SIGSTOPped worker, a
+  /// partitioned node — is marked dead and `send` returns false instead of
+  /// wedging the controller. Defaults to the heartbeat-timeout scale.
+  std::chrono::milliseconds send_deadline{5000};
+  /// One shared grace period for the whole teardown: shutdown() polls every
+  /// spawned worker in one pass for this long, then SIGKILLs the stragglers
+  /// together (teardown is O(grace), not O(ranks * grace)).
+  std::chrono::milliseconds shutdown_grace{5000};
 };
 
 std::unique_ptr<Communicator> make_in_process_communicator(
     std::size_t n_ranks, WorkerMain worker_main);
-std::unique_ptr<Communicator> make_process_communicator(std::size_t n_ranks,
-                                                        WorkerMain worker_main);
-std::unique_ptr<Communicator> make_process_communicator(
-    std::size_t n_ranks, WorkerMain worker_main, const StreamOptions& options);
 /// Listens, accepts `n_ranks` workers (spawned on loopback or external),
 /// and returns once the group has formed. Throws CommError on bind/accept
 /// failure or an incomplete group at `options.accept_timeout`.
 std::unique_ptr<Communicator> make_tcp_communicator(std::size_t n_ranks,
                                                     WorkerMain worker_main,
                                                     const TcpOptions& options);
-std::unique_ptr<Communicator> make_communicator(Transport transport,
-                                                std::size_t n_ranks,
-                                                WorkerMain worker_main);
 
 /// The worker end of the TCP transport: connects to a controller at
 /// "host:port" (non-blocking connect bounded by `connect_timeout`),

@@ -140,9 +140,9 @@ DistributedEnergyService::DistributedEnergyService(
   }
 
   // The worker rank is run_shard_worker over this controller's solver —
-  // forked locally on the process/tcp transports (copy-on-write solver),
-  // threaded in-process, or not at all when external TCP workers bring
-  // their own solver build.
+  // forked locally on the tcp transport (copy-on-write solver), threaded
+  // in-process, or not at all when external TCP workers bring their own
+  // solver build.
   WorkerMain worker_main = [solver = solver_](WorkerChannel& channel) {
     run_shard_worker(channel, solver);
   };
@@ -150,8 +150,7 @@ DistributedEnergyService::DistributedEnergyService(
     comm_ = make_tcp_communicator(n_ranks, std::move(worker_main),
                                   config_.tcp);
   else
-    comm_ =
-        make_communicator(config_.transport, n_ranks, std::move(worker_main));
+    comm_ = make_in_process_communicator(n_ranks, std::move(worker_main));
 }
 
 DistributedEnergyService::~DistributedEnergyService() {

@@ -4,8 +4,9 @@
 /// The paper's two-level decomposition made real: an EnergyService whose
 /// evaluations are sharded across the worker ranks of M LSMS groups of N
 /// ranks each ("one atom per processor", §II-C / Fig. 3), over either
-/// communicator transport — threads for the sanitizer suites, fork()ed
-/// processes for genuine multi-process evaluation.
+/// communicator transport — threads for the sanitizer suites, TCP workers
+/// (fork()ed on loopback or started on other nodes) for genuine
+/// multi-process evaluation.
 ///
 /// One submitted configuration occupies one group. Evaluation is
 /// move-local (the paper's LSMS locality, §II-B): the controller keeps each
@@ -58,10 +59,10 @@ struct DistributedConfig {
   /// worst-case single-shard solve time (workers cannot heartbeat while
   /// computing).
   std::chrono::milliseconds heartbeat_timeout{5000};
-  /// Listener/handshake/coalescing knobs, used only when `transport` is
-  /// kTcp. With `tcp.spawn_workers` false the workers are external
-  /// processes started by the operator (`wlsms worker --connect`), running
-  /// run_shard_worker over their own solver build.
+  /// Listener, handshake, send-deadline and teardown knobs, used only when
+  /// `transport` is kTcp. With `tcp.spawn_workers` false the workers are
+  /// external processes started by the operator (`wlsms worker --connect`),
+  /// running run_shard_worker over their own solver build.
   TcpOptions tcp;
 };
 
@@ -79,8 +80,8 @@ void run_shard_worker(WorkerChannel& channel,
 /// Group-sharded, transport-agnostic, fault-tolerant energy service.
 class DistributedEnergyService final : public wl::EnergyService {
  public:
-  /// Workers run per-atom zone solves of `solver`. With the process
-  /// transport the solver must be fully constructed before this call (the
+  /// Workers run per-atom zone solves of `solver`. With spawned TCP
+  /// workers the solver must be fully constructed before this call (the
   /// children inherit it copy-on-write); workers call `solve_zones` in
   /// serial mode, off every OpenMP path — see communicator.hpp fork
   /// discipline.

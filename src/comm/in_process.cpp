@@ -1,5 +1,5 @@
 // In-process Communicator: every rank is a std::thread, channels are
-// lock-guarded queues. Semantically identical to the process transport —
+// lock-guarded queues. Semantically identical to the TCP transport —
 // same liveness model, same heartbeat bookkeeping — but deterministic and
 // sanitizer-friendly, so the `sanitize` ctest label exercises the full
 // distributed energy path on it. kill() emulates node death by closing the

@@ -1,6 +1,5 @@
 #include "comm/wire.hpp"
 
-#include <cmath>
 #include <string>
 
 #include "spin/serialize.hpp"
@@ -94,8 +93,7 @@ ShardRequest decode_shard_request(const std::vector<std::byte>& buffer) {
       m.direction.z = d.get_double();
       if (m.site >= request.n_total_atoms)
         throw SerializationError("corrupt shard-request moved site index");
-      const double norm2 = m.direction.norm2();
-      if (!(std::isfinite(norm2) && norm2 > 0.0))
+      if (!spin::is_valid_direction(m.direction))
         throw SerializationError("corrupt shard-request direction");
     }
   }

@@ -17,8 +17,9 @@ std::atomic<LogLevel>& level_slot() {
 }
 
 std::mutex& emit_mutex() {
-  // The process transport fork()s worker ranks; hold the mutex across the
-  // fork so a child never inherits it locked by a vanished thread.
+  // The TCP transport fork()s its loopback worker ranks; hold the mutex
+  // across the fork so a child never inherits it locked by a vanished
+  // thread.
   static std::mutex* m = [] {
     static std::mutex mutex;
     pthread_atfork([] { mutex.lock(); }, [] { mutex.unlock(); },

@@ -132,8 +132,11 @@ std::vector<LocalEnergies> LsmsSolver::solve_zones(
     const auto [j, k] = solves[s];
     out[j].per_atom[k] = zone_energy(lizs_[jobs[j].zones[k]], tables[j]);
   };
+  // Every thread that solved zones drains its flop tally before the call
+  // returns, so a perf::FlopWindow around the call reads it exactly.
   if (threading == ZoneThreading::kSerial) {
     for (std::size_t s = 0; s < solves.size(); ++s) solve(s);
+    perf::drain_thread_flops();
   } else {
     // Every (job, zone) solve is independent, so one dynamic loop spreads
     // the whole call over the cores. An exception must not escape an
@@ -142,14 +145,20 @@ std::vector<LocalEnergies> LsmsSolver::solve_zones(
     // batch request by request.
     const std::int64_t n_solves = static_cast<std::int64_t>(solves.size());
     std::exception_ptr failure;
-#pragma omp parallel for schedule(dynamic)
-    for (std::int64_t s = 0; s < n_solves; ++s) {
-      try {
-        solve(static_cast<std::size_t>(s));
-      } catch (...) {
+#pragma omp parallel
+    {
+#pragma omp for schedule(dynamic) nowait
+      for (std::int64_t s = 0; s < n_solves; ++s) {
+        try {
+          solve(static_cast<std::size_t>(s));
+        } catch (...) {
 #pragma omp critical(lsms_solve_failure)
-        if (!failure) failure = std::current_exception();
+          if (!failure) failure = std::current_exception();
+        }
       }
+      // The region's closing barrier orders these drains before the
+      // caller's next read of the global counters.
+      perf::drain_thread_flops();
     }
     if (failure) std::rethrow_exception(failure);
   }

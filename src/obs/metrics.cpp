@@ -217,11 +217,12 @@ void Registry::unlock_after_fork() {
 }
 
 void Registry::install_fork_handlers() {
-  // A fork()ed worker rank (comm kProcess transport) inherits the address
-  // space but only the forking thread. Holding every metric mutex across
-  // the fork guarantees the child never inherits a mutex locked by a
-  // thread that does not exist there — worker-side solver instrumentation
-  // stays safe with a live snapshot thread in the controller.
+  // A worker rank the comm TCP transport spawns with fork() inherits the
+  // address space but only the forking thread. Holding every metric mutex
+  // across the fork guarantees the child never inherits a mutex locked by
+  // a thread that does not exist there — worker-side solver
+  // instrumentation stays safe with a live snapshot thread in the
+  // controller.
   pthread_atfork([] { instance().lock_for_fork(); },
                  [] { instance().unlock_after_fork(); },
                  [] { instance().unlock_after_fork(); });

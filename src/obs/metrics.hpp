@@ -19,9 +19,9 @@
 /// destroyed (the registry is a leaked singleton), so cached references and
 /// thread-local shard pointers stay valid for the life of the process.
 /// fork() discipline: the registry installs pthread_atfork handlers that
-/// hold every metric mutex across the fork, so forked worker ranks (the
-/// kProcess transport) can keep instrumenting without inheriting a mutex
-/// locked by a vanished thread.
+/// hold every metric mutex across the fork, so worker ranks the TCP
+/// transport spawns with fork() can keep instrumenting without inheriting a
+/// mutex locked by a vanished thread.
 
 #include <atomic>
 #include <cstdint>

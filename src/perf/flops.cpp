@@ -39,6 +39,14 @@ void add_flops(Kernel kernel, std::uint64_t count) {
 
 void add_flops(std::uint64_t count) { add_flops(Kernel::kOther, count); }
 
+void drain_thread_flops() {
+  for (std::size_t k = 0; k < kKernelCount; ++k) {
+    if (tally.local[k] == tally.drained[k]) continue;
+    global_counter(k).fetch_add(tally.local[k] - tally.drained[k]);
+    tally.drained[k] = tally.local[k];
+  }
+}
+
 std::uint64_t thread_flops() {
   std::uint64_t total = 0;
   for (std::size_t k = 0; k < kKernelCount; ++k) total += tally.local[k];

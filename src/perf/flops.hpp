@@ -50,9 +50,21 @@ std::uint64_t total_flops();
 /// Aggregated flops retired by one kernel class across all threads.
 std::uint64_t total_flops(Kernel kernel);
 
+/// Publishes the calling thread's undrained tally to the global counters.
+/// Each thread otherwise keeps up to 2^20 flops per kernel to itself until
+/// it drains or exits, and only the calling thread's own undrained flops
+/// show in total_flops(). Code that runs flop-counting kernels on pool
+/// threads calls this on every thread at the end of its share of the work
+/// (LsmsSolver::solve_zones does, on every OpenMP team thread).
+void drain_thread_flops();
+
 /// RAII window over the *global* counters: records the totals at
-/// construction and reports deltas. Captures work done by every thread, so
-/// it is the right tool around an OpenMP region.
+/// construction and reports deltas. It counts the calling thread's flops
+/// exactly, and another thread's once that thread has drained them
+/// (drain_thread_flops, or thread exit). So a window is exact around work
+/// on the calling thread and around an OpenMP region whose threads drain
+/// before it closes, as every solve_zones call's do; around other OpenMP
+/// regions it reads low by whatever the pool threads still hold.
 class FlopWindow {
  public:
   FlopWindow();

@@ -35,7 +35,7 @@ MomentConfiguration MomentConfiguration::from_directions(
   MomentConfiguration c;
   c.directions_ = std::move(directions);
   for (Vec3& d : c.directions_) {
-    WLSMS_EXPECTS(d.norm2() > 0.0);
+    WLSMS_EXPECTS(is_valid_direction(d));
     d = d.normalized();
   }
   return c;
@@ -46,13 +46,13 @@ MomentConfiguration MomentConfiguration::from_raw_directions(
   WLSMS_EXPECTS(!directions.empty());
   MomentConfiguration c;
   c.directions_ = std::move(directions);
-  for (const Vec3& d : c.directions_) WLSMS_EXPECTS(d.norm2() > 0.0);
+  for (const Vec3& d : c.directions_) WLSMS_EXPECTS(is_valid_direction(d));
   return c;
 }
 
 void MomentConfiguration::set(std::size_t i, const Vec3& direction) {
   WLSMS_EXPECTS(i < size());
-  WLSMS_EXPECTS(direction.norm2() > 0.0);
+  WLSMS_EXPECTS(is_valid_direction(direction));
   directions_[i] = direction.normalized();
 }
 

@@ -7,6 +7,7 @@
 /// §II-B/Fig. 2); the moment magnitude is fixed by the ferromagnetic
 /// reference potential.
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -14,6 +15,15 @@
 #include "common/vec3.hpp"
 
 namespace wlsms::spin {
+
+/// The one rule a moment direction must pass, in the in-process builders
+/// and the wire decoders alike: a finite, nonzero squared norm — no zero
+/// vector and no NaN or ±inf component, any of which makes the solver's
+/// energy NaN.
+inline bool is_valid_direction(const Vec3& direction) {
+  const double norm2 = direction.norm2();
+  return std::isfinite(norm2) && norm2 > 0.0;
+}
 
 /// A set of N unit-vector moment directions {e_i}.
 class MomentConfiguration {
@@ -32,7 +42,8 @@ class MomentConfiguration {
   /// arrangement the paper uses as the top of the energy range.
   static MomentConfiguration staggered(const std::vector<bool>& sublattice);
 
-  /// From explicit directions (normalized on ingestion).
+  /// From explicit directions (normalized on ingestion). Every direction
+  /// must pass is_valid_direction, as in from_raw_directions and set.
   static MomentConfiguration from_directions(std::vector<Vec3> directions);
 
   /// From directions that are already unit vectors, taken bit-for-bit with

@@ -1,7 +1,5 @@
 #include "spin/serialize.hpp"
 
-#include <cmath>
-
 namespace wlsms::spin {
 
 void encode_moments(serial::Encoder& encoder,
@@ -24,8 +22,7 @@ MomentConfiguration decode_moments(serial::Decoder& decoder) {
     d.x = decoder.get_double();
     d.y = decoder.get_double();
     d.z = decoder.get_double();
-    const double norm2 = d.norm2();
-    if (!(std::isfinite(norm2) && norm2 > 0.0))
+    if (!is_valid_direction(d))
       throw serial::SerializationError(
           "corrupt moment direction (zero or non-finite)");
   }

@@ -1,8 +1,8 @@
 #pragma once
 
-// Shared by the distributed-service suites of every transport (in-process,
-// socketpair, TCP): a cell large enough for move-local evaluation to matter,
-// and a seeded accept/reject walk that checks it end to end.
+// Shared by the distributed-service suites of both transports (in-process
+// and TCP): a cell large enough for move-local evaluation to matter, and a
+// seeded accept/reject walk that checks it end to end.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -167,6 +167,29 @@ TEST(CliOptions, DistributedSpeculationNeedsAWlDriver) {
   EXPECT_EQ(ok.wl_steps, 100u);
 }
 
+TEST(CliOptions, DistributedTransportIsTypedAndTcpFlagsNeedTcp) {
+  EXPECT_EQ(DistributedOptions::parse(parse({"distributed"})).transport,
+            comm::Transport::kInProcess);
+  const DistributedOptions tcp = DistributedOptions::parse(
+      parse({"distributed", "--transport", "tcp", "--listen", "0.0.0.0:7777",
+             "--external", "1"}));
+  EXPECT_EQ(tcp.transport, comm::Transport::kTcp);
+  EXPECT_EQ(tcp.listen, "0.0.0.0:7777");
+  EXPECT_TRUE(tcp.external);
+  for (const char* name : {"process", "fork", "threads", "net", "bogus"})
+    EXPECT_THROW(DistributedOptions::parse(
+                     parse({"distributed", "--transport", name})),
+                 std::runtime_error)
+        << name;
+  EXPECT_THROW(DistributedOptions::parse(
+                   parse({"distributed", "--listen", "0.0.0.0:7777"})),
+               std::runtime_error);
+  EXPECT_THROW(DistributedOptions::parse(parse(
+                   {"distributed", "--transport", "inprocess", "--external",
+                    "0"})),
+               std::runtime_error);
+}
+
 TEST(CliOptions, RequiredStringsAreEnforced) {
   EXPECT_THROW(ThermoOptions::parse(parse({"thermo"})), std::runtime_error);
   EXPECT_THROW(WorkerOptions::parse(parse({"worker"})), std::runtime_error);

@@ -180,7 +180,9 @@ TEST(CliE2e, UnknownFlagIsRefusedBeforeTheCommandRuns) {
   // finished, so a typo such as --batch-thread ran a whole job on defaults
   // and exited 0 (a daemon never finishes, so it just served). Now the
   // typed parse is followed by an unknown-flag check that exits 2, naming
-  // the flag, before anything runs.
+  // the flag, before anything runs. Values the typed parse refuses (an
+  // unknown --transport, tcp-only flags on another transport) fail the
+  // same way: before the solver is built.
   int code = -1;
   std::string out = run_capture({"scaling", "--walkers", "2", "--step", "5"},
                                 &code, /*with_stderr=*/true);
@@ -194,6 +196,20 @@ TEST(CliE2e, UnknownFlagIsRefusedBeforeTheCommandRuns) {
   EXPECT_EQ(code, 2) << out;
   EXPECT_NE(out.find("--batch-thread"), std::string::npos) << out;
   EXPECT_EQ(out.find("serving on"), std::string::npos) << out;
+
+  out = run_capture({"distributed", "--transport", "process"}, &code,
+                    /*with_stderr=*/true);
+  EXPECT_NE(code, 0) << out;
+  EXPECT_NE(out.find("'inprocess' or 'tcp'"), std::string::npos) << out;
+  EXPECT_EQ(out.find("substrate:"), std::string::npos)
+      << "the solver was built before the transport was refused:\n" << out;
+
+  out = run_capture(
+      {"distributed", "--transport", "inprocess", "--external", "1"}, &code,
+      /*with_stderr=*/true);
+  EXPECT_NE(code, 0) << out;
+  EXPECT_NE(out.find("--external"), std::string::npos) << out;
+  EXPECT_EQ(out.find("substrate:"), std::string::npos) << out;
 }
 
 TEST(CliE2e, ServeStatusProbeAndSigintFinalSnapshot) {

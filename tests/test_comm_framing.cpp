@@ -1,5 +1,5 @@
-// Framing-layer tests: the shared byte-stream substrate under both the
-// socketpair and TCP transports. Property tests for the frame codec
+// Framing-layer tests: the shared byte-stream substrate under the TCP
+// transport and the serve daemon. Property tests for the frame codec
 // (arbitrary chunking must reassemble to the original frame sequence),
 // plus regressions for the three hardening bugs this layer exists to fix:
 //  - a payload that cannot fit the u32 length field must throw on the send

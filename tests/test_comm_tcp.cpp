@@ -1,12 +1,17 @@
 // TCP Communicator tests over loopback: the handshake (including garbage
 // connections that must be rejected without consuming a rank slot), echo
-// plumbing and large frames through real TCP sockets, corrupt-stream rank
-// death, and the distributed energy service end to end — energies
-// bit-identical to the serial solver, a move-local walk, and kill-a-rank
-// failover, mirroring the socketpair suite (test_comm_process.cpp) — plus
-// a hostile worker whose out-of-assignment gathers must be rejected, and a
-// stalled controller that must not hold a worker past its handshake
-// deadline.
+// plumbing and large frames through real TCP sockets, worker death (SIGKILL
+// and a crashing worker are immediate EOF death), a SIGSTOPped worker that
+// must trip the send deadline instead of wedging the controller, teardown
+// that reaps stragglers within one shared grace period, corrupt-stream
+// rank death, and the distributed energy service end to end — energies
+// bit-identical to the serial solver, a move-local walk, a delta scatter,
+// and kill-a-rank failover, mirroring the thread-backed suite
+// (test_comm_transport.cpp) — plus a hostile worker whose
+// out-of-assignment gathers must be rejected, and a stalled controller
+// that must not hold a worker past its handshake deadline. The
+// ProcessCommunicator and ProcessDistributedService suites at the end run
+// the same cases across the forked workers with other seeds and shapes.
 //
 // In the `net` ctest label, NOT `sanitize`: these tests fork worker
 // processes and open real sockets, which tsan does not support. The
@@ -16,12 +21,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <string>
 #include <thread>
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include "comm/distributed_service.hpp"
 #include "comm/framing.hpp"
@@ -85,6 +92,107 @@ TEST(TcpCommunicator, LargeFrameSurvivesTcp) {
   EXPECT_EQ(std::memcmp(incoming->message.payload.data(), big.data(),
                         big.size()),
             0);
+}
+
+TEST(TcpCommunicator, SigkillIsImmediateEofDeath) {
+  auto comm = make_tcp_communicator(2, echo_worker, TcpOptions{});
+  comm->kill(0);
+  comm->kill(0);  // idempotent
+  EXPECT_FALSE(comm->alive(0));
+  EXPECT_TRUE(comm->alive(1));
+  EXPECT_FALSE(comm->send(0, text_message(1, "gone")));
+  EXPECT_TRUE(comm->send(1, text_message(2, "alive")));
+  std::optional<Incoming> incoming;
+  while (!incoming) incoming = comm->recv(500ms);
+  EXPECT_EQ(incoming->rank, 1u);
+}
+
+TEST(TcpCommunicator, CrashingWorkerIsRankDeath) {
+  // The worker throws on its first message, so the spawned child _exit(1)s;
+  // the controller must see EOF-death, not hang.
+  auto comm = make_tcp_communicator(
+      1,
+      [](WorkerChannel& channel) {
+        (void)channel.recv();
+        throw Error("child dies");
+      },
+      TcpOptions{});
+  EXPECT_TRUE(comm->send(0, text_message(1, "trigger")));
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (comm->alive(0) && std::chrono::steady_clock::now() < deadline)
+    (void)comm->recv(50ms);
+  EXPECT_FALSE(comm->alive(0));
+}
+
+TEST(TcpCommunicator, StoppedWorkerTripsTheSendDeadlineNotAHang) {
+  // Regression: the controller's write loop used to poll forever when the
+  // peer's socket buffer stayed full, so a SIGSTOPped worker (or a
+  // partitioned peer) wedged the controller inside send(). Now the send
+  // deadline expires, send() returns false, and the rank is dead.
+  TcpOptions options;
+  options.send_deadline = 300ms;
+  auto comm = make_tcp_communicator(
+      1,
+      [](WorkerChannel& channel) {
+        // Report our pid, then go quiet (never read again) so the socket
+        // fills once we're stopped.
+        const std::uint64_t pid = static_cast<std::uint64_t>(::getpid());
+        Message hello;
+        hello.tag = 1;
+        hello.payload.resize(sizeof(pid));
+        std::memcpy(hello.payload.data(), &pid, sizeof(pid));
+        channel.send(hello);
+        for (;;) ::usleep(100000);
+      },
+      options);
+
+  std::optional<Incoming> incoming;
+  while (!incoming) incoming = comm->recv(500ms);
+  std::uint64_t pid = 0;
+  ASSERT_EQ(incoming->message.payload.size(), sizeof(pid));
+  std::memcpy(&pid, incoming->message.payload.data(), sizeof(pid));
+  ASSERT_EQ(::kill(static_cast<pid_t>(pid), SIGSTOP), 0);
+
+  // 1 MiB frames are above the coalescing cork limit, so every send is a
+  // direct bounded write. The socket buffers absorb a few, then the
+  // deadline must trip — bounded by iterations * deadline, not forever.
+  const Message big{2, std::vector<std::byte>(1 << 20)};
+  bool failed = false;
+  for (int k = 0; k < 64 && !failed; ++k) failed = !comm->send(0, big);
+  EXPECT_TRUE(failed) << "send() never failed against a stopped reader";
+  EXPECT_FALSE(comm->alive(0));
+
+  // SIGKILL works on a stopped process; teardown must not hang either.
+  comm->kill(0);
+  comm->shutdown();
+}
+
+TEST(TcpCommunicator, ShutdownReapsStragglersInParallel) {
+  // Regression: shutdown() used to give EACH child its own grace period
+  // sequentially (up to 5 s per rank). Four workers that ignore EOF must
+  // now share ONE grace period and be SIGKILLed together: teardown is
+  // O(grace), not O(ranks * grace).
+  TcpOptions options;
+  options.shutdown_grace = 600ms;
+  auto comm = make_tcp_communicator(
+      4,
+      [](WorkerChannel& channel) {
+        (void)channel;  // never reads: EOF on shutdown is ignored
+        for (;;) ::usleep(100000);
+      },
+      options);
+  EXPECT_EQ(comm->n_alive(), 4u);
+
+  const auto start = std::chrono::steady_clock::now();
+  comm->shutdown();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  // One shared grace (600 ms) + kill/reap overhead. The old sequential
+  // behavior would take >= 4 * 600 ms = 2.4 s.
+  EXPECT_LT(elapsed, 1800ms)
+      << "shutdown took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count()
+      << " ms; stragglers are being reaped sequentially";
+  EXPECT_EQ(comm->n_alive(), 0u);
 }
 
 TEST(TcpCommunicator, ExternalWorkersJoinAndGarbageConnectionsAreRejected) {
@@ -345,6 +453,144 @@ TEST(TcpDistributedService, DeltaScatterOverTcpStaysBitIdentical) {
   Rng rng(43);
   spin::MomentConfiguration moments =
       spin::MomentConfiguration::random(16, rng);
+  for (std::uint64_t step = 1; step <= 4; ++step) {
+    moments.set(rng.uniform_index(16), rng.unit_vector());
+    distributed.submit({0, step, moments});
+    EXPECT_EQ(distributed.retrieve().energy, f.energy->total_energy(moments))
+        << "step " << step;
+  }
+}
+
+// The ProcessCommunicator and ProcessDistributedService suites: the same
+// plumbing and service cases across real OS processes (the forked loopback
+// workers), with their own seeds, a worker that computes its reply instead
+// of echoing it, and a large frame per rank so two peers' reassemblies
+// interleave in the controller.
+
+TEST(ProcessCommunicator, EchoAcrossRealProcesses) {
+  constexpr std::size_t kRanks = 4;
+  auto comm = make_tcp_communicator(
+      kRanks,
+      [](WorkerChannel& channel) {
+        while (std::optional<Message> message = channel.recv())
+          channel.send({message->tag + 1, message->payload});
+      },
+      TcpOptions{});
+  EXPECT_EQ(comm->n_alive(), kRanks);
+  for (std::size_t r = 0; r < kRanks; ++r)
+    EXPECT_TRUE(comm->send(r, text_message(static_cast<std::uint32_t>(r),
+                                           "rank" + std::to_string(r))));
+  std::vector<bool> seen(kRanks, false);
+  for (std::size_t k = 0; k < kRanks; ++k) {
+    std::optional<Incoming> incoming;
+    while (!incoming) incoming = comm->recv(500ms);
+    EXPECT_EQ(incoming->message.tag, incoming->rank + 1);
+    EXPECT_FALSE(seen[incoming->rank]);
+    seen[incoming->rank] = true;
+  }
+  comm->shutdown();
+  EXPECT_EQ(comm->n_alive(), 0u);
+}
+
+TEST(ProcessCommunicator, LargeFrameSurvivesTheSocket) {
+  // Bigger than any socket buffer, so both the chunked write (EAGAIN +
+  // poll) and the reassembling reader are exercised; both workers echo at
+  // once, so the controller reassembles two frames side by side.
+  constexpr std::size_t kRanks = 2;
+  auto comm = make_tcp_communicator(kRanks, echo_worker, TcpOptions{});
+  std::vector<std::string> bigs;
+  for (std::size_t r = 0; r < kRanks; ++r) {
+    std::string big(1 << 22, static_cast<char>('x' + r));  // 4 MiB
+    for (std::size_t i = 0; i < big.size(); i += 4096)
+      big[i] = static_cast<char>('a' + (r + i / 4096) % 26);
+    EXPECT_TRUE(comm->send(r, text_message(7, big)));
+    bigs.push_back(std::move(big));
+  }
+  for (std::size_t k = 0; k < kRanks; ++k) {
+    std::optional<Incoming> incoming;
+    while (!incoming) incoming = comm->recv(1000ms);
+    const std::string& big = bigs[incoming->rank];
+    ASSERT_EQ(incoming->message.payload.size(), big.size());
+    EXPECT_EQ(std::memcmp(incoming->message.payload.data(), big.data(),
+                          big.size()),
+              0)
+        << "rank " << incoming->rank;
+  }
+}
+
+TEST(ProcessDistributedService, BitIdenticalToSerialSolver) {
+  const Fe16& f = fe16();
+  DistributedConfig config;
+  config.n_groups = 2;
+  config.group_size = 2;
+  config.transport = Transport::kTcp;
+  DistributedEnergyService distributed(f.solver, config);
+  EXPECT_EQ(distributed.n_workers(), 4u);
+
+  Rng rng(31);
+  constexpr std::size_t kEvals = 6;
+  std::vector<spin::MomentConfiguration> configs;
+  for (std::size_t k = 0; k < kEvals; ++k)
+    configs.push_back(spin::MomentConfiguration::random(16, rng));
+  for (std::size_t k = 0; k < kEvals; ++k)
+    distributed.submit({k % 2, k + 1, configs[k]});
+  std::vector<double> got(kEvals, 0.0);
+  for (std::size_t k = 0; k < kEvals; ++k) {
+    const wl::EnergyResult r = distributed.retrieve();
+    EXPECT_FALSE(r.failed);
+    got[r.ticket - 1] = r.energy;
+  }
+  for (std::size_t k = 0; k < kEvals; ++k)
+    EXPECT_EQ(got[k], f.energy->total_energy(configs[k]))
+        << "eval " << k << " differs from the serial solver";
+}
+
+TEST(ProcessDistributedService, SigkilledWorkerMidRunRequestCompletes) {
+  const Fe16& f = fe16();
+  DistributedConfig config;
+  config.n_groups = 1;
+  config.group_size = 2;
+  config.transport = Transport::kTcp;
+  DistributedEnergyService distributed(f.solver, config);
+
+  Rng rng(32);
+  const auto moments = spin::MomentConfiguration::random(16, rng);
+  distributed.submit({0, 1, moments});
+  // SIGKILL one assigned rank immediately after the scatter: the child has
+  // barely been scheduled, so its shard is still owed. The controller must
+  // see the EOF, re-scatter onto the survivor, and complete the request.
+  distributed.communicator().kill(0);
+  const wl::EnergyResult result = distributed.retrieve();
+  EXPECT_FALSE(result.failed);
+  EXPECT_EQ(result.energy, f.energy->total_energy(moments));
+  EXPECT_EQ(distributed.n_alive_workers(), 1u);
+  EXPECT_GE(distributed.reroutes(), 1u);
+
+  // Still serviceable afterwards.
+  distributed.submit({0, 2, moments});
+  EXPECT_EQ(distributed.retrieve().energy, f.energy->total_energy(moments));
+}
+
+TEST(ProcessDistributedService, MoveLocalWalkAcrossProcessesIsBitIdentical) {
+  const auto& solver = fe54_solver();
+  DistributedConfig config;
+  config.n_groups = 2;
+  config.group_size = 2;
+  config.transport = Transport::kTcp;
+  DistributedEnergyService distributed(solver, config);
+  expect_move_local_walk(distributed, *solver, 3, 6, 34);
+}
+
+TEST(ProcessDistributedService, DeltaScatterAcrossProcessesStaysBitIdentical) {
+  const Fe16& f = fe16();
+  DistributedConfig config;
+  config.n_groups = 1;
+  config.group_size = 4;
+  config.transport = Transport::kTcp;
+  DistributedEnergyService distributed(f.solver, config);
+
+  Rng rng(33);
+  spin::MomentConfiguration moments = spin::MomentConfiguration::random(16, rng);
   for (std::uint64_t step = 1; step <= 4; ++step) {
     moments.set(rng.uniform_index(16), rng.unit_vector());
     distributed.submit({0, step, moments});

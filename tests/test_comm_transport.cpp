@@ -5,8 +5,8 @@
 // retrieve-with-nothing-outstanding contract across every EnergyService
 // implementation the factory can build, and a messaging stress run. All
 // thread-backed (Transport::kInProcess), so the sanitize label runs the
-// whole file under tsan and asan-ubsan; the fork()ed-process twin lives in
-// test_comm_process.cpp.
+// whole file under tsan and asan-ubsan; the TCP twin lives in
+// test_comm_tcp.cpp.
 #include "comm/communicator.hpp"
 
 #include <gtest/gtest.h>
@@ -147,13 +147,15 @@ TEST(InProcessCommunicator, WedgedWorkerGoesSilentButIdleWorkerHeartbeats) {
 }
 
 TEST(Transport, ParseAndName) {
-  EXPECT_EQ(parse_transport("inprocess"), Transport::kInProcess);
-  EXPECT_EQ(parse_transport("threads"), Transport::kInProcess);
-  EXPECT_EQ(parse_transport("process"), Transport::kProcess);
-  EXPECT_EQ(parse_transport("fork"), Transport::kProcess);
-  EXPECT_THROW(parse_transport("carrier-pigeon"), CommError);
+  // Exactly the two names `wlsms distributed --help` lists round-trip; the
+  // retired transport and aliases are unknown values like any other.
+  for (const Transport transport : {Transport::kInProcess, Transport::kTcp})
+    EXPECT_EQ(parse_transport(transport_name(transport)), transport);
   EXPECT_STREQ(transport_name(Transport::kInProcess), "inprocess");
-  EXPECT_STREQ(transport_name(Transport::kProcess), "process");
+  EXPECT_STREQ(transport_name(Transport::kTcp), "tcp");
+  for (const char* name : {"process", "fork", "threads", "net",
+                           "carrier-pigeon", ""})
+    EXPECT_THROW(parse_transport(name), CommError) << name;
 }
 
 // ---- distributed energy service on the in-process transport --------------

@@ -25,8 +25,7 @@ LsmsSolver fast_solver(std::size_t n_cells = 2) {
                     fe_lsms_parameters_fast());
 }
 
-// e_i alone, from a one-zone solve_zones job. kSerial keeps the solve on
-// the calling thread, whose flop tally a FlopWindow reads exactly.
+// e_i alone, from a one-zone solve_zones job.
 double single_zone_energy(const LsmsSolver& solver, std::size_t i,
                           const spin::MomentConfiguration& config,
                           ZoneThreading threading = ZoneThreading::kOpenMp) {
@@ -187,7 +186,8 @@ TEST(LsmsSolver, FlopsPerEnergyMatchesAnalyticCount) {
 
 TEST(LsmsSolver, InstrumentedFlopsMatchAnalyticCount) {
   // The analytic model must agree with the perf counters to the flop, for
-  // both the unblocked (fast-radius) and blocked (paper-radius) zone orders.
+  // both the unblocked (fast-radius) and blocked (paper-radius) zone orders,
+  // and around OpenMP solves, whose zones land on pool threads.
   Rng rng(11);
   {
     const LsmsSolver solver = fast_solver();
@@ -204,6 +204,30 @@ TEST(LsmsSolver, InstrumentedFlopsMatchAnalyticCount) {
     perf::FlopWindow window;
     single_zone_energy(solver, 0, config, ZoneThreading::kSerial);
     EXPECT_EQ(window.elapsed(), solver.flops_per_zone_energy(0));
+  }
+  {
+    // Regression: each pool thread kept up to 2^20 flops per kernel
+    // undrained, so a window around an OpenMP solve read low whenever a
+    // zone ran off the calling thread. solve_zones now drains every team
+    // thread before it returns.
+    const LsmsSolver solver = fast_solver();
+    const int saved_threads = omp_get_max_threads();
+    omp_set_num_threads(3);
+    for (int call = 0; call < 20; ++call) {
+      const auto config = spin::MomentConfiguration::random(16, rng);
+      {
+        perf::FlopWindow window;
+        (void)solver.energies(config);
+        EXPECT_EQ(window.elapsed(), solver.flops_per_energy())
+            << "energies() call " << call;
+      }
+      const std::size_t zone = static_cast<std::size_t>(call) % 16;
+      perf::FlopWindow window;
+      single_zone_energy(solver, zone, config, ZoneThreading::kOpenMp);
+      EXPECT_EQ(window.elapsed(), solver.flops_per_zone_energy(zone))
+          << "one-zone solve_zones call " << call;
+    }
+    omp_set_num_threads(saved_threads);
   }
 }
 

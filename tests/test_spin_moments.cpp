@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
 
 namespace wlsms::spin {
@@ -71,6 +73,30 @@ TEST(Moments, ContractViolations) {
   EXPECT_THROW(MomentConfiguration::staggered({}), ContractError);
   EXPECT_THROW(MomentConfiguration::from_directions({{0.0, 0.0, 0.0}}),
                ContractError);
+}
+
+TEST(Moments, EveryBuilderRejectsZeroAndNonFiniteDirections) {
+  // Regression: the builders checked norm2() > 0, which a ±inf component
+  // passes; the solver then returned a NaN energy. Each builder now applies
+  // is_valid_direction, the rule the wire decoders apply too.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Vec3 up{0.0, 0.0, 1.0};
+  for (const Vec3& bad : {Vec3{0.0, 0.0, 0.0}, Vec3{nan, 0.0, 1.0},
+                          Vec3{inf, 0.0, 0.0}, Vec3{0.0, -inf, 0.0}}) {
+    EXPECT_FALSE(is_valid_direction(bad));
+    EXPECT_THROW(MomentConfiguration::from_directions({up, bad}),
+                 ContractError)
+        << bad.x << " " << bad.y << " " << bad.z;
+    EXPECT_THROW(MomentConfiguration::from_raw_directions({up, bad}),
+                 ContractError)
+        << bad.x << " " << bad.y << " " << bad.z;
+    auto c = MomentConfiguration::ferromagnetic(2);
+    EXPECT_THROW(c.set(1, bad), ContractError)
+        << bad.x << " " << bad.y << " " << bad.z;
+    EXPECT_EQ(c[1], up) << "a refused set() must leave the site unchanged";
+  }
+  EXPECT_TRUE(is_valid_direction(up));
 }
 
 }  // namespace
