@@ -16,9 +16,11 @@
 // unless every series reads max |dE| = 0.
 #include "bench_common.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "comm/distributed_service.hpp"
 #include "comm/factory.hpp"
@@ -184,22 +186,27 @@ int main(int argc, char** argv) {
       lattice::make_fe_supercell(2), lsms::fe_lsms_parameters_fast());
   const wl::LsmsEnergy energy(solver);
 
-  // Serial reference cost (amortized over a few evaluations).
+  // Serial reference cost: the median of single evaluations, each timed on
+  // its own after a warm-up. Every "vs serial" ratio divides by it, and a
+  // mean over a few evaluations swung by 10x whenever one of them stalled
+  // on a shared host.
+  double serial_s = 0.0;
   {
-    Rng rng(3);
-    auto cfg = spin::MomentConfiguration::random(energy.n_sites(), rng);
-    (void)energy.total_energy(cfg);  // warm the t-matrix cache paths
-  }
-  perf::Timer serial_timer;
-  constexpr std::size_t kSerialEvals = 4;
-  {
+    constexpr std::size_t kWarmupEvals = 2;
+    constexpr std::size_t kSerialEvals = 21;
     Rng rng(4);
-    for (std::size_t k = 0; k < kSerialEvals; ++k)
-      (void)energy.total_energy(
-          spin::MomentConfiguration::random(energy.n_sites(), rng));
+    std::vector<double> seconds;
+    for (std::size_t k = 0; k < kWarmupEvals + kSerialEvals; ++k) {
+      const auto cfg =
+          spin::MomentConfiguration::random(energy.n_sites(), rng);
+      const perf::Timer timer;
+      (void)energy.total_energy(cfg);
+      if (k >= kWarmupEvals) seconds.push_back(timer.seconds());
+    }
+    std::sort(seconds.begin(), seconds.end());
+    serial_s = seconds[kSerialEvals / 2];
   }
-  const double serial_s = serial_timer.seconds() / kSerialEvals;
-  std::printf("serial reference: %.1f ms per 16-site evaluation\n\n",
+  std::printf("serial reference: %.2f ms per 16-site evaluation (median)\n\n",
               serial_s * 1e3);
 
   // --- submit -> retrieve latency per transport, single 1-rank group ------

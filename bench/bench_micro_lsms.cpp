@@ -32,8 +32,9 @@ BENCHMARK(BM_LsmsEnergy_LizRadius)->Arg(50)->Arg(56)->Arg(77)->MinTime(0.2);
 // The paper's production geometry: 11.5 a0 LIZ (65-atom zones, 130 x 130
 // zone matrices) and the 16-point contour. One iteration = one full energy
 // evaluation of the 16-atom cell; gemm_frac is the measured share of flops
-// booked under the kZgemm tag — linalg::schur_solve's trailing update and
-// 2x2 Schur product (acceptance bar: >= 0.6).
+// booked under the kZgemm tag — linalg::spin_block_solve's trailing
+// updates, the tile products of its inverse and its Schur and coupling
+// products (acceptance bar: >= 0.6).
 void BM_LsmsEnergy_PaperGeometry(benchmark::State& state) {
   const lsms::LsmsSolver solver(lattice::make_fe_supercell(2),
                                 lsms::fe_lsms_parameters());

@@ -33,9 +33,9 @@ constexpr std::size_t kRounds = 4;    // submissions per walker
 constexpr std::size_t kEvals = kWalkers * kRounds;
 constexpr int kReps = 5;              // timing reps, min taken
 
-/// Serving-fidelity substrate: the fast contour but a 50-member LIZ, so the
-/// order-100 member blocks sit above the blocked-LU threshold and every
-/// zone solve runs the blocked LU of linalg::schur_solve.
+/// Serving-fidelity substrate: the fast contour but a 50-member LIZ, so
+/// every zone solve factors 50 x 50 spin blocks that span four 16-row
+/// blocks of linalg::spin_block_solve's blocked LU.
 std::shared_ptr<const lsms::LsmsSolver> serving_solver() {
   lsms::LsmsParameters params = lsms::fe_lsms_parameters_fast();
   params.liz_radius = 9.1;  // 1st-4th bcc shells: 50 neighbours

@@ -65,8 +65,8 @@ int main() {
 
   // Measured on this host rather than modeled: the share of retired flops
   // flowing through ZGEMM in one paper-geometry (65-atom LIZ) zone solve.
-  // The paper attributes "the bulk of the calculation" to ZGEMM; the blocked
-  // Schur path keeps that true of this reproduction.
+  // The paper attributes "the bulk of the calculation" to ZGEMM; the
+  // spin-block Schur path keeps that true of this reproduction.
   {
     const lsms::LsmsSolver solver(lattice::make_fe_supercell(2),
                                   lsms::fe_lsms_parameters());

@@ -46,8 +46,8 @@ void zgemm_naive(Complex alpha, const ZMatrix& a, const ZMatrix& b,
 /// C (m x n, leading dimension ldc) = beta*C + alpha * A (m x k, lda) *
 /// B (k x n, ldb). The blocked LU and the Schur-complement zone solve do
 /// not go through it: they run on split planes with their own unpacked
-/// trailing-update tile (linalg/split.hpp, whose schur_solve is the seam an
-/// accelerator backend would intercept).
+/// trailing-update tile (linalg/split.hpp, whose spin_block_solve is the
+/// seam an accelerator backend would intercept).
 void zgemm_view(std::size_t m, std::size_t n, std::size_t k, Complex alpha,
                 const Complex* a, std::size_t lda, const Complex* b,
                 std::size_t ldb, Complex beta, Complex* c, std::size_t ldc);

@@ -249,6 +249,15 @@ void upper_solve(ConstView u, std::size_t w, MutView x) {
     }
 }
 
+// X (kNb x ncols) := U^-1 X, kSolveCols columns at a time.
+void upper_solve_columns(ConstView u, std::size_t w, MutView x,
+                         std::size_t ncols) {
+  std::size_t c = 0;
+  for (; c + kSolveCols <= ncols; c += kSolveCols)
+    upper_solve<kSolveCols>(u, w, x.at(0, c));
+  for (; c < ncols; ++c) upper_solve<1>(u, w, x.at(0, c));
+}
+
 // ---------------------------------------------------------------------------
 // Panel.
 
@@ -414,6 +423,88 @@ double lane_sum(Vd v) {
   return s;
 }
 
+// X (n x 2) := A^-1 X from split_getrf's factors of the order-n A: the row
+// swaps applied to X, then L y = P x and U x = y, each one kNb-row block at
+// a time: the block's triangle by the substitution kernel, then its product
+// with the rows below (forward) or above (backward) by the trailing tile.
+void solve_two_columns(ConstView lu, std::size_t n, std::size_t ld,
+                       const std::size_t* pivots, MutView x) {
+  for (std::size_t k = 0; k < n; ++k)
+    if (pivots[k] != k)
+      for (std::size_t c = 0; c < 2; ++c) {
+        std::swap(x.re(c)[k], x.re(c)[pivots[k]]);
+        std::swap(x.im(c)[k], x.im(c)[pivots[k]]);
+      }
+  for (std::size_t k0 = 0; k0 < n; k0 += kNb) {
+    const std::size_t w = std::min(kNb, n - k0);
+    lower_solve<2>(lu.at(k0, k0), w, x.at(k0, 0));
+    if (k0 + kNb < ld)
+      subtract_product(x.at(k0 + kNb, 0), lu.at(k0 + kNb, k0), x.at(k0, 0),
+                       ld - k0 - kNb, 2, w);
+  }
+  for (std::size_t k0 = (n - 1) / kNb * kNb;; k0 -= kNb) {
+    const std::size_t w = std::min(kNb, n - k0);
+    upper_solve<2>(lu.at(k0, k0), w, x.at(k0, 0));
+    if (k0 == 0) break;
+    subtract_product(x.at(0, 0), lu.at(0, k0), x.at(k0, 0), k0, 2, w);
+  }
+  perf::add_flops(perf::Kernel::kTrsm, perf::cost::zgetrs(n, 2));
+}
+
+// inv := A^-1 from split_getrf's factors of A, as ZGETRI forms it: L^-1 by
+// forward substitution on the identity, then U^-1 L^-1 by backward
+// substitution, then A^-1 = U^-1 L^-1 P^T by column swaps in reverse pivot
+// order. Column c of L^-1 is zero above row c, so the forward pass over
+// block k0 touches only columns [0, k0 + w); the flops do not depend on the
+// pivots and total perf::cost::zgetri(n).
+void invert_factored(const SplitMatrix& a,
+                     const std::vector<std::size_t>& pivots,
+                     SplitMatrix& inv) {
+  const std::size_t n = a.rows();
+  const std::size_t ld = a.ld();
+  inv.zero(n, n);
+  for (std::size_t c = 0; c < n; ++c) inv.re(c)[c] = 1.0;
+  const ConstView lu = view(a);
+  const MutView x = view(inv);
+  for (std::size_t k0 = 0; k0 < n; k0 += kNb) {
+    const std::size_t w = std::min(kNb, n - k0);
+    const std::size_t rem = n - k0 - w;
+    lower_solve_columns(lu.at(k0, k0), w, x.at(k0, 0), k0 + w);
+    perf::add_flops(perf::Kernel::kTrsm,
+                    perf::cost::ztrsm_unit_lower(w, k0) +
+                        perf::cost::ztrtri_unit_lower(w));
+    if (rem == 0) break;
+    subtract_product(x.at(k0 + kNb, 0), lu.at(k0 + kNb, k0), x.at(k0, 0),
+                     ld - k0 - kNb, k0 + w, w);
+    // The block's own column k0 + i reaches the rows below with depth
+    // w - i; those depths sum to w(w + 1)/2.
+    perf::add_flops(perf::Kernel::kZgemm,
+                    perf::cost::zgemm(rem, k0, w) +
+                        perf::cost::zgemm(rem, 1, w * (w + 1) / 2));
+  }
+  for (std::size_t k0 = (n - 1) / kNb * kNb;; k0 -= kNb) {
+    const std::size_t w = std::min(kNb, n - k0);
+    upper_solve_columns(lu.at(k0, k0), w, x.at(k0, 0), n);
+    perf::add_flops(perf::Kernel::kTrsm, perf::cost::ztrsm_upper(w, n));
+    if (k0 == 0) break;
+    subtract_product(x.at(0, 0), lu.at(0, k0), x.at(k0, 0), k0, n, w);
+    perf::add_flops(perf::Kernel::kZgemm, perf::cost::zgemm(k0, n, w));
+  }
+  // A column's planes are 2 ld contiguous doubles.
+  for (std::size_t k = n; k-- > 0;)
+    if (pivots[k] != k)
+      std::swap_ranges(inv.re(k), inv.re(k) + 2 * ld, inv.re(pivots[k]));
+}
+
+// spin_block_solve's flops besides zgetrs and the LUs and the inverse: per
+// entry of S2 one complex multiply and one complex multiply-subtract; the
+// products F^-1 b and F^-T c; the scalings T_ud o (F^-T c) and T_du o w;
+// and the five closing dot products.
+std::uint64_t schur_update_flops(std::uint64_t n) {
+  return 14 * n * n + perf::cost::zgemm(n, 2, n) + 12 * n +
+         perf::cost::zgemm(2, 2, n) + perf::cost::zgemm(1, 1, n);
+}
+
 }  // namespace
 
 SplitMatrix::SplitMatrix(std::size_t rows, std::size_t cols)
@@ -425,6 +516,13 @@ SplitMatrix::SplitMatrix(std::size_t rows, std::size_t cols)
 SplitMatrix::SplitMatrix(const ZMatrix& m) : SplitMatrix(m.rows(), m.cols()) {
   for (std::size_t c = 0; c < cols_; ++c)
     for (std::size_t r = 0; r < rows_; ++r) set(r, c, m(r, c));
+}
+
+void SplitMatrix::zero(std::size_t rows, std::size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  ld_ = padded_rows(rows);
+  data_.assign(stride() * cols, 0.0);
 }
 
 void SplitMatrix::copy_to(ZMatrix& m) const {
@@ -456,63 +554,136 @@ int split_getrf(SplitMatrix& a, std::vector<std::size_t>& pivots) {
   return parity;
 }
 
-void schur_solve(SplitMatrix& a, SplitMatrix& b, const SplitMatrix& ct,
-                 std::vector<std::size_t>& pivots, std::array<Complex, 4>& s) {
-  const std::size_t n = a.rows();
-  WLSMS_EXPECTS(b.rows() == n && b.cols() == 2);
-  WLSMS_EXPECTS(ct.rows() == n && ct.cols() == 2);
+void spin_block_solve(const SplitMatrix& k, const SplitMatrix& b,
+                      const SplitMatrix& c,
+                      const std::array<Complex, 4>* site_blocks,
+                      SpinBlockWorkspace& ws, std::array<Complex, 4>& s) {
+  const std::size_t n = k.rows();
+  WLSMS_EXPECTS(k.cols() == n);
+  WLSMS_EXPECTS(b.rows() == n && b.cols() == 1);
+  WLSMS_EXPECTS(c.rows() == n && c.cols() == 1);
   if (n == 0) return;
-  split_getrf(a, pivots);
-  const MutView lu = view(a);
-  const MutView x = view(b);
-  const std::size_t ld = a.ld();
+  const std::size_t ld = k.ld();
 
-  // Forward substitution L y = P b, one block of rows at a time: solve the
-  // block's unit-lower triangle, then subtract its product from the rows
-  // below with the trailing-update tile.
-  for (std::size_t k = 0; k < n; ++k)
-    if (pivots[k] != k)
-      for (std::size_t c = 0; c < 2; ++c) {
-        std::swap(x.re(c)[k], x.re(c)[pivots[k]]);
-        std::swap(x.im(c)[k], x.im(c)[pivots[k]]);
-      }
-  for (std::size_t k0 = 0; k0 < n; k0 += kNb) {
-    const std::size_t w = std::min(kNb, n - k0);
-    lower_solve<2>(lu.at(k0, k0), w, x.at(k0, 0));
-    if (k0 + kNb < ld)
-      subtract_product(x.at(k0 + kNb, 0), lu.at(k0 + kNb, k0), x.at(k0, 0),
-                       ld - k0 - kNb, 2, w);
-  }
-  // Backward substitution U x = y, bottom block first.
-  for (std::size_t k0 = (n - 1) / kNb * kNb;; k0 -= kNb) {
-    const std::size_t w = std::min(kNb, n - k0);
-    upper_solve<2>(lu.at(k0, k0), w, x.at(k0, 0));
-    if (k0 == 0) break;
-    subtract_product(x.at(0, 0), lu.at(0, k0), x.at(k0, 0), k0, 2, w);
-  }
-  perf::add_flops(perf::Kernel::kTrsm, perf::cost::zgetrs(n, 2));
+  // F = K + T_uu (K's diagonal is zero), factored, then inverted.
+  ws.f = k;
+  for (std::size_t j = 0; j < n; ++j) ws.f.set(j, j, site_blocks[j][0]);
+  split_getrf(ws.f, ws.f_pivots);
+  invert_factored(ws.f, ws.f_pivots, ws.f_inverse);
 
-  // S -= C X: four complex dot products over the rows (pads are zero).
-  const ConstView c = view(ct);
-  Vd acc_r[2][2] = {};
-  Vd acc_i[2][2] = {};
-  for (std::size_t r = 0; r < ld; r += kVec)
-    for (std::size_t p = 0; p < 2; ++p) {
-      const Vd cr = simd::load(c.re(p) + r);
-      const Vd ci = simd::load(c.im(p) + r);
-      for (std::size_t q = 0; q < 2; ++q) {
-        const Vd xr = simd::load(x.re(q) + r);
-        const Vd xi = simd::load(x.im(q) + r);
-        acc_r[p][q] = acc_r[p][q] + cr * xr;
-        acc_r[p][q] = acc_r[p][q] - ci * xi;
-        acc_i[p][q] = acc_i[p][q] + cr * xi;
-        acc_i[p][q] = acc_i[p][q] + ci * xr;
-      }
+  // One pass over F^-1's columns writes S2 = K + T_dd - T_du F^-1 T_ud
+  // over F's spent factors and accumulates w = F^-1 b and F^-T c.
+  ws.vectors.zero(n, 3);
+  double* const du_re = ws.vectors.re(0);
+  double* const du_im = ws.vectors.im(0);
+  double* const w_re = ws.vectors.re(1);
+  double* const w_im = ws.vectors.im(1);
+  for (std::size_t j = 0; j < n; ++j) {
+    du_re[j] = site_blocks[j][2].real();
+    du_im[j] = site_blocks[j][2].imag();
+  }
+  const ConstView inv = view(ws.f_inverse);
+  const ConstView hop = view(k);
+  const MutView s2 = view(ws.f);
+  for (std::size_t col = 0; col < n; ++col) {
+    const Complex ud = site_blocks[col][1];
+    const Vd ur = simd::broadcast(ud.real());
+    const Vd ui = simd::broadcast(ud.imag());
+    const Vd br = simd::broadcast(b.re(0)[col]);
+    const Vd bi = simd::broadcast(b.im(0)[col]);
+    Vd acc_r = simd::broadcast(0.0);
+    Vd acc_i = acc_r;
+    for (std::size_t r = 0; r < ld; r += kVec) {
+      const Vd xr = simd::load(inv.re(col) + r);
+      const Vd xi = simd::load(inv.im(col) + r);
+      const Vd tr = xr * ur - xi * ui;
+      const Vd ti = xr * ui + xi * ur;
+      const Vd dr = simd::load(du_re + r);
+      const Vd di = simd::load(du_im + r);
+      Vd yr = simd::load(hop.re(col) + r) - dr * tr;
+      yr = yr + di * ti;
+      Vd yi = simd::load(hop.im(col) + r) - dr * ti;
+      yi = yi - di * tr;
+      simd::store(s2.re(col) + r, yr);
+      simd::store(s2.im(col) + r, yi);
+      Vd wr = simd::load(w_re + r) + xr * br;
+      wr = wr - xi * bi;
+      Vd wi = simd::load(w_im + r) + xr * bi;
+      wi = wi + xi * br;
+      simd::store(w_re + r, wr);
+      simd::store(w_im + r, wi);
+      const Vd cr = simd::load(c.re(0) + r);
+      const Vd ci = simd::load(c.im(0) + r);
+      acc_r = acc_r + cr * xr;
+      acc_r = acc_r - ci * xi;
+      acc_i = acc_i + cr * xi;
+      acc_i = acc_i + ci * xr;
     }
-  for (std::size_t p = 0; p < 2; ++p)
-    for (std::size_t q = 0; q < 2; ++q)
-      s[p + 2 * q] -= Complex{lane_sum(acc_r[p][q]), lane_sum(acc_i[p][q])};
-  perf::add_flops(perf::Kernel::kZgemm, perf::cost::zgemm(2, 2, n));
+    // K's diagonal is zero, so adding T_dd now equals assembling it first.
+    s2.re(col)[col] += site_blocks[col][3].real();
+    s2.im(col)[col] += site_blocks[col][3].imag();
+    ws.vectors.set(col, 2, ud * Complex{lane_sum(acc_r), lane_sum(acc_i)});
+  }
+  split_getrf(ws.f, ws.s2_pivots);
+
+  // S2 [x0 x1] = [T_du o w, b]: then x0 = -x_dn(0) and x1 = x_dn(1), the
+  // down-spin halves of A^-1 B, and
+  //   C A^-1 B = [ c.w + y.x0   -y.x1 ]    with y = T_ud o F^-T c.
+  //              [ -c.x0         c.x1 ]
+  ws.x.zero(n, 2);
+  const MutView x = view(ws.x);
+  for (std::size_t r = 0; r < ld; r += kVec) {
+    const Vd dr = simd::load(du_re + r);
+    const Vd di = simd::load(du_im + r);
+    const Vd wr = simd::load(w_re + r);
+    const Vd wi = simd::load(w_im + r);
+    simd::store(x.re(0) + r, dr * wr - di * wi);
+    simd::store(x.im(0) + r, dr * wi + di * wr);
+    simd::store(x.re(1) + r, simd::load(b.re(0) + r));
+    simd::store(x.im(1) + r, simd::load(b.im(0) + r));
+  }
+  solve_two_columns(view(ws.f), n, ld, ws.s2_pivots.data(), x);
+
+  // The closing dot products (pad rows are zero): {c.w, y.x0, c.x0, y.x1,
+  // c.x1}.
+  const double* const y_re = ws.vectors.re(2);
+  const double* const y_im = ws.vectors.im(2);
+  Vd acc_r[5] = {};
+  Vd acc_i[5] = {};
+  const auto dot = [&](std::size_t slot, Vd pr, Vd pi, Vd qr, Vd qi)
+      __attribute__((always_inline)) {
+        acc_r[slot] = acc_r[slot] + pr * qr;
+        acc_r[slot] = acc_r[slot] - pi * qi;
+        acc_i[slot] = acc_i[slot] + pr * qi;
+        acc_i[slot] = acc_i[slot] + pi * qr;
+      };
+  for (std::size_t r = 0; r < ld; r += kVec) {
+    const Vd cr = simd::load(c.re(0) + r);
+    const Vd ci = simd::load(c.im(0) + r);
+    const Vd yr = simd::load(y_re + r);
+    const Vd yi = simd::load(y_im + r);
+    const Vd x0r = simd::load(x.re(0) + r);
+    const Vd x0i = simd::load(x.im(0) + r);
+    const Vd x1r = simd::load(x.re(1) + r);
+    const Vd x1i = simd::load(x.im(1) + r);
+    dot(0, cr, ci, simd::load(w_re + r), simd::load(w_im + r));
+    dot(1, yr, yi, x0r, x0i);
+    dot(2, cr, ci, x0r, x0i);
+    dot(3, yr, yi, x1r, x1i);
+    dot(4, cr, ci, x1r, x1i);
+  }
+  Complex d[5];
+  for (std::size_t slot = 0; slot < 5; ++slot)
+    d[slot] = {lane_sum(acc_r[slot]), lane_sum(acc_i[slot])};
+  s[0] -= d[0] + d[1];
+  s[1] += d[2];
+  s[2] += d[3];
+  s[3] -= d[4];
+  perf::add_flops(perf::Kernel::kZgemm, schur_update_flops(n));
+}
+
+std::uint64_t spin_block_coupling_flops(std::size_t l) {
+  return schur_update_flops(l) + perf::cost::zgetrs(l, 2);
 }
 
 }  // namespace wlsms::linalg

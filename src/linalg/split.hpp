@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file split.hpp
-/// Split-complex dense kernels: the blocked LU and the Schur-complement
-/// solve of the LIZ member block, on separate real and imaginary planes.
+/// Split-complex dense kernels: the blocked LU, and the spin-block solve of
+/// the LIZ member block, on separate real and imaginary planes.
 ///
 /// Interleaved std::complex storage forces every vector loop to shuffle
 /// real and imaginary parts apart and back; short loops over it (the LU
@@ -18,14 +18,19 @@
 ///    time held in registers;
 ///  - trailing update: A22 -= L21 U12 by a register tile that loads C from
 ///    the planes, reads L21 and U12 where they lie, and stores C back;
-///  - the two-column solve and the 2x2 Schur product of schur_solve.
+///  - spin_block_solve: the LU of the spin-up block F, F^-1 from its
+///    factors (the same substitution kernels and tile), the Schur
+///    complement S2 and its LU, a two-column solve and the 2x2 closing
+///    products.
 ///
 /// Flops are booked per step under perf::Kernel::kPanel / kTrsm / kZgemm;
-/// the totals equal perf::cost::zgetrf_blocked(n, kLuBlockSize) (which is
-/// also the unblocked count: blocking only moves flops between kernels).
+/// split_getrf's totals equal perf::cost::zgetrf_blocked(n, kLuBlockSize)
+/// (which is also the unblocked count: blocking only moves flops between
+/// kernels), and the inverse's equal perf::cost::zgetri(n).
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <new>
 #include <vector>
 
@@ -52,6 +57,10 @@ class SplitMatrix {
 
   /// Deinterleaves `m`.
   explicit SplitMatrix(const ZMatrix& m);
+
+  /// Becomes rows x cols of zeros, reusing the storage when it is large
+  /// enough (workspaces reshaped from zone to zone do not reallocate).
+  void zero(std::size_t rows, std::size_t cols);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -112,14 +121,41 @@ class SplitMatrix {
 /// the column of an exactly zero pivot.
 int split_getrf(SplitMatrix& a, std::vector<std::size_t>& pivots);
 
-/// The member elimination of the Schur-complement tau solve (lsms/kkr.hpp),
-/// and the one entry point an offload backend would intercept: factors the
-/// square A in place (split_getrf), overwrites the order x 2 block B with
-/// A^-1 B, and subtracts C A^-1 B from the 2x2 block `s` (column-major:
-/// {s00, s10, s01, s11}). C (2 x order) is passed transposed, as the
-/// order x 2 `ct`.
-void schur_solve(SplitMatrix& a, SplitMatrix& b, const SplitMatrix& ct,
-                 std::vector<std::size_t>& pivots,
-                 std::array<Complex, 4>& s);
+/// Scratch of spin_block_solve, sized on first use per order and reused
+/// across calls (one per thread), so the solve allocates nothing in steady
+/// state.
+struct SpinBlockWorkspace {
+  SplitMatrix f;          ///< F and its LU, then S2 and its LU
+  SplitMatrix f_inverse;  ///< F^-1
+  SplitMatrix vectors;    ///< T_dn-up, w = F^-1 b, T_up-dn o (F^-T c)
+  SplitMatrix x;          ///< the two right-hand sides, then their solution
+  std::vector<std::size_t> f_pivots;   ///< F's row swaps (split_getrf)
+  std::vector<std::size_t> s2_pivots;  ///< S2's row swaps
+};
+
+/// The member elimination of the zone's tau solve (lsms/kkr.hpp), and the
+/// one entry point an offload backend would intercept. In spin-major order
+/// the 2L x 2L member block is
+///
+///   A = [ K + T_uu   T_ud     ]     B = [ b  0 ]     C = [ c^T  0  ]
+///       [ T_du       K + T_dd ]         [ 0  b ]         [ 0   c^T ]
+///
+/// with the L x L hopping `k` (zero diagonal), the L-vectors `b` and `c`
+/// (L x 1), and diagonal T blocks: `site_blocks[j]` is member j's row-major
+/// 2x2 {T_uu, T_ud, T_du, T_dd}. The solve factors F = K + T_uu, forms
+/// F^-1, factors the Schur complement S2 = K + T_dd - T_du F^-1 T_ud, and
+/// subtracts C A^-1 B from the 2x2 block `s` (column-major: {s00, s10, s01,
+/// s11}). No pivoting crosses the two spin blocks; a zero pivot in F or S2
+/// throws SingularMatrixError. Flops: two zgetrf_blocked(L), zgetri(L) and
+/// spin_block_coupling_flops(L), half of one LU of order 2L.
+void spin_block_solve(const SplitMatrix& k, const SplitMatrix& b,
+                      const SplitMatrix& c,
+                      const std::array<Complex, 4>* site_blocks,
+                      SpinBlockWorkspace& ws, std::array<Complex, 4>& s);
+
+/// The flops spin_block_solve books at block order l besides its two LUs
+/// and F^-1: the Schur update of S2, w = F^-1 b and F^-T c, the two-column
+/// solve, and the closing scalings and products.
+std::uint64_t spin_block_coupling_flops(std::size_t l);
 
 }  // namespace wlsms::linalg

@@ -9,32 +9,41 @@
 
 namespace wlsms::lsms {
 
+namespace {
+
+// A displacement quantized to 1e-9 a0: the canonical LIZ member order and
+// the geometry key.
+std::array<std::int64_t, 3> quantized(const Vec3& d) {
+  const auto q = [](double x) {
+    return static_cast<std::int64_t>(std::llround(x * 1e9));
+  };
+  return {q(d.x), q(d.y), q(d.z)};
+}
+
+}  // namespace
+
 LizGeometry build_liz(const lattice::Structure& structure, std::size_t site,
                       double liz_radius) {
   WLSMS_EXPECTS(liz_radius > 0.0);
   LizGeometry liz;
   liz.center = site;
   liz.members = structure.neighbors_within(site, liz_radius);
+  // neighbors_within orders by (distance, site index), and site indices
+  // permute between congruent zones; the displacements alone do not.
+  std::sort(liz.members.begin(), liz.members.end(),
+            [](const lattice::Neighbor& a, const lattice::Neighbor& b) {
+              return quantized(a.displacement) < quantized(b.displacement);
+            });
   return liz;
 }
 
 std::vector<std::int64_t> geometry_key(const LizGeometry& liz) {
-  // Quantize to 1e-9 a0; displacements are already sorted by distance and
-  // site index by neighbors_within, which is stable across congruent zones
-  // of a periodic crystal only up to site relabeling -- so the key uses the
-  // displacement vectors alone, re-sorted lexicographically.
-  std::vector<std::array<std::int64_t, 3>> rows;
-  rows.reserve(liz.members.size());
-  const auto quantize = [](double x) {
-    return static_cast<std::int64_t>(std::llround(x * 1e9));
-  };
-  for (const lattice::Neighbor& n : liz.members)
-    rows.push_back({quantize(n.displacement.x), quantize(n.displacement.y),
-                    quantize(n.displacement.z)});
-  std::sort(rows.begin(), rows.end());
   std::vector<std::int64_t> key;
-  key.reserve(rows.size() * 3);
-  for (const auto& r : rows) key.insert(key.end(), r.begin(), r.end());
+  key.reserve(liz.members.size() * 3);
+  for (const lattice::Neighbor& n : liz.members) {
+    const std::array<std::int64_t, 3> q = quantized(n.displacement);
+    key.insert(key.end(), q.begin(), q.end());
+  }
   return key;
 }
 
@@ -113,22 +122,14 @@ SchurTemplates make_schur_templates(const linalg::ZMatrix& scalar_propagator,
   WLSMS_EXPECTS(scalar_propagator.square() && scalar_propagator.rows() >= 1);
   const std::size_t l = scalar_propagator.rows() - 1;  // member count
   SchurTemplates t;
-  t.a0 = linalg::SplitMatrix(2 * l, 2 * l);
-  t.b0 = linalg::SplitMatrix(2 * l, 2);
-  t.ct0 = linalg::SplitMatrix(2 * l, 2);
+  t.k = linalg::SplitMatrix(l, l);
+  t.b = linalg::SplitMatrix(l, 1);
+  t.c = linalg::SplitMatrix(l, 1);
   for (std::size_t k = 0; k < l; ++k) {
-    for (std::size_t j = 0; j < l; ++j) {
-      if (j == k) continue;
-      const Complex g = -strength * scalar_propagator(j + 1, k + 1);
-      t.a0.set(2 * j, 2 * k, g);
-      t.a0.set(2 * j + 1, 2 * k + 1, g);
-    }
-    const Complex gb = -strength * scalar_propagator(k + 1, 0);
-    t.b0.set(2 * k, 0, gb);
-    t.b0.set(2 * k + 1, 1, gb);
-    const Complex gc = -strength * scalar_propagator(0, k + 1);
-    t.ct0.set(2 * k, 0, gc);
-    t.ct0.set(2 * k + 1, 1, gc);
+    for (std::size_t j = 0; j < l; ++j)
+      if (j != k) t.k.set(j, k, -strength * scalar_propagator(j + 1, k + 1));
+    t.b.set(k, 0, -strength * scalar_propagator(k + 1, 0));
+    t.c.set(k, 0, -strength * scalar_propagator(0, k + 1));
   }
   return t;
 }
@@ -137,31 +138,18 @@ spin::Spin2x2 central_tau_schur(const SchurTemplates& templates,
                                 const spin::Spin2x2& center_t_inverse,
                                 const spin::Spin2x2* member_t_inverse,
                                 SchurWorkspace& ws) {
-  const std::size_t n = templates.a0.rows();  // 2L
-  const std::size_t l = n / 2;
   // Schur complement S = D - C A^{-1} B, stored column-major in s
   // ({s00, s10, s01, s11}); starts as D = the center's t^-1 block.
   std::array<Complex, 4> s = {center_t_inverse[0], center_t_inverse[2],
                               center_t_inverse[1], center_t_inverse[3]};
-  if (l > 0) {
-    // A = hopping template + t^-1 site diagonals; the template's diagonal
-    // blocks are zero, so overwriting them places the moment dependence.
-    ws.a = templates.a0;
-    for (std::size_t j = 0; j < l; ++j) {
-      const spin::Spin2x2& ti = member_t_inverse[j];
-      ws.a.set(2 * j, 2 * j, ti[0]);
-      ws.a.set(2 * j, 2 * j + 1, ti[1]);
-      ws.a.set(2 * j + 1, 2 * j, ti[2]);
-      ws.a.set(2 * j + 1, 2 * j + 1, ti[3]);
-    }
-    ws.bx = templates.b0;
-    linalg::schur_solve(ws.a, ws.bx, templates.ct0, ws.pivots, s);
-  }
+  linalg::spin_block_solve(templates.k, templates.b, templates.c,
+                           member_t_inverse, ws, s);
   // tau_00 = S^{-1}, closed form for the 2x2 block. Match the reference
   // full-LU path's failure mode (zgetrf throws on a zero pivot) instead of
   // silently propagating Inf/NaN tau into the energies.
   const Complex det = s[0] * s[3] - s[2] * s[1];
-  if (det == Complex{0.0, 0.0}) throw linalg::SingularMatrixError(n);
+  if (det == Complex{0.0, 0.0})
+    throw linalg::SingularMatrixError(2 * templates.k.rows());
   const Complex inv_det = Complex{1.0, 0.0} / det;
   return {s[3] * inv_det, -s[2] * inv_det, -s[1] * inv_det, s[0] * inv_det};
 }

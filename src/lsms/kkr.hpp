@@ -22,11 +22,17 @@
 ///    first) and solve for the two central columns. Reference path.
 ///  - `central_tau_schur`: order the center *last* and eliminate the
 ///    member block A, so tau_00 = (D - C A^{-1} B)^{-1} -- the Schur
-///    complement of the member block. The elimination is one call of
-///    linalg::schur_solve: the blocked LU of A on split real/imaginary
-///    planes, a two-column solve and a 2x2 product; the full
-///    back-substitution for zone columns is skipped entirely. This is the
-///    production hot path.
+///    complement of the member block. Propagation conserves spin and the
+///    t^-1 blocks are site-diagonal, so in spin-major order A is
+///    [[K + T_uu, T_ud], [T_du, K + T_dd]] with one L x L hopping matrix K
+///    and diagonal T blocks. The elimination is one call of
+///    linalg::spin_block_solve: the LU of the spin-up block F = K + T_uu,
+///    F^-1, the LU of its Schur complement, and O(L^2) vector work -- half
+///    the flops of one LU of order 2L. This is the production hot path.
+///
+/// LIZ members are listed in one canonical order, ascending quantized
+/// displacement (the order geometry_key lists them in), so every zone that
+/// shares a key also shares the member order its templates were built in.
 
 #include <cstddef>
 #include <vector>
@@ -49,13 +55,15 @@ struct LizGeometry {
   std::size_t zone_size() const { return members.size() + 1; }
 };
 
-/// Builds the LIZ of `site` with radius `liz_radius` (a0).
+/// Builds the LIZ of `site` with radius `liz_radius` (a0), members in the
+/// canonical order: ascending quantized displacement.
 LizGeometry build_liz(const lattice::Structure& structure, std::size_t site,
                       double liz_radius);
 
-/// Canonical cache key for a LIZ geometry: the sorted, quantized displacement
-/// list. Two atoms with congruent zones (every atom of a perfect periodic
-/// crystal) share propagator matrices through this key.
+/// Cache key for a LIZ geometry: the quantized displacements in member
+/// order. Two atoms with congruent zones (every atom of a perfect periodic
+/// crystal) get the same key and list the same displacement at every member
+/// index, so they share propagator matrices through it.
 std::vector<std::int64_t> geometry_key(const LizGeometry& liz);
 
 /// Scalar (spin-independent) propagator matrix of a zone at one energy:
@@ -84,15 +92,16 @@ spin::Spin2x2 central_tau_block(const linalg::ZMatrix& kkr);
 ///        [ C  D ]    C: 2 x 2L center-member,   D: 2 x 2 center t^-1,
 ///
 /// with only the site-diagonal 2x2 t^-1 blocks of A and all of D depending
-/// on the moments. `a0`/`b0`/`ct0` hold the -strength * g0 hopping terms
-/// (diagonal blocks of a0 zero) as split real/imaginary planes, the layout
-/// linalg::schur_solve factors in place; one instance per distinct
-/// geometry per contour point, shared between congruent zones and reused
-/// by every energy evaluation.
+/// on the moments. Hopping conserves spin, so each spin channel of A, B and
+/// C repeats one spin-free block: `k` (L x L, -strength * g0(r_jk), zero
+/// diagonal), `b` (L x 1, member-center) and `c` (L x 1, center-member), as
+/// split real/imaginary planes, the layout linalg::spin_block_solve reads.
+/// One instance per distinct geometry per contour point, shared between
+/// congruent zones and reused by every energy evaluation.
 struct SchurTemplates {
-  linalg::SplitMatrix a0;   ///< 2L x 2L member block, t^-1 diagonals zero
-  linalg::SplitMatrix b0;   ///< 2L x 2 member-center coupling
-  linalg::SplitMatrix ct0;  ///< C transposed: 2L x 2 center-member coupling
+  linalg::SplitMatrix k;  ///< L x L member hopping, zero diagonal
+  linalg::SplitMatrix b;  ///< L x 1 member-center coupling
+  linalg::SplitMatrix c;  ///< L x 1 center-member coupling
 };
 
 /// Builds the hopping templates of a zone from its scalar propagator matrix
@@ -100,22 +109,17 @@ struct SchurTemplates {
 SchurTemplates make_schur_templates(const linalg::ZMatrix& scalar_propagator,
                                     double strength);
 
-/// Reusable workspace for central_tau_schur: the member matrix the blocked
-/// LU destroys, the B panel the solve overwrites (both split planes), and
-/// the pivot sequence. Sized on first use per zone order and reused across
-/// contour points and energy evaluations (one instance per thread), so the
-/// hot path performs no allocation in steady state.
-struct SchurWorkspace {
-  linalg::SplitMatrix a;
-  linalg::SplitMatrix bx;
-  std::vector<std::size_t> pivots;
-};
+/// Reusable workspace for central_tau_schur: the kernel's matrices, vectors
+/// and pivots, sized on first use per zone order and reused across contour
+/// points and energy evaluations (one instance per thread), so the hot path
+/// performs no allocation in steady state.
+using SchurWorkspace = linalg::SpinBlockWorkspace;
 
 /// Central 2x2 block of the zone's M^-1 via block elimination of the member
 /// block: tau_00 = (D - C A^{-1} B)^{-1}. `member_t_inverse[j]` is the
 /// inverse t-matrix of LIZ member j (zone order), `center_t_inverse` that
 /// of the central atom (= D). Agrees with central_tau_block to roundoff;
-/// the member elimination is linalg::schur_solve.
+/// the member elimination is linalg::spin_block_solve.
 spin::Spin2x2 central_tau_schur(const SchurTemplates& templates,
                                 const spin::Spin2x2& center_t_inverse,
                                 const spin::Spin2x2* member_t_inverse,

@@ -69,9 +69,9 @@ double LsmsSolver::zone_energy(
   const std::size_t n_points = contour_.size();
   const std::size_t n_members = liz.members.size();
 
-  // Per-thread reusable scratch: the member matrix / B panel / pivots the
-  // Schur elimination destroys, plus the zone-ordered t^-1 gather. Sized on
-  // first use, so steady-state evaluations allocate nothing.
+  // Per-thread reusable scratch: the spin-block kernel's matrices, vectors
+  // and pivots, plus the zone-ordered t^-1 gather. Sized on first use, so
+  // steady-state evaluations allocate nothing.
   static thread_local SchurWorkspace workspace;
   static thread_local std::vector<spin::Spin2x2> member_tinv;
   member_tinv.resize(n_members);
@@ -184,15 +184,16 @@ const std::vector<std::size_t>& LsmsSolver::affected_sites(
 
 std::uint64_t LsmsSolver::flops_per_zone_energy(std::size_t i) const {
   WLSMS_EXPECTS(i < n_atoms());
-  const std::uint64_t l = lizs_[i].members.size();
+  const std::size_t l = lizs_[i].members.size();
   if (l == 0) return 0;  // zone is the bare center: closed-form 2x2 only
-  const std::uint64_t order = 2 * l;
-  // linalg::schur_solve: blocked member-block LU + two-column solve + 2x2
-  // Schur product; assembly and the closed-form 2x2 inversion are
-  // uncounted on both the analytic and instrumented sides.
+  // linalg::spin_block_solve: the LUs of the L x L spin-up block F and of
+  // its Schur complement, F^-1 from F's factors, and the O(L^2) Schur
+  // update, vector products and two-column solve; assembly and the
+  // closed-form 2x2 inversion are uncounted on both the analytic and
+  // instrumented sides.
   const std::uint64_t per_point =
-      linalg::zgetrf_flops(order, linalg::LuAlgorithm::kBlocked) +
-      perf::cost::zgetrs(order, 2) + perf::cost::zgemm(2, 2, order);
+      2 * linalg::zgetrf_flops(l, linalg::LuAlgorithm::kBlocked) +
+      perf::cost::zgetri(l) + linalg::spin_block_coupling_flops(l);
   return per_point * contour_.size();
 }
 

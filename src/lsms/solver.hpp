@@ -17,8 +17,10 @@
 /// Hot-path structure (the paper's "bulk of the calculation is done by
 /// ZGEMM"): per zone and contour point the center's tau block is obtained
 /// by Schur complement of the member block (center ordered last), whose
-/// elimination is a blocked, GEMM-dominated LU. Configuration-independent
-/// hopping blocks are precomputed per distinct geometry per contour point;
+/// elimination is the spin-block kernel: GEMM-dominated LUs of the L x L
+/// spin-up block and of its Schur complement, and the inverse of the
+/// first (lsms/kkr.hpp). Configuration-independent spin-free hopping
+/// blocks are precomputed per distinct geometry per contour point;
 /// the inverse single-site t-matrices are built per configuration, once for
 /// each job of a solve_zones call. t_inverse is pure, so a built solver
 /// never changes after construction and any number of threads may call it
@@ -119,10 +121,10 @@ class LsmsSolver {
   const std::vector<std::size_t>& affected_sites(std::size_t site) const;
 
   /// Analytic count of real flops one full energy evaluation retires
-  /// (assembly and closed-form 2x2 algebra excluded; member-block
-  /// factorization + two-column solve + 2x2 Schur product, summed over
-  /// atoms and contour points). Matches the instrumented perf counters
-  /// exactly.
+  /// (assembly and closed-form 2x2 algebra excluded; the spin-block
+  /// kernel's two LUs, one inverse and O(L^2) Schur and coupling work,
+  /// summed over atoms and contour points). Matches the instrumented perf
+  /// counters exactly.
   std::uint64_t flops_per_energy() const;
 
   /// Analytic flops of atom i's zone solve across the contour (the

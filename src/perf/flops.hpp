@@ -24,8 +24,10 @@ namespace wlsms::perf {
 /// is not one of the named level-3 kernels (GEMV, small closed-form ops).
 enum class Kernel : unsigned {
   kZgemm = 0,  ///< matrix-matrix products: packed/naive ZGEMM, the blocked
-               ///< LU's trailing update, the 2x2 Schur product
-  kTrsm = 1,   ///< triangular solves (row-panel substitution, GETRS)
+               ///< LU's trailing update, the tile products of the inverse,
+               ///< the spin-block Schur and coupling products
+  kTrsm = 1,   ///< triangular solves (row-panel substitution, GETRS, the
+               ///< diagonal-block substitutions of the inverse)
   kPanel = 2,  ///< LU panel steps (pivoting, scaling, in-panel updates)
   kOther = 3,  ///< everything else (GEMV, accumulations)
 };
@@ -107,6 +109,28 @@ constexpr std::uint64_t zgetrs(std::uint64_t n, std::uint64_t nrhs) {
 constexpr std::uint64_t ztrsm_unit_lower(std::uint64_t n,
                                          std::uint64_t nrhs) {
   return n == 0 ? 0 : 4ULL * n * (n - 1) * nrhs;
+}
+
+/// Inverse of an n x n unit-lower triangular matrix, column c by forward
+/// substitution on e_c from row c down: the sum of ztrsm_unit_lower(m, 1)
+/// over m = 1..n.
+constexpr std::uint64_t ztrtri_unit_lower(std::uint64_t n) {
+  return n == 0 ? 0 : 4ULL * (n - 1) * n * (n + 1) / 3ULL;
+}
+
+/// Upper triangular solve U X = B with U (n x n, general diagonal) and nrhs
+/// right-hand sides: per column, n(n-1)/2 complex fused multiply-adds and n
+/// complex multiplies by a diagonal reciprocal.
+constexpr std::uint64_t ztrsm_upper(std::uint64_t n, std::uint64_t nrhs) {
+  return n == 0 ? 0 : nrhs * (4ULL * n * (n - 1) + 6ULL * n);
+}
+
+/// Inverse of an n x n matrix from its LU factors, ZGETRI's arithmetic:
+/// L^-1 by forward substitution on the identity (column c from row c), then
+/// U^-1 L^-1 by backward substitution; the column swaps retire no flops.
+/// 16n^3/3 to leading order, twice zgetrf.
+constexpr std::uint64_t zgetri(std::uint64_t n) {
+  return ztrtri_unit_lower(n) + ztrsm_upper(n, n);
 }
 
 /// Unblocked partial-pivoting LU of an m x n panel (m >= n): per column j,

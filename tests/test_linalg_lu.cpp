@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -269,72 +270,199 @@ INSTANTIATE_TEST_SUITE_P(Orders, SplitLuOrders,
                          ::testing::Values(1, 2, 7, 8, 15, 16, 17, 28, 33, 63,
                                            64, 65, 127, 128, 130, 192));
 
+// One spin-block problem: the spin-free hopping k (L x L, zero diagonal),
+// the couplings b and c (L x 1) and the member site blocks {T_uu, T_ud,
+// T_du, T_dd}, as spin_block_solve takes them.
+struct SpinBlockProblem {
+  SplitMatrix k;
+  SplitMatrix b;
+  SplitMatrix c;
+  std::vector<std::array<Complex, 4>> blocks;
+};
+
+Complex random_complex(Rng& rng) {
+  return {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+}
+
+// A random problem with a symmetric k. Each site block is random, its
+// spin-diagonal entries scaled by `uu` and `dd` and shifted by `shift_uu`
+// and `shift_dd`, and its spin-flip entries scaled by `flip`.
+SpinBlockProblem random_spin_block(std::size_t l, Rng& rng, double uu = 1.0,
+                                   double dd = 1.0, double flip = 1.0,
+                                   double shift_uu = 0.0,
+                                   double shift_dd = 0.0) {
+  SpinBlockProblem p{SplitMatrix(l, l), SplitMatrix(l, 1), SplitMatrix(l, 1),
+                     {}};
+  for (std::size_t c = 0; c < l; ++c)
+    for (std::size_t r = 0; r < c; ++r) {
+      const Complex v = random_complex(rng);
+      p.k.set(r, c, v);
+      p.k.set(c, r, v);
+    }
+  for (std::size_t r = 0; r < l; ++r) {
+    p.b.set(r, 0, random_complex(rng));
+    p.c.set(r, 0, random_complex(rng));
+    p.blocks.push_back({uu * random_complex(rng) + shift_uu,
+                        flip * random_complex(rng), flip * random_complex(rng),
+                        dd * random_complex(rng) + shift_dd});
+  }
+  return p;
+}
+
+// C A^-1 B of the problem by the dense reference LU, with A, B and C
+// assembled in spin-major order (column-major 2x2: {00, 10, 01, 11}).
+std::array<Complex, 4> dense_coupling(const SpinBlockProblem& p) {
+  const std::size_t l = p.k.rows();
+  ZMatrix a(2 * l, 2 * l);
+  ZMatrix b(2 * l, 2);
+  ZMatrix c(2, 2 * l);
+  for (std::size_t sigma = 0; sigma < 2; ++sigma)
+    for (std::size_t j = 0; j < l; ++j) {
+      for (std::size_t k = 0; k < l; ++k)
+        a(sigma * l + j, sigma * l + k) = p.k(j, k);
+      for (std::size_t tau = 0; tau < 2; ++tau)
+        a(sigma * l + j, tau * l + j) += p.blocks[j][2 * sigma + tau];
+      b(sigma * l + j, sigma) = p.b(j, 0);
+      c(sigma, sigma * l + j) = p.c(j, 0);
+    }
+  const ZMatrix x = LuFactorization(a, LuAlgorithm::kUnblocked).solve(b);
+  const ZMatrix cx = multiply(c, x);
+  return {cx(0, 0), cx(1, 0), cx(0, 1), cx(1, 1)};
+}
+
+std::uint64_t spin_block_flops(std::size_t l) {
+  return 2 * zgetrf_flops(l, LuAlgorithm::kBlocked) + perf::cost::zgetri(l) +
+         spin_block_coupling_flops(l);
+}
+
+std::size_t swaps(const std::vector<std::size_t>& pivots) {
+  std::size_t n = 0;
+  for (std::size_t k = 0; k < pivots.size(); ++k) n += pivots[k] != k ? 1 : 0;
+  return n;
+}
+
+// Runs spin_block_solve on `p` from a fixed s and checks s -= C A^-1 B
+// against the dense reference, and the booked flops against the count.
+void expect_matches_dense(const SpinBlockProblem& p, SpinBlockWorkspace& ws,
+                          const std::string& label) {
+  const std::size_t l = p.k.rows();
+  const std::array<Complex, 4> s0 = {Complex{1, 0}, Complex{0, 1},
+                                     Complex{2, 0}, Complex{0, 2}};
+  std::array<Complex, 4> s = s0;
+  const perf::FlopWindow window;
+  spin_block_solve(p.k, p.b, p.c, p.blocks.data(), ws, s);
+  EXPECT_EQ(window.elapsed(), spin_block_flops(l)) << label;
+  const std::array<Complex, 4> cab = dense_coupling(p);
+  double scale = 0.0;
+  for (const Complex& v : cab) scale = std::max(scale, std::abs(v));
+  for (int e = 0; e < 4; ++e)
+    EXPECT_LT(std::abs(s[e] - (s0[e] - cab[e])), 1e-11 * scale)
+        << label << " entry " << e;
+}
+
 TEST(SplitLu, PivotsOnGeneralMatricesAndKeepsPadRowsZero) {
   // The planes' pad rows (order 28 pads to 32) must stay exactly zero
-  // through the factorization and the Schur solve, or a later kernel that
-  // sweeps whole vectors would fold garbage into real rows.
-  const std::size_t n = 28;
+  // through the factorizations, the inverse and the solve, or a later
+  // kernel that sweeps whole vectors would fold garbage into real rows.
+  // Tiny site blocks leave both spin blocks dominated by the hopping, so
+  // both factorizations pivot.
+  const std::size_t l = 28;
   Rng rng(2801);
-  const ZMatrix a = random_general(n, rng);
-  SplitMatrix planes(a);
-  ASSERT_GT(planes.ld(), n);
-  std::vector<std::size_t> pivots;
-  SplitMatrix b(n, 2);
-  SplitMatrix ct(n, 2);
-  for (std::size_t c = 0; c < 2; ++c)
-    for (std::size_t r = 0; r < n; ++r) {
-      b.set(r, c, {rng.uniform(-1, 1), rng.uniform(-1, 1)});
-      ct.set(r, c, {rng.uniform(-1, 1), rng.uniform(-1, 1)});
-    }
+  const SpinBlockProblem p = random_spin_block(l, rng, 1e-3, 1e-3, 1e-3);
+  SpinBlockWorkspace ws;
   std::array<Complex, 4> s{};
-  schur_solve(planes, b, ct, pivots, s);
-  std::size_t swaps = 0;
-  for (std::size_t k = 0; k < n; ++k) swaps += pivots[k] != k ? 1 : 0;
-  EXPECT_GT(swaps, 0u);
-  for (const SplitMatrix* m : {&planes, &b})
+  spin_block_solve(p.k, p.b, p.c, p.blocks.data(), ws, s);
+  ASSERT_GT(ws.f.ld(), l);
+  EXPECT_GT(swaps(ws.f_pivots), 0u);
+  EXPECT_GT(swaps(ws.s2_pivots), 0u);
+  for (const SplitMatrix* m : {&ws.f, &ws.f_inverse, &ws.vectors, &ws.x})
     for (std::size_t c = 0; c < m->cols(); ++c)
-      for (std::size_t r = n; r < m->ld(); ++r) {
+      for (std::size_t r = l; r < m->ld(); ++r) {
         EXPECT_EQ(m->re(c)[r], 0.0) << "row " << r << " col " << c;
         EXPECT_EQ(m->im(c)[r], 0.0) << "row " << r << " col " << c;
       }
 }
 
-TEST(SplitLu, SchurSolveMatchesDenseAlgebra) {
-  // s -= C A^-1 B against the interleaved reference LU, and B comes back as
-  // A^-1 B.
-  for (const std::size_t n : {std::size_t{5}, std::size_t{28},
-                              std::size_t{40}, std::size_t{128}}) {
-    Rng rng(4000 + n);
-    const ZMatrix a = random_general(n, rng);
-    ZMatrix b(n, 2);
-    ZMatrix c(2, n);
-    for (std::size_t r = 0; r < n; ++r)
-      for (std::size_t k = 0; k < 2; ++k) {
-        b(r, k) = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
-        c(k, r) = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
-      }
-    const ZMatrix x = LuFactorization(a, LuAlgorithm::kUnblocked).solve(b);
-    const ZMatrix cx = multiply(c, x);
+TEST(SplitLu, SpinBlockSolveMatchesDenseAlgebra) {
+  // s -= C A^-1 B against the interleaved reference LU of the assembled
+  // 2L x 2L block, at orders around the 16-row block edges and at the fast
+  // (L = 14) and paper (L = 64) zones, with exact flop bookkeeping.
+  SpinBlockWorkspace ws;
+  for (const std::size_t l : {1, 5, 14, 16, 17, 64, 65}) {
+    Rng rng(4000 + l);
+    expect_matches_dense(random_spin_block(l, rng), ws,
+                         "L=" + std::to_string(l));
+  }
+}
 
-    SplitMatrix planes(a);
-    SplitMatrix bx(b);
-    SplitMatrix ct(n, 2);
-    for (std::size_t r = 0; r < n; ++r)
-      for (std::size_t k = 0; k < 2; ++k) ct.set(r, k, c(k, r));
+TEST(SplitLu, SpinBlockSolvePivotsInEitherSpinBlock) {
+  // Small T_uu leaves F = K + T_uu dominated by the hopping, so its LU
+  // swaps rows, while a large T_dd makes S2 diagonally dominant; then the
+  // other way round. No pivoting crosses the spin blocks, and each case
+  // must still match the dense reference.
+  SpinBlockWorkspace ws;
+  for (const std::size_t l : {14, 64, 65}) {
+    const double big = 4.0 * static_cast<double>(l);
+    Rng rng(4100 + l);
+    const SpinBlockProblem in_f =
+        random_spin_block(l, rng, 1e-3, 1.0, 1e-3, 0.0, big);
+    expect_matches_dense(in_f, ws, "F, L=" + std::to_string(l));
+    EXPECT_GT(swaps(ws.f_pivots), 0u) << "L=" << l;
+    EXPECT_EQ(swaps(ws.s2_pivots), 0u) << "L=" << l;
+
+    const SpinBlockProblem in_s2 =
+        random_spin_block(l, rng, 1.0, 1e-3, 1e-3, big, 0.0);
+    expect_matches_dense(in_s2, ws, "S2, L=" + std::to_string(l));
+    EXPECT_EQ(swaps(ws.f_pivots), 0u) << "L=" << l;
+    EXPECT_GT(swaps(ws.s2_pivots), 0u) << "L=" << l;
+  }
+}
+
+TEST(SplitLu, SpinBlockSolveKeepsCollinearBlocksSpinDiagonal) {
+  // With T_ud = T_du = 0 the spin channels never mix: the off-diagonal
+  // entries of s come back untouched, bit for bit.
+  SpinBlockWorkspace ws;
+  for (const std::size_t l : {5, 64}) {
+    Rng rng(4200 + l);
+    const SpinBlockProblem p = random_spin_block(l, rng, 1.0, 1.0, 0.0);
+    expect_matches_dense(p, ws, "L=" + std::to_string(l));
     std::array<Complex, 4> s = {Complex{1, 0}, Complex{0, 1}, Complex{2, 0},
                                 Complex{0, 2}};
-    std::vector<std::size_t> pivots;
-    schur_solve(planes, bx, ct, pivots, s);
-    ZMatrix x_split;
-    bx.copy_to(x_split);
-    EXPECT_LT(relative_error(x_split, x), 1e-12) << "n=" << n;
-    const Complex expected[4] = {Complex{1, 0} - cx(0, 0),
-                                 Complex{0, 1} - cx(1, 0),
-                                 Complex{2, 0} - cx(0, 1),
-                                 Complex{0, 2} - cx(1, 1)};
-    for (int k = 0; k < 4; ++k)
-      EXPECT_LT(std::abs(s[k] - expected[k]), 1e-11 * std::abs(expected[k]))
-          << "n=" << n << " k=" << k;
+    spin_block_solve(p.k, p.b, p.c, p.blocks.data(), ws, s);
+    EXPECT_EQ(s[1], (Complex{0, 1})) << "L=" << l;
+    EXPECT_EQ(s[2], (Complex{2, 0})) << "L=" << l;
+  }
+}
+
+TEST(SplitLu, SpinBlockSolveThrowsOnSingularSpinUpBlock) {
+  // Member 3 has no hopping and T_uu = 0: column 3 of F is exactly zero.
+  const std::size_t l = 5;
+  const std::size_t dead = 3;
+  Rng rng(4300);
+  SpinBlockProblem p = random_spin_block(l, rng);
+  for (std::size_t j = 0; j < l; ++j) {
+    p.k.set(j, dead, Complex{0.0, 0.0});
+    p.k.set(dead, j, Complex{0.0, 0.0});
+  }
+  p.blocks[dead][0] = Complex{0.0, 0.0};
+  SpinBlockWorkspace ws;
+  std::array<Complex, 4> s{};
+  try {
+    spin_block_solve(p.k, p.b, p.c, p.blocks.data(), ws, s);
+    ADD_FAILURE() << "no throw for a singular F";
+  } catch (const SingularMatrixError& e) {
+    EXPECT_EQ(e.column(), dead);
+  }
+}
+
+TEST(SplitLu, SpinBlockWorkspaceIsReusableAcrossOrders) {
+  // One workspace serves member blocks of order 128 -> 28 -> 128 (L = 64,
+  // 14, 64): the padded leading dimension shrinks and grows again.
+  SpinBlockWorkspace ws;
+  for (const std::size_t l : {64, 14, 64}) {
+    Rng rng(4400 + l);
+    expect_matches_dense(random_spin_block(l, rng), ws,
+                         "L=" + std::to_string(l));
   }
 }
 

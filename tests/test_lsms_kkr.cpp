@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "lattice/cluster.hpp"
+#include "lsms/contour.hpp"
 #include "lsms/fe_parameters.hpp"
 
 namespace wlsms::lsms {
@@ -242,11 +243,11 @@ TEST(CentralTauSchur, WorkspaceIsReusableAcrossZoneSizes) {
 
 TEST(CentralTauSchur, PivotingZoneMatchesReferencePath) {
   // Production zone matrices are diagonally strong enough that partial
-  // pivoting rarely swaps rows, so the swap path of the blocked member LU
-  // would go untested at the paper geometry. Scaling every member's t^-1
-  // block by 1e-3 leaves the member block dominated by the hopping terms,
-  // which forces row swaps; the Schur path must still agree with the full
-  // center-first factorization.
+  // pivoting rarely swaps rows, so the swap path of the spin-up block's LU
+  // and of its inverse's column swaps would go untested at the paper
+  // geometry. Scaling every member's t^-1 block by 1e-3 leaves both spin
+  // blocks dominated by the hopping terms, which forces row swaps; the
+  // Schur path must still agree with the full center-first factorization.
   const Scatterer scatterer(fe_scattering_parameters());
   const LizGeometry liz = build_liz(fe16(), 0, units::fe_liz_radius_a0);
   ASSERT_EQ(liz.zone_size(), 65u);
@@ -275,12 +276,55 @@ TEST(CentralTauSchur, PivotingZoneMatchesReferencePath) {
       ws);
 
   std::size_t swaps = 0;
-  for (std::size_t k = 0; k < ws.pivots.size(); ++k)
-    swaps += ws.pivots[k] != k ? 1 : 0;
+  for (std::size_t k = 0; k < ws.f_pivots.size(); ++k)
+    swaps += ws.f_pivots[k] != k ? 1 : 0;
   EXPECT_GT(swaps, 0u);
   for (int c = 0; c < 4; ++c)
     EXPECT_NEAR(std::abs(tau[c] - reference[c]), 0.0, 1e-12)
         << "component " << c;
+}
+
+TEST(CentralTauSchur, MatchesReferencePathForOrderedConfigurations) {
+  // Ferromagnetic and staggered moments are collinear (no spin-flip t^-1
+  // entries); in-plane moments mix the spin channels the most (T_uu =
+  // T_dd). Every point of the paper's 16-point contour, at both LIZ radii,
+  // for zones 0, 5, 10 and 15: the spin-block elimination never pivots
+  // across the spin blocks, so this is where it would lose accuracy.
+  const Scatterer scatterer(fe_scattering_parameters());
+  const lattice::Structure cell = fe16();
+  const ScatteringParameters& sp = scatterer.params();
+  const std::vector<ContourPoint> contour =
+      semicircle_contour(sp.band_bottom, sp.fermi_energy, 16);
+  Rng rng(10);
+  std::vector<Vec3> in_plane;
+  std::vector<bool> sublattice;
+  for (std::size_t i = 0; i < cell.size(); ++i) {
+    const double phi = rng.uniform(0.0, 2.0 * std::acos(-1.0));
+    in_plane.push_back({std::cos(phi), std::sin(phi), 0.0});
+    sublattice.push_back(i % 2 == 1);
+  }
+  const spin::MomentConfiguration configs[] = {
+      spin::MomentConfiguration::ferromagnetic(cell.size()),
+      spin::MomentConfiguration::staggered(sublattice),
+      spin::MomentConfiguration::from_directions(in_plane)};
+  SchurWorkspace ws;
+  for (const double radius : {5.6, units::fe_liz_radius_a0})
+    for (std::size_t zone = 0; zone < cell.size(); zone += 5) {
+      const LizGeometry liz = build_liz(cell, zone, radius);
+      for (const ContourPoint& cp : contour) {
+        const linalg::ZMatrix p = scalar_propagator_matrix(liz, cp.z);
+        for (std::size_t c = 0; c < 3; ++c) {
+          const spin::Spin2x2 reference = central_tau_block(
+              assemble_kkr_matrix(scatterer, liz, configs[c], cp.z, p));
+          const spin::Spin2x2 tau =
+              schur_tau(scatterer, liz, configs[c], cp.z, ws);
+          for (int e = 0; e < 4; ++e)
+            EXPECT_NEAR(std::abs(tau[e] - reference[e]), 0.0, 1e-12)
+                << "radius " << radius << ", zone " << zone << ", z "
+                << cp.z << ", configuration " << c << ", component " << e;
+        }
+      }
+    }
 }
 
 TEST(CentralTau, IsolatedAtomReducesToSingleSiteT) {

@@ -174,20 +174,26 @@ TEST(LsmsSolver, LizSizeMatchesGeometry) {
 
 TEST(LsmsSolver, FlopsPerEnergyMatchesAnalyticCount) {
   const LsmsSolver solver = fast_solver();
-  // Fast parameters: 15-atom zones, so the Schur path factorizes the 28 x 28
-  // member block, solves the two coupling columns, and closes with a
-  // 2 x 2 x 28 GEMM -- per contour point (8 of them), per atom (16).
-  const std::uint64_t per_point = linalg::zgetrf_flops(28) +
-                                  perf::cost::zgetrs(28, 2) +
-                                  perf::cost::zgemm(2, 2, 28);
+  // Fast parameters: 15-atom zones, so the spin-block kernel runs on
+  // L = 14 members: the LUs of the 14 x 14 spin-up block F and of its Schur
+  // complement S2, F^-1, S2's update (14 flops per entry), w = F^-1 b and
+  // F^-T c, the two-column solve with S2, two vector scalings (6 flops per
+  // entry each) and five closing dot products -- per contour point (8 of
+  // them), per atom (16).
+  const std::uint64_t l = 14;
+  const std::uint64_t per_point =
+      2 * linalg::zgetrf_flops(l) + perf::cost::zgetri(l) + 14 * l * l +
+      perf::cost::zgemm(l, 2, l) + perf::cost::zgetrs(l, 2) + 2 * 6 * l +
+      perf::cost::zgemm(2, 2, l) + perf::cost::zgemm(1, 1, l);
   EXPECT_EQ(solver.flops_per_zone_energy(0), 8u * per_point);
   EXPECT_EQ(solver.flops_per_energy(), 16u * 8u * per_point);
 }
 
 TEST(LsmsSolver, InstrumentedFlopsMatchAnalyticCount) {
-  // The analytic model must agree with the perf counters to the flop, for
-  // both the unblocked (fast-radius) and blocked (paper-radius) zone orders,
-  // and around OpenMP solves, whose zones land on pool threads.
+  // The analytic model must agree with the perf counters to the flop, at
+  // the fast (L = 14, one partial 16-row block) and paper (L = 64, four
+  // blocks) zone orders, in a zone whose factorizations pivot, and around
+  // OpenMP solves, whose zones land on pool threads.
   Rng rng(11);
   {
     const LsmsSolver solver = fast_solver();
@@ -204,6 +210,36 @@ TEST(LsmsSolver, InstrumentedFlopsMatchAnalyticCount) {
     perf::FlopWindow window;
     single_zone_energy(solver, 0, config, ZoneThreading::kSerial);
     EXPECT_EQ(window.elapsed(), solver.flops_per_zone_energy(0));
+  }
+  {
+    // A pivoting zone books the same flops: scaling every member's t^-1 by
+    // 1e-3 (as CentralTauSchur.PivotingZoneMatchesReferencePath does) makes
+    // the spin-up block's LU swap rows, and its inverse then swaps columns.
+    const LsmsSolver solver(lattice::make_fe_supercell(2),
+                            fe_lsms_parameters());
+    const auto config = spin::MomentConfiguration::random(16, rng);
+    const LizGeometry liz =
+        build_liz(solver.structure(), 0, solver.params().liz_radius);
+    const Complex z = solver.contour().front().z;
+    const SchurTemplates templates = make_schur_templates(
+        scalar_propagator_matrix(liz, z),
+        solver.params().scattering.propagator_strength);
+    std::vector<spin::Spin2x2> members(liz.members.size());
+    for (std::size_t j = 0; j < members.size(); ++j) {
+      members[j] = solver.scatterer().t_inverse(config[liz.members[j].site], z);
+      for (Complex& v : members[j]) v *= 1e-3;
+    }
+    SchurWorkspace ws;
+    perf::FlopWindow window;
+    (void)central_tau_schur(templates,
+                            solver.scatterer().t_inverse(config[0], z),
+                            members.data(), ws);
+    EXPECT_EQ(window.elapsed() * solver.contour().size(),
+              solver.flops_per_zone_energy(0));
+    std::size_t swaps = 0;
+    for (std::size_t k = 0; k < ws.f_pivots.size(); ++k)
+      swaps += ws.f_pivots[k] != k ? 1 : 0;
+    EXPECT_GT(swaps, 0u);
   }
   {
     // Regression: each pool thread kept up to 2^20 flops per kernel
@@ -233,8 +269,9 @@ TEST(LsmsSolver, InstrumentedFlopsMatchAnalyticCount) {
 
 TEST(LsmsSolver, GemmFractionDominatesAtPaperGeometry) {
   // The acceptance bar of the GEMM-rich refactor: at the paper's LIZ the
-  // flops booked under the kZgemm tag (linalg::schur_solve's trailing
-  // update and 2x2 Schur product) are at least 60 % of an energy zone's.
+  // flops booked under the kZgemm tag (linalg::spin_block_solve's trailing
+  // updates, the tile products of F^-1 and the Schur and coupling
+  // products) are at least 60 % of an energy zone's.
   const LsmsSolver solver(lattice::make_fe_supercell(2), fe_lsms_parameters());
   Rng rng(12);
   const auto config = spin::MomentConfiguration::random(16, rng);
@@ -244,37 +281,51 @@ TEST(LsmsSolver, GemmFractionDominatesAtPaperGeometry) {
 }
 
 TEST(LsmsSolver, SchurPathMatchesReferenceAssembly) {
-  // Reconstruct atom 0's local energy through the original path -- full
-  // zone-matrix assembly and center-first factorization -- and require the
-  // production Schur path to agree to 1e-10 Ry.
-  const LsmsSolver solver = fast_solver();
+  // Reconstruct every zone's local energy through the original path -- full
+  // assembly of that zone's own matrix and center-first factorization --
+  // and require the production path to agree to 1e-10 Ry. Congruent zones
+  // share one template set, built from the first zone's geometry, so this
+  // fails unless every zone lists its members in the template's order
+  // (a ferromagnetic configuration would hide that: all t^-1 are equal).
+  const LsmsSolver fast16 = fast_solver(2);
+  const LsmsSolver fast54 = fast_solver(3);
+  const LsmsSolver paper16(lattice::make_fe_supercell(2),
+                           fe_lsms_parameters());
   Rng rng(13);
-  const auto config = spin::MomentConfiguration::random(16, rng);
-
-  const LizGeometry liz =
-      build_liz(solver.structure(), 0, solver.params().liz_radius);
-  Complex accumulated{0.0, 0.0};
-  for (const ContourPoint& cp : solver.contour()) {
-    const linalg::ZMatrix p = scalar_propagator_matrix(liz, cp.z);
-    const spin::Spin2x2 tau = central_tau_block(
-        assemble_kkr_matrix(solver.scatterer(), liz, config, cp.z, p));
-    accumulated += cp.weight * cp.z * (tau[0] + tau[3]);
+  for (const LsmsSolver* solver : {&fast16, &fast54, &paper16}) {
+    const auto config =
+        spin::MomentConfiguration::random(solver->n_atoms(), rng);
+    const LocalEnergies got = solver->energies(config);
+    for (std::size_t i = 0; i < solver->n_atoms(); ++i) {
+      const LizGeometry liz =
+          build_liz(solver->structure(), i, solver->params().liz_radius);
+      Complex accumulated{0.0, 0.0};
+      for (const ContourPoint& cp : solver->contour()) {
+        const linalg::ZMatrix p = scalar_propagator_matrix(liz, cp.z);
+        const spin::Spin2x2 tau = central_tau_block(
+            assemble_kkr_matrix(solver->scatterer(), liz, config, cp.z, p));
+        accumulated += cp.weight * cp.z * (tau[0] + tau[3]);
+      }
+      const double reference = -accumulated.imag() / std::acos(-1.0);
+      EXPECT_NEAR(got.per_atom[i], reference, 1e-10)
+          << solver->n_atoms() << " atoms, LIZ " << solver->liz_size(i)
+          << ", zone " << i;
+    }
   }
-  const double reference = -accumulated.imag() / std::acos(-1.0);
-  EXPECT_NEAR(single_zone_energy(solver, 0, config), reference, 1e-10);
 }
 
 TEST(LsmsSolver, BatchEnergiesMatchEnergiesBitwise) {
   // The serving scheduler's batched path must return exactly what
   // energies() returns for every configuration of the batch, at any batch
-  // size and any OpenMP team size. Two substrates: the fast LIZ (order-28
-  // member blocks, unblocked LU) and the 50-neighbour LIZ the serve bench
-  // uses (order-100 blocks, so linalg::schur_solve runs the blocked LU).
+  // size and any OpenMP team size. Two substrates: the fast LIZ (14 x 14
+  // spin blocks, one 16-row block) and the 50-neighbour LIZ the serve bench
+  // uses (50 x 50 spin blocks, so linalg::spin_block_solve's LUs and
+  // inverse run over several 16-row blocks).
   LsmsParameters serving = fe_lsms_parameters_fast();
   serving.liz_radius = 9.1;
   const LsmsSolver fast = fast_solver();
   const LsmsSolver wide(lattice::make_fe_supercell(2), serving);
-  ASSERT_GE(2 * (wide.liz_size(0) - 1), linalg::kLuBlockedThreshold);
+  ASSERT_GT(wide.liz_size(0) - 1, 2 * linalg::kLuBlockSize);
 
   const int saved_threads = omp_get_max_threads();
   for (const LsmsSolver* solver : {&fast, &wide}) {
