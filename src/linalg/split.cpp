@@ -191,19 +191,47 @@ void lower_solve_columns(ConstView l, std::size_t w, MutView x,
   for (; c < ncols; ++c) lower_solve<1>(l, w, x.at(0, c));
 }
 
-// X (kNb x G) := U^-1 X with U the upper diagonal block at u, of width
-// w <= kNb, bottom row first.
-template <std::size_t G>
-void upper_solve(ConstView u, std::size_t w, MutView x) {
-  double inv_re[kNb];
-  double inv_im[kNb];
+// The upper-triangular diagonal block at u, of width w <= kNb, prepared
+// for substitution: column K above the diagonal times 1 / U(K, K), zero on
+// and below it, and the reciprocals (1 past w, so pad rows stay as they
+// are). Scaling the columns once per block takes the reciprocal multiply
+// off the substitution's dependency chain: a step then only broadcasts
+// x_K and subtracts, and x is scaled after the last step. This O(kNb^2)
+// setup is not booked, as the reciprocals never were.
+struct UpperBlock {
+  alignas(64) double re[kNb][kNb];  // [column][row]
+  alignas(64) double im[kNb][kNb];
+  alignas(64) double inv_re[kNb];
+  alignas(64) double inv_im[kNb];
+};
+
+void prepare_upper(ConstView u, std::size_t w, UpperBlock& b) {
+  for (std::size_t k = 0; k < kNb; ++k) {
+    b.inv_re[k] = 1.0;
+    b.inv_im[k] = 0.0;
+    for (std::size_t r = 0; r < kNb; ++r) b.re[k][r] = b.im[k][r] = 0.0;
+  }
   for (std::size_t k = 0; k < w; ++k) {
     const double ur = u.re(k)[k];
     const double ui = u.im(k)[k];
     const double inv_d = 1.0 / (ur * ur + ui * ui);
-    inv_re[k] = ur * inv_d;
-    inv_im[k] = -ui * inv_d;
+    const double dr = ur * inv_d;
+    const double di = -ui * inv_d;
+    b.inv_re[k] = dr;
+    b.inv_im[k] = di;
+    for (std::size_t r = 0; r < k; ++r) {
+      const double xr = u.re(k)[r];
+      const double xi = u.im(k)[r];
+      b.re[k][r] = xr * dr - xi * di;
+      b.im[k][r] = xr * di + xi * dr;
+    }
   }
+}
+
+// X (kNb x G) := U^-1 X with U the prepared upper block, of width w,
+// bottom row first.
+template <std::size_t G>
+void upper_solve(const UpperBlock& u, std::size_t w, MutView x) {
   Vd xr[G][kBlockVectors];
   Vd xi[G][kBlockVectors];
   for (std::size_t g = 0; g < G; ++g)
@@ -213,49 +241,46 @@ void upper_solve(ConstView u, std::size_t w, MutView x) {
     }
   unroll<kNb>([&]<std::size_t S>() __attribute__((always_inline)) {
     constexpr std::size_t K = kNb - 1 - S;
-    if (K >= w) return;
-    constexpr std::size_t kv = K / kVec;
-    const Vd dr = simd::broadcast(inv_re[K]);
-    const Vd di = simd::broadcast(inv_im[K]);
-    const auto at_k = simd::iota(kv * kVec) ==
-                      simd::broadcast(static_cast<double>(K));
-    Vd ur[kv + 1];
-    Vd ui[kv + 1];
-    for (std::size_t v = 0; v <= kv; ++v) {
-      ur[v] = simd::load(u.re(K) + v * kVec);
-      ui[v] = simd::load(u.im(K) + v * kVec);
-    }
-    ur[kv] = simd::zero_from<K % kVec>(ur[kv]);
-    ui[kv] = simd::zero_from<K % kVec>(ui[kv]);
-    for (std::size_t g = 0; g < G; ++g) {
-      const Vd xkr = simd::splat<K % kVec>(xr[g][kv]);
-      const Vd xki = simd::splat<K % kVec>(xi[g][kv]);
-      const Vd sr = xkr * dr - xki * di;
-      const Vd si = xkr * di + xki * dr;
-      xr[g][kv] = at_k ? sr : xr[g][kv];
-      xi[g][kv] = at_k ? si : xi[g][kv];
+    if constexpr (K > 0) {  // row 0 has nothing above it
+      if (K >= w) return;
+      constexpr std::size_t kv = (K - 1) / kVec;  // last vector above row K
+      Vd ur[kv + 1];
+      Vd ui[kv + 1];
       for (std::size_t v = 0; v <= kv; ++v) {
-        xr[g][v] = xr[g][v] - ur[v] * sr;
-        xr[g][v] = xr[g][v] + ui[v] * si;
-        xi[g][v] = xi[g][v] - ur[v] * si;
-        xi[g][v] = xi[g][v] - ui[v] * sr;
+        ur[v] = simd::load(u.re[K] + v * kVec);
+        ui[v] = simd::load(u.im[K] + v * kVec);
+      }
+      for (std::size_t g = 0; g < G; ++g) {
+        const Vd sr = simd::splat<K % kVec>(xr[g][K / kVec]);
+        const Vd si = simd::splat<K % kVec>(xi[g][K / kVec]);
+        for (std::size_t v = 0; v <= kv; ++v) {
+          xr[g][v] = xr[g][v] - ur[v] * sr;
+          xr[g][v] = xr[g][v] + ui[v] * si;
+          xi[g][v] = xi[g][v] - ur[v] * si;
+          xi[g][v] = xi[g][v] - ui[v] * sr;
+        }
       }
     }
   });
-  for (std::size_t g = 0; g < G; ++g)
-    for (std::size_t v = 0; v < kBlockVectors; ++v) {
-      simd::store(x.re(g) + v * kVec, xr[g][v]);
-      simd::store(x.im(g) + v * kVec, xi[g][v]);
+  for (std::size_t v = 0; v < kBlockVectors; ++v) {
+    const Vd dr = simd::load(u.inv_re + v * kVec);
+    const Vd di = simd::load(u.inv_im + v * kVec);
+    for (std::size_t g = 0; g < G; ++g) {
+      simd::store(x.re(g) + v * kVec, xr[g][v] * dr - xi[g][v] * di);
+      simd::store(x.im(g) + v * kVec, xr[g][v] * di + xi[g][v] * dr);
     }
+  }
 }
 
 // X (kNb x ncols) := U^-1 X, kSolveCols columns at a time.
 void upper_solve_columns(ConstView u, std::size_t w, MutView x,
                          std::size_t ncols) {
+  UpperBlock block;
+  prepare_upper(u, w, block);
   std::size_t c = 0;
   for (; c + kSolveCols <= ncols; c += kSolveCols)
-    upper_solve<kSolveCols>(u, w, x.at(0, c));
-  for (; c < ncols; ++c) upper_solve<1>(u, w, x.at(0, c));
+    upper_solve<kSolveCols>(block, w, x.at(0, c));
+  for (; c < ncols; ++c) upper_solve<1>(block, w, x.at(0, c));
 }
 
 // ---------------------------------------------------------------------------
@@ -444,7 +469,9 @@ void solve_two_columns(ConstView lu, std::size_t n, std::size_t ld,
   }
   for (std::size_t k0 = (n - 1) / kNb * kNb;; k0 -= kNb) {
     const std::size_t w = std::min(kNb, n - k0);
-    upper_solve<2>(lu.at(k0, k0), w, x.at(k0, 0));
+    UpperBlock block;
+    prepare_upper(lu.at(k0, k0), w, block);
+    upper_solve<2>(block, w, x.at(k0, 0));
     if (k0 == 0) break;
     subtract_product(x.at(0, 0), lu.at(0, k0), x.at(k0, 0), k0, 2, w);
   }
