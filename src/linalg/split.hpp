@@ -127,7 +127,7 @@ int split_getrf(SplitMatrix& a, std::vector<std::size_t>& pivots);
 struct SpinBlockWorkspace {
   SplitMatrix f;          ///< F and its LU, then S2 and its LU
   SplitMatrix f_inverse;  ///< F^-1
-  SplitMatrix vectors;    ///< T_dn-up, w = F^-1 b, T_up-dn o (F^-T c)
+  SplitMatrix vectors;    ///< columns T_du, w = F^-1 b, T_ud o (F^-T c)
   SplitMatrix x;          ///< the two right-hand sides, then their solution
   std::vector<std::size_t> f_pivots;   ///< F's row swaps (split_getrf)
   std::vector<std::size_t> s2_pivots;  ///< S2's row swaps

@@ -386,9 +386,12 @@ TEST(SplitLu, PivotsOnGeneralMatricesAndKeepsPadRowsZero) {
 TEST(SplitLu, SpinBlockSolveMatchesDenseAlgebra) {
   // s -= C A^-1 B against the interleaved reference LU of the assembled
   // 2L x 2L block, at orders around the 16-row block edges and at the fast
-  // (L = 14) and paper (L = 64) zones, with exact flop bookkeeping.
+  // (L = 14) and paper (L = 64) zones, with exact flop bookkeeping. One
+  // workspace serves every order, and the sequence runs member blocks of
+  // order 128 -> 28 -> 128 back to back: the padded leading dimension
+  // shrinks and grows again.
   SpinBlockWorkspace ws;
-  for (const std::size_t l : {1, 5, 14, 16, 17, 64, 65}) {
+  for (const std::size_t l : {1, 5, 14, 16, 17, 64, 14, 64, 65}) {
     Rng rng(4000 + l);
     expect_matches_dense(random_spin_block(l, rng), ws,
                          "L=" + std::to_string(l));
@@ -452,17 +455,6 @@ TEST(SplitLu, SpinBlockSolveThrowsOnSingularSpinUpBlock) {
     ADD_FAILURE() << "no throw for a singular F";
   } catch (const SingularMatrixError& e) {
     EXPECT_EQ(e.column(), dead);
-  }
-}
-
-TEST(SplitLu, SpinBlockWorkspaceIsReusableAcrossOrders) {
-  // One workspace serves member blocks of order 128 -> 28 -> 128 (L = 64,
-  // 14, 64): the padded leading dimension shrinks and grows again.
-  SpinBlockWorkspace ws;
-  for (const std::size_t l : {64, 14, 64}) {
-    Rng rng(4400 + l);
-    expect_matches_dense(random_spin_block(l, rng), ws,
-                         "L=" + std::to_string(l));
   }
 }
 
