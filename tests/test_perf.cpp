@@ -110,6 +110,25 @@ TEST(FlopCosts, BlockingOnlyMovesFlopsBetweenKernels) {
         << "n=" << n;
 }
 
+TEST(FlopCosts, InverseCountsTriangularInverseAndUpperSolve) {
+  // L^-1 column c is a unit-lower solve of order n - c; U^-1 L^-1 is an
+  // upper solve on all n columns: n(n-1)/2 fused multiply-adds and n
+  // reciprocal multiplies (6 flops) each.
+  for (const std::uint64_t n : {1u, 2u, 14u, 64u, 65u}) {
+    std::uint64_t lower = 0;
+    for (std::uint64_t m = 1; m <= n; ++m)
+      lower += cost::ztrsm_unit_lower(m, 1);
+    EXPECT_EQ(cost::ztrtri_unit_lower(n), lower) << "n=" << n;
+    EXPECT_EQ(cost::ztrsm_upper(n, 3), 3 * (8 * n * (n - 1) / 2 + 6 * n));
+    EXPECT_EQ(cost::zgetri(n), lower + cost::ztrsm_upper(n, n));
+  }
+  // Twice an LU to leading order, so the spin-block kernel's two LUs of
+  // order n plus one inverse cost half an LU of order 2n.
+  const double ratio = static_cast<double>(cost::zgetri(128)) /
+                       static_cast<double>(cost::zgetrf(128));
+  EXPECT_NEAR(ratio, 2.0, 0.05);
+}
+
 TEST(FlopCosts, BlockedApproachesDenseCountFromBelow) {
   // Both count the same O(n^3) elimination; the panel/blocked forms carry
   // the exact lower-order terms, the classical 8n^3/3 only the leading one.
