@@ -1,5 +1,6 @@
 #include "options.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 namespace wlsms::cli {
@@ -158,6 +159,13 @@ ServeOptions ServeOptions::parse(const Options& options) {
   parsed.checkpoint_dir = options.get_string("checkpoint-dir", "");
   parsed.batch_threads =
       get_size(options, "batch-threads", parsed.batch_threads, 0);
+  // The daemon hands it to omp_set_num_threads, which takes an int: a
+  // larger value would wrap (2^32 to 0, 2^31 to INT_MIN) into a team of 1.
+  constexpr long kMaxThreads = std::numeric_limits<int>::max();
+  if (parsed.batch_threads > static_cast<std::size_t>(kMaxThreads))
+    throw std::runtime_error("--batch-threads: must be <= " +
+                             std::to_string(kMaxThreads) + ", got " +
+                             std::to_string(parsed.batch_threads));
   return parsed;
 }
 

@@ -15,7 +15,8 @@
 //            worker side of `distributed --transport tcp --external 1`)
 //   serve    run the persistent multi-tenant energy daemon: clients submit
 //            walker configurations over TCP and concurrent requests are
-//            coalesced into cross-walker batched ZGEMM dispatches
+//            batched into one OpenMP solve over every (configuration, zone)
+//            pair
 //   client   drive a running daemon: submit random configurations as one
 //            tenant and (optionally) cross-check the energies against a
 //            local serial solver

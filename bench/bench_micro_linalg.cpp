@@ -10,8 +10,8 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "lattice/structure.hpp"
-#include "linalg/blas.hpp"
 #include "linalg/lu.hpp"
+#include "linalg/split.hpp"
 #include "lsms/contour.hpp"
 #include "lsms/fe_parameters.hpp"
 #include "lsms/kkr.hpp"
@@ -30,58 +30,24 @@ linalg::ZMatrix random_matrix(std::size_t n, Rng& rng) {
   return m;
 }
 
-// Packed, register-blocked production kernel.
-void BM_Zgemm(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  const linalg::ZMatrix a = random_matrix(n, rng);
-  const linalg::ZMatrix b = random_matrix(n, rng);
-  linalg::ZMatrix c(n, n);
-  for (auto _ : state) {
-    linalg::zgemm({1.0, 0.0}, a, b, {0.0, 0.0}, c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.counters["GFlop/s"] = benchmark::Counter(
-      static_cast<double>(perf::cost::zgemm(n, n, n)) * state.iterations() /
-          1e9,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_Zgemm)->Arg(30)->Arg(65)->Arg(130)->Arg(192);
-
-// Cache-tiled triple-loop reference, for the packed-vs-naive headline.
-void BM_ZgemmNaive(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  const linalg::ZMatrix a = random_matrix(n, rng);
-  const linalg::ZMatrix b = random_matrix(n, rng);
-  linalg::ZMatrix c(n, n);
-  for (auto _ : state) {
-    linalg::zgemm_naive({1.0, 0.0}, a, b, {0.0, 0.0}, c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.counters["GFlop/s"] = benchmark::Counter(
-      static_cast<double>(perf::cost::zgemm(n, n, n)) * state.iterations() /
-          1e9,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ZgemmNaive)->Arg(30)->Arg(65)->Arg(130)->Arg(192);
-
-// Blocked right-looking factorization through zgetrf_in_place: deinterleave
-// into split planes, split_getrf (panel + row-panel substitution + trailing
-// tile), re-interleave; gemm_frac is the measured share of flops booked as
-// the trailing update.
+// The blocked right-looking LU on a plane copy (split_getrf: panel +
+// row-panel substitution + trailing tile); gemm_frac is the measured share
+// of flops booked as the trailing update.
 void BM_Zgetrf(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(2);
-  const linalg::ZMatrix a = random_matrix(n, rng);
+  const linalg::SplitMatrix a(random_matrix(n, rng));
+  linalg::SplitMatrix lu;
+  std::vector<std::size_t> pivots;
   perf::FlopWindow window;
   for (auto _ : state) {
-    linalg::LuFactorization lu(a, linalg::LuAlgorithm::kBlocked);
-    benchmark::DoNotOptimize(lu.packed().data());
+    lu = a;
+    linalg::split_getrf(lu, pivots);
+    benchmark::DoNotOptimize(lu.re(0));
+    benchmark::ClobberMemory();
   }
   state.counters["GFlop/s"] = benchmark::Counter(
-      static_cast<double>(
-          linalg::zgetrf_flops(n, linalg::LuAlgorithm::kBlocked)) *
+      static_cast<double>(perf::cost::zgetrf_blocked(n, linalg::kLuBlockSize)) *
           state.iterations() / 1e9,
       benchmark::Counter::kIsRate);
   state.counters["gemm_frac"] = window.gemm_fraction();
@@ -89,18 +55,18 @@ void BM_Zgetrf(benchmark::State& state) {
 // 130 = the 65-atom-LIZ s-channel matrix; 30 = the fast-test zone.
 BENCHMARK(BM_Zgetrf)->Arg(30)->Arg(65)->Arg(130)->Arg(192);
 
-// Reference rank-1-update loop, for the blocked-vs-unblocked headline.
+// The interleaved reference rank-1-update loop, for the blocked-vs-unblocked
+// headline.
 void BM_ZgetrfUnblocked(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(2);
   const linalg::ZMatrix a = random_matrix(n, rng);
   for (auto _ : state) {
-    linalg::LuFactorization lu(a, linalg::LuAlgorithm::kUnblocked);
+    linalg::LuFactorization lu(a);
     benchmark::DoNotOptimize(lu.packed().data());
   }
   state.counters["GFlop/s"] = benchmark::Counter(
-      static_cast<double>(
-          linalg::zgetrf_flops(n, linalg::LuAlgorithm::kUnblocked)) *
+      static_cast<double>(perf::cost::zgetrf_panel(n, n)) *
           state.iterations() / 1e9,
       benchmark::Counter::kIsRate);
 }

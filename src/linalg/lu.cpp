@@ -3,7 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include "linalg/split.hpp"
 #include "perf/flops.hpp"
 
 namespace wlsms::linalg {
@@ -17,12 +16,16 @@ namespace {
 // than std::abs pivoting would.
 double cabs1(Complex z) { return std::abs(z.real()) + std::abs(z.imag()); }
 
-// The reference: unblocked partial-pivoting LU by rank-1 updates, on the
-// interleaved matrix. Row swaps are applied to the full rows immediately,
-// and the pivot is the first row attaining the largest CABS1, exactly as
-// the blocked split-plane kernel chooses it. Returns the swap parity.
-int zgetrf_unblocked(ZMatrix& a, std::vector<std::size_t>& pivots) {
+}  // namespace
+
+// Unblocked partial-pivoting LU by rank-1 updates, on the interleaved
+// matrix. Row swaps are applied to the full rows immediately, and the pivot
+// is the first row attaining the largest CABS1, exactly as the blocked
+// split-plane kernel chooses it.
+int zgetrf_in_place(ZMatrix& a, std::vector<std::size_t>& pivots) {
+  WLSMS_EXPECTS(a.square());
   const std::size_t n = a.rows();
+  pivots.resize(n);
   int parity = 1;
   for (std::size_t j = 0; j < n; ++j) {
     std::size_t pivot_row = j;
@@ -56,35 +59,6 @@ int zgetrf_unblocked(ZMatrix& a, std::vector<std::size_t>& pivots) {
   return parity;
 }
 
-bool use_blocked(std::size_t n, LuAlgorithm algorithm) {
-  switch (algorithm) {
-    case LuAlgorithm::kUnblocked:
-      return false;
-    case LuAlgorithm::kBlocked:
-      return true;
-    case LuAlgorithm::kAuto:
-    default:
-      return n >= kLuBlockedThreshold;
-  }
-}
-
-}  // namespace
-
-int zgetrf_in_place(ZMatrix& a, std::vector<std::size_t>& pivots,
-                    LuAlgorithm algorithm) {
-  WLSMS_EXPECTS(a.square());
-  const std::size_t n = a.rows();
-  pivots.resize(n);
-  if (n == 0) return 1;
-  if (!use_blocked(n, algorithm)) return zgetrf_unblocked(a, pivots);
-  // The one blocked LU runs on split planes: deinterleave, factor,
-  // re-interleave.
-  SplitMatrix planes(a);
-  const int parity = split_getrf(planes, pivots);
-  planes.copy_to(a);
-  return parity;
-}
-
 void zgetrs_in_place(const ZMatrix& lu, const std::vector<std::size_t>& pivots,
                      Complex* b, std::size_t nrhs, std::size_t ldb) {
   const std::size_t n = lu.rows();
@@ -112,15 +86,8 @@ void zgetrs_in_place(const ZMatrix& lu, const std::vector<std::size_t>& pivots,
   perf::add_flops(perf::Kernel::kTrsm, perf::cost::zgetrs(n, nrhs));
 }
 
-std::uint64_t zgetrf_flops(std::size_t n, LuAlgorithm algorithm) {
-  return use_blocked(n, algorithm)
-             ? perf::cost::zgetrf_blocked(n, kLuBlockSize)
-             : perf::cost::zgetrf_panel(n, n);
-}
-
-LuFactorization::LuFactorization(ZMatrix a, LuAlgorithm algorithm)
-    : lu_(std::move(a)) {
-  swap_parity_ = zgetrf_in_place(lu_, pivots_, algorithm);
+LuFactorization::LuFactorization(ZMatrix a) : lu_(std::move(a)) {
+  swap_parity_ = zgetrf_in_place(lu_, pivots_);
 }
 
 void LuFactorization::solve_in_place(Complex* b) const {

@@ -1,66 +1,52 @@
 #pragma once
 
 /// \file lu.hpp
-/// LU factorization (ZGETRF/ZGETRS equivalents) and the derived operations
-/// built on it: matrix inverse, determinant and log-determinant.
+/// The reference LU factorization on interleaved matrices (ZGETRF/ZGETRS
+/// equivalents) and the operations built on it: matrix inverse,
+/// determinant and log-determinant.
 ///
-/// Two factorization algorithms are provided behind one interface: the
-/// unblocked rank-1-update loop on the interleaved matrix (the reference)
-/// and the blocked right-looking LU of linalg/split.hpp (panel +
-/// row-panel solve + trailing-update tile on split real/imaginary planes),
-/// which retires the bulk of its flops in the trailing update -- the
-/// level-3-rich structure the paper's LSMS relies on (§II-B). The blocked
-/// path deinterleaves its input, factors it and re-interleaves the result.
-/// `kAuto` picks blocked at and above `kLuBlockedThreshold`.
+/// zgetrf_in_place is the unblocked rank-1-update loop at every order: the
+/// plain reference the tests hold the blocked split-plane LU against
+/// (linalg/split.hpp: split_getrf, panel + row-panel solve +
+/// trailing-update tile), which makes the same CABS1 pivot choices and so
+/// returns the same pivots. The blocked LU is the only tuned factorization
+/// and retires the bulk of its flops in the trailing update -- the
+/// level-3-rich structure the paper's LSMS relies on (§II-B).
 ///
 /// The LSMS solver does not use a determinant: it integrates
 /// z Tr tau_00(z) along the contour (lsms/solver.hpp) and reaches the
-/// blocked LU through lsms::central_tau_schur. `log_det` is a utility.
+/// blocked LU through lsms::central_tau_schur. The reference assembly
+/// (lsms::central_tau_block) and the small least-squares fits use this
+/// one; `log_det` is a utility.
 
-#include <cstdint>
-#include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "linalg/blas.hpp"
 #include "linalg/matrix.hpp"
 
 namespace wlsms::linalg {
 
-/// Factorization algorithm selector.
-enum class LuAlgorithm {
-  kAuto,       ///< blocked for order >= kLuBlockedThreshold, else unblocked
-  kUnblocked,  ///< reference rank-1-update loop
-  kBlocked,    ///< right-looking blocked on split planes (split_getrf)
-};
-
-/// Panel width of the blocked factorization. Narrow enough that the
-/// trailing updates dominate the flop count already at LIZ-sized matrices
-/// (n ~ 130: ~80 % of the factorization flops are booked as ZGEMM).
+/// Panel width of the blocked factorization (split_getrf). Narrow enough
+/// that the trailing updates dominate the flop count already at LIZ-sized
+/// matrices (n ~ 130: ~80 % of the factorization flops are booked as
+/// ZGEMM).
 inline constexpr std::size_t kLuBlockSize = 16;
 
-/// Matrix order at and above which kAuto picks the blocked algorithm.
-inline constexpr std::size_t kLuBlockedThreshold = 64;
-
-/// In-place pivoted LU factorization A = P L U; on return `a` holds the
-/// packed L (unit lower) and U factors and `pivots[k]` is the row swapped
-/// with row k at step k. Returns the pivot-swap parity (+1/-1). Throws
-/// SingularMatrixError on an exactly zero pivot. Flops are booked per
-/// kernel (panel / TRSM / GEMM); `zgetrf_flops(n)` returns the exact total
-/// the chosen algorithm will report (the same total for both: blocking
-/// only moves flops from the panel to the TRSM and GEMM tags).
-int zgetrf_in_place(ZMatrix& a, std::vector<std::size_t>& pivots,
-                    LuAlgorithm algorithm = LuAlgorithm::kAuto);
+/// In-place pivoted LU factorization A = P L U by unblocked rank-1
+/// updates; on return `a` holds the packed L (unit lower) and U factors and
+/// `pivots[k]` is the row swapped with row k at step k. Returns the
+/// pivot-swap parity (+1/-1). Throws SingularMatrixError naming the column
+/// of an exactly zero pivot. Books perf::cost::zgetrf_panel(n, n) flops
+/// under perf::Kernel::kPanel.
+int zgetrf_in_place(ZMatrix& a, std::vector<std::size_t>& pivots);
 
 /// Solves A X = B in place given the packed factors and pivots from
-/// zgetrf_in_place. `b` points to `nrhs` column-major columns with leading
-/// dimension `ldb` (>= order).
+/// zgetrf_in_place (or split_getrf's, re-interleaved by
+/// SplitMatrix::copy_to). `b` points to `nrhs` column-major columns with
+/// leading dimension `ldb` (>= order).
 void zgetrs_in_place(const ZMatrix& lu, const std::vector<std::size_t>& pivots,
                      Complex* b, std::size_t nrhs, std::size_t ldb);
-
-/// Exact instrumented flop count of zgetrf_in_place for an n x n matrix
-/// under the given algorithm (the analytic side of the perf assertion).
-std::uint64_t zgetrf_flops(std::size_t n,
-                           LuAlgorithm algorithm = LuAlgorithm::kAuto);
 
 /// Pivoted LU factorization of a square matrix, A = P L U.
 /// Holds the packed factors plus the pivot sequence.
@@ -68,8 +54,7 @@ class LuFactorization {
  public:
   /// Factorizes `a` (copied). Throws SingularMatrixError if a zero pivot is
   /// encountered (exactly singular input).
-  explicit LuFactorization(ZMatrix a,
-                           LuAlgorithm algorithm = LuAlgorithm::kAuto);
+  explicit LuFactorization(ZMatrix a);
 
   std::size_t order() const { return lu_.rows(); }
 

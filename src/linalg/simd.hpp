@@ -1,12 +1,14 @@
 #pragma once
 
 /// \file simd.hpp
-/// The one ISA selection of the linalg kernels (private to wlsms_linalg).
+/// The one ISA selection of the split-plane kernels (linalg/split.cpp;
+/// private to wlsms_linalg).
 ///
 /// `Vd` is a vector of `kVec` doubles: a GCC/Clang vector-extension type of
 /// 8 lanes under AVX-512 and 4 under AVX2, and plain `double` (kVec = 1)
-/// everywhere else. Kernels are written once against `Vd` and the helpers
-/// below; on the scalar fallback the same source compiles to scalar code.
+/// everywhere else. The kernels are written once against `Vd` and the
+/// helpers below; on the scalar fallback the same source compiles to scalar
+/// code.
 /// Arithmetic (`+ - *`, comparisons, `cond ? a : b`) works on both spellings;
 /// the library's -ffp-contract=fast turns `c - a * b` into one FMA.
 

@@ -19,7 +19,9 @@
 ///
 /// Two evaluation paths are provided:
 ///  - `central_tau_block`: factorize the full zone matrix (center ordered
-///    first) and solve for the two central columns. Reference path.
+///    first) with the unblocked reference LU (linalg/lu.hpp) and solve for
+///    the two central columns. Reference path: it shares no kernel with
+///    the production path below.
 ///  - `central_tau_schur`: order the center *last* and eliminate the
 ///    member block A, so tau_00 = (D - C A^{-1} B)^{-1} -- the Schur
 ///    complement of the member block. Propagation conserves spin and the

@@ -192,7 +192,7 @@ std::uint64_t LsmsSolver::flops_per_zone_energy(std::size_t i) const {
   // closed-form 2x2 inversion are uncounted on both the analytic and
   // instrumented sides.
   const std::uint64_t per_point =
-      2 * linalg::zgetrf_flops(l, linalg::LuAlgorithm::kBlocked) +
+      2 * perf::cost::zgetrf_blocked(l, linalg::kLuBlockSize) +
       perf::cost::zgetri(l) + linalg::spin_block_coupling_flops(l);
   return per_point * contour_.size();
 }

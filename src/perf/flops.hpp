@@ -21,15 +21,16 @@
 namespace wlsms::perf {
 
 /// Kernel classes flops are attributed to. kOther collects everything that
-/// is not one of the named level-3 kernels (GEMV, small closed-form ops).
+/// is not one of the named level-3 kernels; no linalg kernel books it.
 enum class Kernel : unsigned {
-  kZgemm = 0,  ///< matrix-matrix products: packed/naive ZGEMM, the blocked
-               ///< LU's trailing update, the tile products of the inverse,
-               ///< the spin-block Schur and coupling products
+  kZgemm = 0,  ///< matrix-matrix products: the blocked LU's trailing
+               ///< update, the tile products of the inverse, the spin-block
+               ///< Schur and coupling products, and the plain reference zgemm
   kTrsm = 1,   ///< triangular solves (row-panel substitution, GETRS, the
                ///< diagonal-block substitutions of the inverse)
-  kPanel = 2,  ///< LU panel steps (pivoting, scaling, in-panel updates)
-  kOther = 3,  ///< everything else (GEMV, accumulations)
+  kPanel = 2,  ///< LU panel steps (pivoting, scaling, in-panel updates), and
+               ///< the whole unblocked reference LU
+  kOther = 3,  ///< everything else (the unattributed add_flops overload)
 };
 
 inline constexpr std::size_t kKernelCount = 4;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <utility>
 
@@ -93,6 +94,9 @@ Daemon::Daemon(std::shared_ptr<const lsms::LsmsSolver> solver,
     : solver_(std::move(solver)),
       options_(std::move(options)),
       scheduler_(solver_, options_.limits) {
+  // run() hands the team size to omp_set_num_threads, which takes an int.
+  WLSMS_EXPECTS(options_.gemm_batch_threads <=
+                static_cast<std::size_t>(std::numeric_limits<int>::max()));
   comm::Socket listener = comm::make_listener(options_.listen, 32, address_);
   set_nonblocking(listener.get());
   listener_ = listener.release();

@@ -65,7 +65,8 @@ struct ServeOptions {
   /// When nonzero, run() sets its thread's OpenMP team size (the threads
   /// each batched solve spreads its zone solves over) to this for the
   /// daemon's lifetime and restores the caller's value on return (0 = the
-  /// OpenMP default: OMP_NUM_THREADS, else every core).
+  /// OpenMP default: OMP_NUM_THREADS, else every core). At most INT_MAX
+  /// (the constructor's contract; omp_set_num_threads takes an int).
   std::size_t gemm_batch_threads = 0;
 };
 

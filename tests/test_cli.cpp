@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "options.hpp"
@@ -187,6 +188,27 @@ TEST(CliOptions, DistributedTransportIsTypedAndTcpFlagsNeedTcp) {
   EXPECT_THROW(DistributedOptions::parse(parse(
                    {"distributed", "--transport", "inprocess", "--external",
                     "0"})),
+               std::runtime_error);
+}
+
+TEST(CliOptions, ServeBatchThreadsMustFitAnInt) {
+  // Parse only: the value becomes an OpenMP team size (an int), so
+  // anything larger must be refused, not wrapped.
+  EXPECT_EQ(ServeOptions::parse(parse({"serve"})).batch_threads, 0u);
+  const ServeOptions largest = ServeOptions::parse(
+      parse({"serve", "--batch-threads", "2147483647"}));
+  EXPECT_EQ(largest.batch_threads, 2147483647u);
+  for (const char* value : {"2147483648", "4294967296", "4294967297"}) {
+    try {
+      ServeOptions::parse(parse({"serve", "--batch-threads", value}));
+      ADD_FAILURE() << "accepted --batch-threads " << value;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("--batch-threads"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(ServeOptions::parse(parse({"serve", "--batch-threads", "-1"})),
                std::runtime_error);
 }
 

@@ -1,4 +1,5 @@
-// Tests for the pivoted LU factorization, inverse, and log-determinant.
+// Tests for the reference LU factorization, inverse and log-determinant, and
+// for the split-plane kernels (split_getrf, spin_block_solve) against them.
 #include "linalg/lu.hpp"
 
 #include <gtest/gtest.h>
@@ -6,6 +7,7 @@
 #include <array>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -79,53 +81,66 @@ INSTANTIATE_TEST_SUITE_P(Sizes, LuSizes,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 64, 130));
 
 // ---------------------------------------------------------------------------
-// Blocked vs unblocked factorization. The two algorithms make identical
-// pivot choices (same column search order), so they must agree on pivots and
-// parity exactly and on the factors to roundoff.
+// The blocked split-plane LU (split_getrf) against the interleaved
+// reference (zgetrf_in_place). Both pick the first row attaining the
+// largest CABS1, so they must agree on pivots and parity exactly and on the
+// factors to roundoff.
 
-ZMatrix reconstruct_plu(const LuFactorization& f) {
-  const std::size_t n = f.order();
+// Packed factors, pivots and swap parity of one factorization.
+struct Factors {
+  ZMatrix packed;
+  std::vector<std::size_t> pivots;
+  int parity = 1;
+};
+
+// The kernel under test: split_getrf on a plane copy of `a`, its factors
+// re-interleaved.
+Factors split_factors(const ZMatrix& a) {
+  SplitMatrix planes(a);
+  Factors f;
+  f.parity = split_getrf(planes, f.pivots);
+  planes.copy_to(f.packed);
+  return f;
+}
+
+Factors reference_factors(ZMatrix a) {
+  Factors f;
+  f.parity = zgetrf_in_place(a, f.pivots);
+  f.packed = std::move(a);
+  return f;
+}
+
+// A^-1 B from either factorization.
+ZMatrix solve(const Factors& f, ZMatrix b) {
+  zgetrs_in_place(f.packed, f.pivots, b.data(), b.cols(), b.rows());
+  return b;
+}
+
+ZMatrix reconstruct_plu(const Factors& f) {
+  const std::size_t n = f.packed.rows();
   ZMatrix l = ZMatrix::identity(n);
   ZMatrix u(n, n);
   for (std::size_t c = 0; c < n; ++c)
     for (std::size_t r = 0; r < n; ++r) {
       if (r > c)
-        l(r, c) = f.packed()(r, c);
+        l(r, c) = f.packed(r, c);
       else
-        u(r, c) = f.packed()(r, c);
+        u(r, c) = f.packed(r, c);
     }
   ZMatrix lu = multiply(l, u);
   // Undo the row interchanges in reverse: P^T (L U) should equal A.
   for (std::size_t k = n; k-- > 0;) {
-    const std::size_t p = f.pivots()[k];
+    const std::size_t p = f.pivots[k];
     if (p == k) continue;
     for (std::size_t c = 0; c < n; ++c) std::swap(lu(k, c), lu(p, c));
   }
   return lu;
 }
 
-TEST(LuBlocked, MatchesUnblockedOnRandomMatrix) {
-  const std::size_t n = 130;  // the paper-geometry zone order
-  Rng rng(1301);
-  const ZMatrix a = random_matrix(n, rng);
-  const LuFactorization blocked(a, LuAlgorithm::kBlocked);
-  const LuFactorization unblocked(a, LuAlgorithm::kUnblocked);
-  EXPECT_EQ(blocked.pivots(), unblocked.pivots());
-  EXPECT_LT(blocked.packed().max_abs_diff(unblocked.packed()), 1e-10);
-  const Complex ld_b = blocked.log_det();
-  const Complex ld_u = unblocked.log_det();
-  EXPECT_NEAR(ld_b.real(), ld_u.real(), 1e-10);
-  EXPECT_NEAR(ld_b.imag(), ld_u.imag(), 1e-10);
-}
-
-TEST(LuBlocked, ReconstructsMatrixThroughPlu) {
-  for (const std::size_t n : {64ul, 97ul, 130ul}) {
-    Rng rng(n);
-    const ZMatrix a = random_matrix(n, rng);
-    const LuFactorization f(a, LuAlgorithm::kBlocked);
-    EXPECT_LT(reconstruct_plu(f).max_abs_diff(a), 1e-10 * static_cast<double>(n))
-        << "n=" << n;
-  }
+std::size_t swaps(const std::vector<std::size_t>& pivots) {
+  std::size_t n = 0;
+  for (std::size_t k = 0; k < pivots.size(); ++k) n += pivots[k] != k ? 1 : 0;
+  return n;
 }
 
 TEST(LuBlocked, FactorizesPermutationMatrixExactly) {
@@ -134,16 +149,20 @@ TEST(LuBlocked, FactorizesPermutationMatrixExactly) {
   const std::size_t n = 130;
   ZMatrix p(n, n);
   for (std::size_t c = 0; c < n; ++c) p((c + 37) % n, c) = {1.0, 0.0};
-  const LuFactorization f(p, LuAlgorithm::kBlocked);
-  EXPECT_LT(multiply(p, f.inverse()).max_abs_diff(ZMatrix::identity(n)),
+  const Factors f = split_factors(p);
+  EXPECT_LT(multiply(p, solve(f, ZMatrix::identity(n)))
+                .max_abs_diff(ZMatrix::identity(n)),
             1e-13);
-  EXPECT_NEAR(f.log_det().real(), 0.0, 1e-13);
+  double log_abs_det = 0.0;
+  for (std::size_t k = 0; k < n; ++k)
+    log_abs_det += std::log(std::abs(f.packed(k, k)));
+  EXPECT_NEAR(log_abs_det, 0.0, 1e-13);
 }
 
 TEST(LuBlocked, HandlesNearSingularMatrix) {
   // One row nearly linearly dependent on another: the factorization must
   // pivot through the tiny remaining entries and still solve accurately
-  // (residual-wise) in both algorithms.
+  // (residual-wise), blocked and reference alike.
   const std::size_t n = 96;
   Rng rng(961);
   ZMatrix a = random_matrix(n, rng);
@@ -153,49 +172,32 @@ TEST(LuBlocked, HandlesNearSingularMatrix) {
   for (std::size_t r = 0; r < n; ++r)
     x_true(r, 0) = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
   const ZMatrix b = multiply(a, x_true);
-  for (const LuAlgorithm alg :
-       {LuAlgorithm::kBlocked, LuAlgorithm::kUnblocked}) {
-    const ZMatrix x = LuFactorization(a, alg).solve(b);
-    const ZMatrix residual = multiply(a, x);
-    EXPECT_LT(residual.max_abs_diff(b), 1e-7)
-        << "alg=" << static_cast<int>(alg);
-  }
-}
-
-TEST(LuBlocked, SingularMatrixThrowsAtBlockedSize) {
-  ZMatrix m(70, 70);  // all zeros, above the kAuto blocked threshold
-  EXPECT_THROW(LuFactorization(m, LuAlgorithm::kBlocked), SingularMatrixError);
-  std::vector<std::size_t> pivots;
-  ZMatrix m2(70, 70);
-  EXPECT_THROW(zgetrf_in_place(m2, pivots, LuAlgorithm::kBlocked),
-               SingularMatrixError);
-}
-
-TEST(LuBlocked, AutoSelectsByOrder) {
-  // kAuto must agree with whichever algorithm it picks; spot-check both
-  // sides of the threshold by comparing against the explicit selections.
-  Rng rng(77);
-  const ZMatrix small = random_matrix(kLuBlockedThreshold - 1, rng);
-  const ZMatrix large = random_matrix(kLuBlockedThreshold + 1, rng);
-  EXPECT_EQ(zgetrf_flops(small.rows()),
-            zgetrf_flops(small.rows(), LuAlgorithm::kUnblocked));
-  EXPECT_EQ(zgetrf_flops(large.rows()),
-            zgetrf_flops(large.rows(), LuAlgorithm::kBlocked));
+  EXPECT_LT(multiply(a, solve(split_factors(a), b)).max_abs_diff(b), 1e-7)
+      << "split_getrf";
+  EXPECT_LT(multiply(a, solve(reference_factors(a), b)).max_abs_diff(b), 1e-7)
+      << "zgetrf_in_place";
 }
 
 TEST(LuBlocked, InstrumentedFlopsMatchAnalyticCount) {
   // The per-kernel counters booked by the panel/TRSM/GEMM pieces must sum
-  // to exactly what zgetrf_flops predicts, for both algorithms.
-  for (const LuAlgorithm alg :
-       {LuAlgorithm::kBlocked, LuAlgorithm::kUnblocked}) {
-    const std::size_t n = 130;
-    Rng rng(n + static_cast<std::size_t>(alg));
-    ZMatrix a = random_matrix(n, rng);
+  // to exactly the perf::cost formula each factorization is counted by.
+  const std::size_t n = 130;
+  Rng rng(n);
+  const ZMatrix a = random_matrix(n, rng);
+  {
+    SplitMatrix planes(a);
     std::vector<std::size_t> pivots;
-    perf::FlopWindow window;
-    zgetrf_in_place(a, pivots, alg);
-    EXPECT_EQ(window.elapsed(), zgetrf_flops(n, alg))
-        << "alg=" << static_cast<int>(alg);
+    const perf::FlopWindow window;
+    split_getrf(planes, pivots);
+    EXPECT_EQ(window.elapsed(), perf::cost::zgetrf_blocked(n, kLuBlockSize));
+  }
+  {
+    ZMatrix lu = a;
+    std::vector<std::size_t> pivots;
+    const perf::FlopWindow window;
+    zgetrf_in_place(lu, pivots);
+    EXPECT_EQ(window.elapsed(), perf::cost::zgetrf_panel(n, n));
+    EXPECT_EQ(window.elapsed(perf::Kernel::kPanel), window.elapsed());
   }
 }
 
@@ -204,19 +206,19 @@ TEST(LuBlocked, GemmCarriesMostBlockedFlops) {
   // trailing updates retire the bulk of the flops.
   const std::size_t n = 128;
   Rng rng(1281);
-  ZMatrix a = random_matrix(n, rng);
+  SplitMatrix a(random_matrix(n, rng));
   std::vector<std::size_t> pivots;
-  perf::FlopWindow window;
-  zgetrf_in_place(a, pivots, LuAlgorithm::kBlocked);
+  const perf::FlopWindow window;
+  split_getrf(a, pivots);
   EXPECT_GE(window.gemm_fraction(), 0.6);
 }
 
 // ---------------------------------------------------------------------------
-// The split-plane blocked LU against the unblocked reference, at orders that
-// cover every register tile, panel and padding edge: below, at and just past
-// one vector, one 16-column panel, the kAuto threshold, and the paper's zone
-// orders (28 = 15-atom LIZ, 128 = 65-atom LIZ). The matrices get no
-// diagonal shift, so partial pivoting swaps rows in most columns.
+// The same comparison at orders that cover every register tile, panel and
+// padding edge: below, at and just past one vector, one 16-column panel and
+// four panels, and the paper's zone orders (28 = 15-atom LIZ, 128 = 65-atom
+// LIZ). The matrices get no diagonal shift, so partial pivoting swaps rows
+// in most columns.
 
 ZMatrix random_general(std::size_t n, Rng& rng) {
   ZMatrix m(n, n);
@@ -238,11 +240,14 @@ TEST_P(SplitLuOrders, MatchesUnblockedPivotsAndRebuildsMatrix) {
   const std::size_t n = GetParam();
   Rng rng(7000 + n);
   const ZMatrix a = random_general(n, rng);
-  const LuFactorization blocked(a, LuAlgorithm::kBlocked);
-  const LuFactorization unblocked(a, LuAlgorithm::kUnblocked);
-  EXPECT_EQ(blocked.pivots(), unblocked.pivots());
+  const Factors blocked = split_factors(a);
+  const Factors reference = reference_factors(a);
+  EXPECT_EQ(blocked.pivots, reference.pivots);
+  // The swap parity is the sign det and log_det take from the pivots.
+  EXPECT_EQ(blocked.parity, reference.parity);
+  EXPECT_EQ(blocked.parity, swaps(blocked.pivots) % 2 == 0 ? 1 : -1);
   EXPECT_LT(relative_error(reconstruct_plu(blocked), a), 1e-12);
-  EXPECT_LT(relative_error(blocked.packed(), unblocked.packed()), 1e-12);
+  EXPECT_LT(relative_error(blocked.packed, reference.packed), 1e-12);
 }
 
 TEST_P(SplitLuOrders, ZeroColumnThrowsNamingThatColumn) {
@@ -253,14 +258,17 @@ TEST_P(SplitLuOrders, ZeroColumnThrowsNamingThatColumn) {
     Rng rng(9000 + n);
     ZMatrix a = random_general(n, rng);
     for (std::size_t r = 0; r < n; ++r) a(r, column) = Complex{0.0, 0.0};
-    for (const LuAlgorithm alg :
-         {LuAlgorithm::kBlocked, LuAlgorithm::kUnblocked}) {
+    for (const bool blocked : {true, false}) {
+      const char* name = blocked ? "split_getrf" : "zgetrf_in_place";
       try {
-        const LuFactorization f(a, alg);
-        ADD_FAILURE() << "no throw for zero column " << column
-                      << ", alg=" << static_cast<int>(alg);
+        if (blocked)
+          split_factors(a);
+        else
+          reference_factors(a);
+        ADD_FAILURE() << "no throw for zero column " << column << ", "
+                      << name;
       } catch (const SingularMatrixError& e) {
-        EXPECT_EQ(e.column(), column) << "alg=" << static_cast<int>(alg);
+        EXPECT_EQ(e.column(), column) << name;
       }
     }
   }
@@ -325,20 +333,14 @@ std::array<Complex, 4> dense_coupling(const SpinBlockProblem& p) {
       b(sigma * l + j, sigma) = p.b(j, 0);
       c(sigma, sigma * l + j) = p.c(j, 0);
     }
-  const ZMatrix x = LuFactorization(a, LuAlgorithm::kUnblocked).solve(b);
+  const ZMatrix x = LuFactorization(a).solve(b);
   const ZMatrix cx = multiply(c, x);
   return {cx(0, 0), cx(1, 0), cx(0, 1), cx(1, 1)};
 }
 
 std::uint64_t spin_block_flops(std::size_t l) {
-  return 2 * zgetrf_flops(l, LuAlgorithm::kBlocked) + perf::cost::zgetri(l) +
-         spin_block_coupling_flops(l);
-}
-
-std::size_t swaps(const std::vector<std::size_t>& pivots) {
-  std::size_t n = 0;
-  for (std::size_t k = 0; k < pivots.size(); ++k) n += pivots[k] != k ? 1 : 0;
-  return n;
+  return 2 * perf::cost::zgetrf_blocked(l, kLuBlockSize) +
+         perf::cost::zgetri(l) + spin_block_coupling_flops(l);
 }
 
 // Runs spin_block_solve on `p` from a fixed s and checks s -= C A^-1 B

@@ -10,6 +10,7 @@
 #include "lattice/cluster.hpp"
 #include "lsms/contour.hpp"
 #include "lsms/fe_parameters.hpp"
+#include "perf/flops.hpp"
 
 namespace wlsms::lsms {
 namespace {
@@ -165,9 +166,12 @@ TEST(CentralTauSchur, MatchesReferencePathAtFastRadius) {
 }
 
 TEST(CentralTauSchur, MatchesReferencePathAtPaperRadius) {
-  // 65-atom zone: the member block is 128 x 128, so this exercises the
-  // blocked LU + TRSM panel + Schur GEMM exactly as the production solver
-  // runs them.
+  // 65-atom zone: the member block is 64 x 64 per spin, so this exercises
+  // the spin-block kernel (two blocked LUs over four 16-column panels, the
+  // inverse, the Schur complement) exactly as the production solver runs
+  // it. The reference factors the whole 130 x 130 zone matrix with the
+  // unblocked interleaved LU, so it shares no kernel with that path: it
+  // books no trailing-update (kZgemm) flop.
   const Scatterer scatterer(fe_scattering_parameters());
   const LizGeometry liz = build_liz(fe16(), 0, units::fe_liz_radius_a0);
   ASSERT_EQ(liz.zone_size(), 65u);
@@ -175,8 +179,11 @@ TEST(CentralTauSchur, MatchesReferencePathAtPaperRadius) {
   const auto moments = spin::MomentConfiguration::random(16, rng);
   const Complex z{0.25, 0.12};
   const linalg::ZMatrix p = scalar_propagator_matrix(liz, z);
-  const spin::Spin2x2 reference = central_tau_block(
-      assemble_kkr_matrix(scatterer, liz, moments, z, p));
+  const linalg::ZMatrix kkr =
+      assemble_kkr_matrix(scatterer, liz, moments, z, p);
+  const perf::FlopWindow window;
+  const spin::Spin2x2 reference = central_tau_block(kkr);
+  EXPECT_EQ(window.elapsed(perf::Kernel::kZgemm), 0u);
   SchurWorkspace ws;
   const spin::Spin2x2 schur = schur_tau(scatterer, liz, moments, z, ws);
   for (int c = 0; c < 4; ++c)

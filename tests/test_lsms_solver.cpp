@@ -182,7 +182,8 @@ TEST(LsmsSolver, FlopsPerEnergyMatchesAnalyticCount) {
   // them), per atom (16).
   const std::uint64_t l = 14;
   const std::uint64_t per_point =
-      2 * linalg::zgetrf_flops(l) + perf::cost::zgetri(l) + 14 * l * l +
+      2 * perf::cost::zgetrf_blocked(l, linalg::kLuBlockSize) +
+      perf::cost::zgetri(l) + 14 * l * l +
       perf::cost::zgemm(l, 2, l) + perf::cost::zgetrs(l, 2) + 2 * 6 * l +
       perf::cost::zgemm(2, 2, l) + perf::cost::zgemm(1, 1, l);
   EXPECT_EQ(solver.flops_per_zone_energy(0), 8u * per_point);
