@@ -1,8 +1,8 @@
 // The communication layer measured for real: submit -> retrieve round-trip
 // latency of the distributed energy service on both transports (threads
 // and loopback TCP), the group-sharded evaluation time of the paper's
-// 16-site iron cell, the wire traffic of a delta-scatter walk and of a
-// coalesced burst, and a Fig.-7-style weak-scaling series over loopback
+// 16-site iron cell, the wire traffic of a single-site move walk, and a
+// Fig.-7-style weak-scaling series over loopback
 // TCP workers, each a fork()ed OS process (groups x 1 rank, fixed WL
 // evaluations per group — the paper's "adding walkers adds cores at
 // constant runtime" experiment, scaled to this host).
@@ -32,26 +32,19 @@ namespace {
 
 using namespace wlsms;
 
-/// Wire-level counters of the TCP transport: a "frame" is one logical
-/// message, a "batch" is one physical write — frames/batch is the
-/// controller-side coalescing win.
-struct StreamCounters {
+/// The distributed service's traffic, both directions: shard requests
+/// scattered plus shard results gathered, and their payload bytes.
+struct Traffic {
   std::uint64_t frames = 0;
-  std::uint64_t batches = 0;
   std::uint64_t bytes = 0;
 };
 
-StreamCounters stream_counters() {
-  StreamCounters c;
-  c.frames = obs::Registry::instance().counter("comm.stream.frames_sent").value();
-  c.batches =
-      obs::Registry::instance().counter("comm.stream.batches_sent").value();
-  c.bytes = obs::Registry::instance().counter("comm.stream.bytes_sent").value();
-  return c;
-}
-
-StreamCounters operator-(const StreamCounters& a, const StreamCounters& b) {
-  return {a.frames - b.frames, a.batches - b.batches, a.bytes - b.bytes};
+Traffic traffic() {
+  obs::Registry& registry = obs::Registry::instance();
+  return {registry.counter("comm.frames_sent").value() +
+              registry.counter("comm.frames_received").value(),
+          registry.counter("comm.bytes_sent").value() +
+              registry.counter("comm.bytes_received").value()};
 }
 
 struct EvalRun {
@@ -97,20 +90,19 @@ EvalRun run_evals(const wl::LsmsEnergy& energy, comm::Transport transport,
   return run;
 }
 
-struct DeltaWalk {
-  double seconds = 0.0;
+struct MoveWalk {
   std::size_t evals = 0;
-  StreamCounters wire;    ///< frames/batches/bytes the walk put on the wire
+  Traffic wire;           ///< frames and bytes the walk scattered and gathered
   double max_diff = 0.0;  ///< vs the serial solver (must be exactly 0)
 };
 
-// A Wang-Landau-shaped workload on one group: sequential single-moved-site
-// evaluations, so after the first full scatter every frame is a small delta
-// — the traffic controller-side coalescing exists for.
-DeltaWalk run_delta_walk(const wl::LsmsEnergy& energy,
-                         std::shared_ptr<const lsms::LsmsSolver> solver,
-                         comm::Transport transport, std::size_t group_size,
-                         std::size_t n_evals, std::uint64_t seed) {
+// A Wang-Landau-shaped workload on one group: sequential single-site moves
+// of one walker, each scattered as the whole configuration with the zones
+// the move touches.
+MoveWalk run_move_walk(const wl::LsmsEnergy& energy,
+                       std::shared_ptr<const lsms::LsmsSolver> solver,
+                       comm::Transport transport, std::size_t group_size,
+                       std::size_t n_evals, std::uint64_t seed) {
   comm::DistributedConfig config;
   config.n_groups = 1;
   config.group_size = group_size;
@@ -120,10 +112,9 @@ DeltaWalk run_delta_walk(const wl::LsmsEnergy& energy,
   Rng rng(seed);
   spin::MomentConfiguration moments =
       spin::MomentConfiguration::random(energy.n_sites(), rng);
-  DeltaWalk walk;
+  MoveWalk walk;
   walk.evals = n_evals;
-  const StreamCounters before = stream_counters();
-  perf::Timer timer;
+  const Traffic before = traffic();
   for (std::size_t k = 0; k < n_evals; ++k) {
     moments.set(rng.uniform_index(energy.n_sites()), rng.unit_vector());
     service.submit({0, k + 1, moments});
@@ -131,45 +122,9 @@ DeltaWalk run_delta_walk(const wl::LsmsEnergy& energy,
     walk.max_diff = std::max(
         walk.max_diff, std::fabs(result.energy - energy.total_energy(moments)));
   }
-  walk.seconds = timer.seconds();
-  walk.wire = stream_counters() - before;
+  const Traffic after = traffic();
+  walk.wire = {after.frames - before.frames, after.bytes - before.bytes};
   return walk;
-}
-
-struct BurstResult {
-  std::size_t frames_sent = 0;  ///< logical messages the controller sent
-  StreamCounters wire;          ///< what actually hit the wire
-};
-
-// The coalescing micro-demonstration: a burst of small frames to every rank
-// of a TCP echo group, corked per rank and flushed as one batched write per
-// rank — frames/batch is the syscall (and, with TCP_NODELAY, packet) win.
-BurstResult run_tcp_burst(std::size_t n_ranks, std::size_t frames_per_rank) {
-  auto comm = comm::make_tcp_communicator(
-      n_ranks,
-      [](comm::WorkerChannel& channel) {
-        while (std::optional<comm::Message> message = channel.recv())
-          channel.send(*message);
-      },
-      comm::TcpOptions{});
-
-  BurstResult burst;
-  const StreamCounters before = stream_counters();
-  comm::Message small;
-  small.payload.resize(64);
-  for (std::size_t f = 0; f < frames_per_rank; ++f)
-    for (std::size_t r = 0; r < n_ranks; ++r) {
-      small.tag = static_cast<std::uint32_t>(f);
-      if (comm->send(r, small)) ++burst.frames_sent;
-    }
-  // Echoes drain only after the corks flush (first recv cycle) — collect
-  // them all so the workers finished before the counters are read.
-  std::size_t echoed = 0;
-  while (echoed < burst.frames_sent)
-    if (comm->recv(std::chrono::milliseconds(100))) ++echoed;
-  burst.wire = stream_counters() - before;
-  comm->shutdown();
-  return burst;
 }
 
 }  // namespace
@@ -237,36 +192,15 @@ int main(int argc, char** argv) {
   add_row("tcp       1x4 (sharded)", shard_tcp, kShardEvals);
   table.print();
 
-  // --- delta-scatter wire traffic, 1x4 TCP group --------------------------
-  // Frames vs batches per evaluation: heartbeats and small delta frames to
-  // the same rank cork into one physical write, so batches/eval stays below
-  // frames/eval — each batch is one syscall and (TCP_NODELAY) one packet.
+  // --- move-walk wire traffic, 1x4 TCP group -----------------------------
   constexpr std::size_t kWalkEvals = 16;
-  const DeltaWalk walk = run_delta_walk(energy, solver, comm::Transport::kTcp,
-                                        4, kWalkEvals, 19);
-  std::printf("\ndelta-scatter walk, tcp 1x4, %zu evals:\n", walk.evals);
-  std::printf("  wire frames  / eval: %.2f\n",
+  const MoveWalk walk = run_move_walk(energy, solver, comm::Transport::kTcp,
+                                      4, kWalkEvals, 19);
+  std::printf("\nmove walk, tcp 1x4, %zu evals:\n", walk.evals);
+  std::printf("  frames / eval: %.2f  (shard requests + results)\n",
               static_cast<double>(walk.wire.frames) / walk.evals);
-  std::printf("  wire batches / eval: %.2f  (%.2f frames per batch)\n",
-              static_cast<double>(walk.wire.batches) / walk.evals,
-              walk.wire.batches > 0 ? static_cast<double>(walk.wire.frames) /
-                                          static_cast<double>(walk.wire.batches)
-                                    : 0.0);
-  std::printf("  wire bytes   / eval: %.0f\n",
+  std::printf("  bytes  / eval: %.0f\n",
               static_cast<double>(walk.wire.bytes) / walk.evals);
-
-  // --- coalescing burst: 16 small frames to each of 4 TCP ranks -----------
-  const BurstResult burst = run_tcp_burst(4, 16);
-  std::printf("\ncoalescing burst, tcp 4 ranks x 16 small frames:\n");
-  std::printf("  frames sent: %zu   physical writes: %llu   (%.1fx fewer)\n",
-              burst.frames_sent,
-              static_cast<unsigned long long>(burst.wire.batches),
-              burst.wire.batches > 0
-                  ? static_cast<double>(burst.wire.frames) /
-                        static_cast<double>(burst.wire.batches)
-                  : 0.0);
-  if (burst.wire.batches >= burst.wire.frames)
-    std::printf("  ** coalescing had no effect — every frame paid a write **\n");
 
   // --- weak scaling over loopback TCP workers (Fig. 7 shape) --------------
   // Fixed evaluations per group; each group is one TCP rank, a fork()ed
@@ -309,25 +243,15 @@ int main(int argc, char** argv) {
                "\"tcp\": %.6e},\n"
                "  \"sharded_1x4_s_per_eval\": {\"inprocess\": %.6e, "
                "\"tcp\": %.6e},\n"
-               "  \"delta_walk_tcp_1x4\": {\"evals\": %zu, "
-               "\"frames_per_eval\": %.4f, \"batches_per_eval\": %.4f, "
-               "\"bytes_per_eval\": %.1f},\n"
-               "  \"coalescing_burst_tcp_4x16\": {\"frames\": %llu, "
-               "\"batches\": %llu, \"frames_per_batch\": %.4f},\n"
+               "  \"move_walk_tcp_1x4\": {\"evals\": %zu, "
+               "\"frames_per_eval\": %.4f, \"bytes_per_eval\": %.1f},\n"
                "  \"weak_scaling_tcp\": [\n",
                serial_s, lat_inproc.seconds / kLatencyEvals,
                lat_tcp.seconds / kLatencyEvals,
                shard_inproc.seconds / kShardEvals,
                shard_tcp.seconds / kShardEvals, walk.evals,
                static_cast<double>(walk.wire.frames) / walk.evals,
-               static_cast<double>(walk.wire.batches) / walk.evals,
-               static_cast<double>(walk.wire.bytes) / walk.evals,
-               static_cast<unsigned long long>(burst.wire.frames),
-               static_cast<unsigned long long>(burst.wire.batches),
-               burst.wire.batches > 0
-                   ? static_cast<double>(burst.wire.frames) /
-                         static_cast<double>(burst.wire.batches)
-                   : 0.0);
+               static_cast<double>(walk.wire.bytes) / walk.evals);
   for (std::size_t i = 0; i < weak.size(); ++i)
     std::fprintf(json,
                  "    {\"groups\": %zu, \"evals\": %zu, \"runtime_s\": %.6e}%s\n",

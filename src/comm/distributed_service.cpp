@@ -19,13 +19,15 @@ namespace {
 constexpr std::size_t kNoGroup = ~std::size_t{0};
 constexpr std::size_t kNoBasis = ~std::size_t{0};
 
+/// Controller poll granularity inside retrieve(): the longest a death or
+/// heartbeat sweep waits while no gather arrives.
+constexpr std::chrono::milliseconds kPollInterval{20};
+
 struct CommMetrics {
   obs::Counter& frames_sent;
   obs::Counter& bytes_sent;
   obs::Counter& frames_received;
   obs::Counter& bytes_received;
-  obs::Counter& full_scatters;
-  obs::Counter& delta_scatters;
   obs::Counter& zones_solved;
   obs::Counter& heartbeat_misses;
   obs::Counter& reroutes;
@@ -40,8 +42,6 @@ CommMetrics& comm_metrics() {
       obs::Registry::instance().counter("comm.bytes_sent"),
       obs::Registry::instance().counter("comm.frames_received"),
       obs::Registry::instance().counter("comm.bytes_received"),
-      obs::Registry::instance().counter("comm.full_scatters"),
-      obs::Registry::instance().counter("comm.delta_scatters"),
       obs::Registry::instance().counter("comm.zones_solved"),
       obs::Registry::instance().counter("comm.heartbeat_misses"),
       obs::Registry::instance().counter("comm.reroutes"),
@@ -55,8 +55,8 @@ CommMetrics& comm_metrics() {
 }
 
 /// Bitwise direction equality. Vec3::operator== would treat -0.0 == 0.0 and
-/// could miss a representation change; the delta scatter must be exact at
-/// the bit level because the worker reconstructs the configuration from it.
+/// could miss a representation change; a zone left out of the scatter must
+/// see bitwise the inputs of its basis evaluation.
 bool same_bits(const Vec3& a, const Vec3& b) {
   return std::memcmp(&a, &b, sizeof(Vec3)) == 0;
 }
@@ -75,29 +75,9 @@ std::vector<std::size_t> changed_sites(const std::vector<Vec3>& a,
 void run_shard_worker(WorkerChannel& channel,
                       std::shared_ptr<const lsms::LsmsSolver> solver) {
   WLSMS_EXPECTS(solver != nullptr);
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::vector<Vec3>> cache;
   while (std::optional<Message> message = channel.recv()) {
-    if (message->tag == kTagShardEvict) {
-      // A tenant session ended: drop its cached configurations so the cache
-      // cannot grow without bound under session churn.
-      const ShardEvict evict = decode_shard_evict(message->payload);
-      for (auto it = cache.lower_bound({evict.session, 0});
-           it != cache.end() && it->first.first == evict.session;)
-        it = cache.erase(it);
-      continue;
-    }
     if (message->tag != kTagShardRequest) continue;
     const ShardRequest request = decode_shard_request(message->payload);
-    std::vector<Vec3>& directions =
-        cache[{request.session, request.walker}];
-    if (request.kind == ShardRequest::ConfigKind::kFull) {
-      directions = request.full.directions();
-    } else {
-      if (directions.size() != request.n_total_atoms)
-        throw CommError("delta scatter without matching base configuration");
-      for (const MovedSite& moved : request.moved_sites)
-        directions[moved.site] = moved.direction;
-    }
     ShardResult result;
     result.ticket = request.ticket;
     result.attempt = request.attempt;
@@ -106,9 +86,8 @@ void run_shard_worker(WorkerChannel& channel,
       // Adopted from the originating driver span (possibly in another
       // process), so the merged trace nests this rank's solve under it.
       const obs::Span span("comm.shard_solve", request.trace);
-      const spin::MomentConfiguration config =
-          spin::MomentConfiguration::from_raw_directions(directions);
-      lsms::ZoneJob job{&config, {request.zones.begin(), request.zones.end()}};
+      lsms::ZoneJob job{&request.config,
+                        {request.zones.begin(), request.zones.end()}};
       // Serial: a fork()ed rank must stay off libgomp.
       result.energies =
           solver->solve_zones({std::move(job)}, lsms::ZoneThreading::kSerial)
@@ -125,13 +104,11 @@ DistributedEnergyService::DistributedEnergyService(
   WLSMS_EXPECTS(solver_ != nullptr);
   WLSMS_EXPECTS(config_.n_groups >= 1);
   WLSMS_EXPECTS(config_.group_size >= 1);
-  WLSMS_EXPECTS(config_.poll_interval.count() > 0);
   WLSMS_EXPECTS(config_.heartbeat_timeout.count() > 0);
 
   const std::size_t n_ranks = config_.n_groups * config_.group_size;
   groups_.resize(config_.n_groups);
   rank_group_.resize(n_ranks);
-  sent_.resize(n_ranks);
   death_counted_.assign(n_ranks, 0);
   for (std::size_t r = 0; r < n_ranks; ++r) {
     const std::size_t g = r / config_.group_size;
@@ -172,7 +149,7 @@ wl::EnergyResult DistributedEnergyService::retrieve() {
   while (done_.empty()) {
     if (comm_->n_alive() == 0)
       throw CommError("all worker ranks dead with requests outstanding");
-    if (std::optional<Incoming> incoming = comm_->recv(config_.poll_interval)) {
+    if (std::optional<Incoming> incoming = comm_->recv(kPollInterval)) {
       if (incoming->message.tag == kTagShardResult) {
         if (!comm_->alive(incoming->rank)) {
           // A gather from a rank already declared dead: the kill raced the
@@ -196,31 +173,6 @@ wl::EnergyResult DistributedEnergyService::retrieve() {
           std::chrono::steady_clock::now() - enter)
           .count());
   return result;
-}
-
-void DistributedEnergyService::evict_session(std::uint64_t session) {
-  // A request of this session already scattered finds its entry gone at
-  // completion and leaves nothing behind (see on_shard_result).
-  for (auto it = bases_.lower_bound({session, 0});
-       it != bases_.end() && it->first.first == session;)
-    it = bases_.erase(it);
-  const Message message{kTagShardEvict, encode_shard_evict({session})};
-  for (std::size_t rank = 0; rank < sent_.size(); ++rank) {
-    auto& cache = sent_[rank];
-    for (auto it = cache.lower_bound({session, 0});
-         it != cache.end() && it->first.first == session;)
-      it = cache.erase(it);
-    // Every alive rank gets the evict, even ones with no controller-side
-    // entries: a scatter aborted mid-send can leave a worker holding a
-    // configuration the controller no longer remembers sending.
-    if (comm_->alive(rank)) (void)comm_->send(rank, message);
-  }
-}
-
-std::size_t DistributedEnergyService::delta_cache_entries() const {
-  std::size_t total = 0;
-  for (const auto& cache : sent_) total += cache.size();
-  return total;
 }
 
 std::size_t DistributedEnergyService::idle_group() const {
@@ -254,8 +206,7 @@ bool DistributedEnergyService::dispatch(std::size_t g,
   const std::vector<Vec3>& directions = request.config.directions();
 
   // Basis: the walker's cached evaluation with fewer changed sites. The
-  // entry is created here, so a completion can tell whether evict_session
-  // dropped it in flight.
+  // entry is created here, so the completion finds it.
   const std::array<Basis, 2>& slots =
       bases_[{request.session, request.walker}];
   std::size_t basis = kNoBasis;
@@ -317,6 +268,12 @@ bool DistributedEnergyService::dispatch(std::size_t g,
 
     // Even split of the zone list, remainder spread from the front: every
     // zone costs the same, so the slowest rank gets ceil(zones / ranks).
+    // Every shard carries the whole configuration.
+    ShardRequest shard;
+    shard.ticket = request.ticket;
+    shard.attempt = group.attempt;
+    shard.trace = request.trace;
+    shard.config = request.config;
     bool scatter_ok = true;
     const std::size_t base = zones.size() / n_shards;
     const std::size_t rem = zones.size() % n_shards;
@@ -325,51 +282,18 @@ bool DistributedEnergyService::dispatch(std::size_t g,
       const std::size_t rank = alive[s];
       const auto last = first + static_cast<std::ptrdiff_t>(
                                     base + (s < rem ? 1 : 0));
-
-      ShardRequest shard;
-      shard.ticket = request.ticket;
-      shard.attempt = group.attempt;
-      shard.session = request.session;
-      shard.trace = request.trace;
-      shard.walker = request.walker;
       shard.zones.assign(first, last);
-      shard.n_total_atoms = n_atoms;
-
-      // Delta against what this rank last saw for this walker, when the
-      // delta is genuinely smaller than resending the configuration; a
-      // MovedSite costs a site index on top of the direction.
-      const auto cached = sent_[rank].find({request.session, request.walker});
-      if (cached != sent_[rank].end() && cached->second.size() == n_atoms) {
-        shard.kind = ShardRequest::ConfigKind::kDelta;
-        for (std::size_t i = 0; i < n_atoms; ++i)
-          if (!same_bits(cached->second[i], directions[i]))
-            shard.moved_sites.push_back({i, directions[i]});
-        if (shard.moved_sites.size() * 4 >= n_atoms * 3) {
-          shard.kind = ShardRequest::ConfigKind::kFull;
-          shard.moved_sites.clear();
-        }
-      }
-      if (shard.kind == ShardRequest::ConfigKind::kFull)
-        shard.full = request.config;
-
       const Message message{kTagShardRequest, encode_shard_request(shard)};
-      const std::size_t frame_bytes = message.payload.size();
       if (!comm_->send(rank, message)) {
         log_debug("comm: send to rank ", rank, " (group ", g,
                   ") failed mid-scatter of ticket ", request.ticket,
                   "; restarting scatter over survivors");
-        sent_[rank].clear();
         scatter_ok = false;
         break;
       }
       CommMetrics& metrics = comm_metrics();
       metrics.frames_sent.inc();
-      metrics.bytes_sent.add(frame_bytes);
-      if (shard.kind == ShardRequest::ConfigKind::kDelta)
-        metrics.delta_scatters.inc();
-      else
-        metrics.full_scatters.inc();
-      sent_[rank][{request.session, request.walker}] = directions;
+      metrics.bytes_sent.add(message.payload.size());
       group.assigned.push_back({rank, std::vector<std::size_t>(first, last)});
       first = last;
     }
@@ -448,13 +372,10 @@ void DistributedEnergyService::on_shard_result(
 
   complete(group.request, group.per_atom);
   // Two-basis rule: keep the slot this evaluation diffed against and
-  // overwrite the other. A missing entry means evict_session ran since the
-  // scatter.
-  const auto slots =
-      bases_.find({group.request.session, group.request.walker});
-  if (slots != bases_.end())
-    slots->second[group.basis == 0 ? 1 : 0] = {
-        group.request.config.directions(), std::move(group.per_atom)};
+  // overwrite the other.
+  bases_[{group.request.session, group.request.walker}]
+        [group.basis == 0 ? 1 : 0] = {group.request.config.directions(),
+                                      std::move(group.per_atom)};
   group.busy = false;
   pump_waiting();
 }
@@ -493,9 +414,17 @@ void DistributedEnergyService::check_health() {
       }
     }
   }
+  // A rank that died holding no pending work (idle, or after its gather)
+  // has nothing to reroute, but its death still counts.
+  for (std::size_t rank = 0; rank < death_counted_.size(); ++rank) {
+    if (death_counted_[rank] || comm_->alive(rank)) continue;
+    log_warn("comm: rank ", rank, " (group ", rank_group_[rank],
+             ") died holding no pending work");
+    count_death(rank);
+  }
 }
 
-void DistributedEnergyService::on_rank_death(std::size_t rank) {
+void DistributedEnergyService::count_death(std::size_t rank) {
   CommMetrics& metrics = comm_metrics();
   if (!death_counted_[rank]) {
     death_counted_[rank] = 1;
@@ -503,9 +432,11 @@ void DistributedEnergyService::on_rank_death(std::size_t rank) {
   }
   metrics.dead_ranks.set(
       static_cast<double>(comm_->n_ranks() - comm_->n_alive()));
+}
 
-  // The worker's configuration cache died with it.
-  sent_[rank].clear();
+void DistributedEnergyService::on_rank_death(std::size_t rank) {
+  count_death(rank);
+  CommMetrics& metrics = comm_metrics();
   const std::size_t g = rank_group_[rank];
   Group& group = groups_[g];
   if (!group.busy) return;

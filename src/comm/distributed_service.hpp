@@ -15,13 +15,12 @@
 /// zones whose LIZ contains a changed site — the union of
 /// LsmsSolver::affected_sites — are re-solved; a walker with no basis gets
 /// every zone. Those zones are split evenly over the group's alive ranks as
-/// explicit zone lists (configurations travel whole the first time a rank
-/// sees a walker, as moved-site deltas afterwards — the t-matrix-update
-/// scatter), the ranks run the LIZ solves serially, and the controller
-/// fills every other zone from the basis and sums in atom order, making the
-/// distributed total bit-identical to LsmsSolver::energies: an unaffected
-/// zone's inputs are bitwise those of the basis evaluation. A request equal
-/// to its basis completes without a scatter.
+/// explicit zone lists, each sent with the whole configuration; the ranks
+/// run the LIZ solves serially, and the controller fills every other zone
+/// from the basis and sums in atom order, making the distributed total
+/// bit-identical to LsmsSolver::energies: an unaffected zone's inputs are
+/// bitwise those of the basis evaluation. A request equal to its basis
+/// completes without a scatter.
 ///
 /// Resilience (paper §V): rank death — socket EOF, a killed thread, or a
 /// heartbeat older than `heartbeat_timeout` while work is assigned — is
@@ -30,7 +29,9 @@
 /// group), and outstanding() never miscounts. Stale gathers from the
 /// aborted scatter are discarded by attempt number; a rank whose gather is
 /// anything but its current zone list is killed and rerouted the same way.
-/// Only when every rank of every group is gone does retrieve() throw.
+/// Only when every rank of every group is gone does retrieve() throw. Every
+/// death, an idle rank's included, counts in comm.rank_deaths and
+/// comm.dead_ranks.
 
 #include <array>
 #include <chrono>
@@ -52,8 +53,6 @@ struct DistributedConfig {
   std::size_t n_groups = 1;    ///< M independent LSMS groups
   std::size_t group_size = 1;  ///< N worker ranks per group
   Transport transport = Transport::kInProcess;
-  /// Controller poll granularity inside retrieve().
-  std::chrono::milliseconds poll_interval{20};
   /// A rank with assigned work unheard-from for longer than this is
   /// declared dead and its work rerouted. Must comfortably exceed the
   /// worst-case single-shard solve time (workers cannot heartbeat while
@@ -66,10 +65,9 @@ struct DistributedConfig {
   TcpOptions tcp;
 };
 
-/// The worker-rank protocol loop of DistributedEnergyService: caches the
-/// last configuration per (session, walker) (the basis delta scatters apply
-/// to, dropped again on a ShardEvict when that session ends), runs the
-/// serial zone-list solves of `solver`, and replies with gathers.
+/// The worker-rank protocol loop of DistributedEnergyService: runs the
+/// serial zone-list solve of each request's configuration on `solver` and
+/// replies with the gather. The worker keeps no state between requests.
 /// Returns when the channel reports shutdown/EOF; throws on a malformed
 /// request (a throwing worker is a dying worker — the controller reroutes).
 /// Exposed so external TCP workers (`wlsms worker`) run the identical loop
@@ -92,18 +90,6 @@ class DistributedEnergyService final : public wl::EnergyService {
   void submit(wl::EnergyRequest request) override;
   wl::EnergyResult retrieve() override;
   std::size_t outstanding() const override { return outstanding_; }
-
-  /// Drops every (session, walker) delta-cache entry and cached evaluation
-  /// of `session`, on the controller and on every alive worker rank.
-  /// Multiplexers serving many short-lived tenant sessions over one service
-  /// call this when a session ends, so the caches cannot grow without bound
-  /// under session churn; a reused (session, walker) key simply scatters
-  /// full again and solves every zone.
-  void evict_session(std::uint64_t session);
-
-  /// Controller-side delta-cache entries summed over ranks (for tests and
-  /// capacity monitoring).
-  std::size_t delta_cache_entries() const;
 
   /// Requests re-scattered after a detected worker death.
   std::uint64_t reroutes() const { return reroutes_; }
@@ -155,10 +141,14 @@ class DistributedEnergyService final : public wl::EnergyService {
   void pump_waiting();
   /// Handles one gathered shard result message.
   void on_shard_result(std::size_t rank, const std::vector<std::byte>& payload);
-  /// Death and heartbeat-timeout sweep over busy groups; reroutes work.
+  /// Death and heartbeat-timeout sweep over busy groups, which reroutes
+  /// their work, then over every rank, which counts deaths of idle ranks.
   void check_health();
-  /// Reacts to the death of `rank`: forgets its delta cache and, if its
-  /// group had work in flight, re-scatters that work.
+  /// Counts the death of `rank` once in comm.rank_deaths and refreshes the
+  /// comm.dead_ranks gauge.
+  void count_death(std::size_t rank);
+  /// Reacts to the death of `rank`: counts it and, if its group had work
+  /// assigned to it, re-scatters that work.
   void on_rank_death(std::size_t rank);
 
   std::shared_ptr<const lsms::LsmsSolver> solver_;
@@ -167,14 +157,9 @@ class DistributedEnergyService final : public wl::EnergyService {
   std::vector<Group> groups_;
   std::vector<std::size_t> rank_group_;  ///< rank id -> group index
 
-  /// Delta-cache key: one tenant-session's walker. The serving daemon
-  /// multiplexes many sessions over one service, so walker id alone would
-  /// alias two tenants' configurations and corrupt the delta basis.
+  /// Basis key: one tenant-session's walker. Sessions number their walkers
+  /// from zero, so walker id alone would alias two tenants' configurations.
   using ConfigKey = std::pair<std::uint64_t, std::uint64_t>;
-
-  /// Per-rank, per-(session, walker) directions last successfully sent:
-  /// the basis the moved-site delta scatter is encoded against.
-  std::vector<std::map<ConfigKey, std::vector<Vec3>>> sent_;
 
   /// Per-(session, walker) last two completed evaluations. A completion
   /// keeps the slot its request diffed against and overwrites the other,
@@ -184,8 +169,7 @@ class DistributedEnergyService final : public wl::EnergyService {
   std::map<ConfigKey, std::array<Basis, 2>> bases_;
 
   /// Per-rank flag: this rank's death was already counted in the
-  /// comm.rank_deaths metric (on_rank_death can fire more than once for
-  /// one rank — observed death, then heartbeat sweep).
+  /// comm.rank_deaths metric (a death is seen by several sweeps).
   std::vector<std::uint8_t> death_counted_;
 
   std::deque<wl::EnergyRequest> waiting_;  ///< submitted, no free group yet

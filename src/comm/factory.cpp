@@ -9,31 +9,6 @@
 
 namespace wlsms::comm {
 
-namespace {
-
-/// FailureInjectingService holds a non-owning reference; the factory hands
-/// out a single owner, so the decorator and its inner service travel
-/// together. Member order makes the injector die before the inner service.
-class OwningFailureService final : public wl::EnergyService {
- public:
-  OwningFailureService(std::unique_ptr<wl::EnergyService> inner,
-                       double failure_probability, Rng rng)
-      : inner_(std::move(inner)),
-        injector_(*inner_, failure_probability, std::move(rng)) {}
-
-  void submit(wl::EnergyRequest request) override {
-    injector_.submit(std::move(request));
-  }
-  wl::EnergyResult retrieve() override { return injector_.retrieve(); }
-  std::size_t outstanding() const override { return injector_.outstanding(); }
-
- private:
-  std::unique_ptr<wl::EnergyService> inner_;
-  parallel::FailureInjectingService injector_;
-};
-
-}  // namespace
-
 std::unique_ptr<wl::EnergyService> make_energy_service(
     const EnergyServiceSpec& spec) {
   if (spec.energy == nullptr && spec.kind != ServiceKind::kServeClient)
@@ -80,7 +55,7 @@ std::unique_ptr<wl::EnergyService> make_energy_service(
     throw Error("make_energy_service: unknown service kind");
 
   if (spec.failure_probability > 0.0)
-    service = std::make_unique<OwningFailureService>(
+    service = std::make_unique<parallel::FailureInjectingService>(
         std::move(service), spec.failure_probability, Rng(spec.failure_seed));
 
   if (spec.speculate) {

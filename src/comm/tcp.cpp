@@ -6,11 +6,8 @@
 // WLSM serial schema. From then on every rank is a stream of
 // [u32 length][u32 tag] frames (comm/framing) with bounded send deadlines,
 // idle heartbeats both ways, and EOF/ECONNRESET death detection feeding
-// alive()/millis_since_heard.
-//
-// Controller writes are coalesced (kCoalesceBudget, kCoalesceMaxBytes), so
-// a delta scatter to many ranks plus the idle heartbeats does not pay one
-// syscall — and, with TCP_NODELAY, one packet — per frame.
+// alive()/millis_since_heard. The controller writes every frame when it
+// is sent, one bounded write_all per frame.
 //
 // Handshake (before any framing trust is extended):
 //   worker -> controller   frame{kTagHello,   WLSM header kTcpHello +
@@ -62,19 +59,10 @@ namespace {
 
 using std::chrono::milliseconds;
 
-/// Controller-side frame coalescing: frames to one rank smaller than
-/// kCoalesceMaxBytes are corked into one batched write, flushed once the
-/// cork is older than kCoalesceBudget, once it outgrows kCoalesceMaxBytes,
-/// or at the next poll cycle, whichever comes first.
-constexpr milliseconds kCoalesceBudget{1};
-constexpr std::size_t kCoalesceMaxBytes = 256 * 1024;
-
-/// Wire-level traffic counters of the controller side. A batch is one
-/// physical write (one syscall, and with TCP_NODELAY one packet);
-/// frames/batches is the coalescing win bench_comm tracks.
+/// Wire-level traffic counters of the controller side. Every frame is one
+/// physical write (one syscall, and with TCP_NODELAY one packet).
 struct StreamMetrics {
   obs::Counter& frames;
-  obs::Counter& batches;
   obs::Counter& bytes;
   obs::Counter& heartbeats;
 };
@@ -82,7 +70,6 @@ struct StreamMetrics {
 StreamMetrics& stream_metrics() {
   static StreamMetrics metrics{
       obs::Registry::instance().counter("comm.stream.frames_sent"),
-      obs::Registry::instance().counter("comm.stream.batches_sent"),
       obs::Registry::instance().counter("comm.stream.bytes_sent"),
       obs::Registry::instance().counter("comm.stream.heartbeats_sent"),
   };
@@ -257,7 +244,7 @@ void reap_children(std::vector<pid_t>& pids, milliseconds grace) {
 // Controller side.
 
 /// The controller end of every rank's stream: per-rank liveness, frame
-/// reassembly, coalesced sends, heartbeat bookkeeping and the recv/poll
+/// reassembly, bounded sends, heartbeat bookkeeping and the recv/poll
 /// loop. kill() SIGKILLs a spawned worker (an external one sees its
 /// connection close); shutdown() reaps every spawned worker within one
 /// shared grace period.
@@ -280,8 +267,6 @@ class TcpCommunicator final : public Communicator {
     int fd = -1;
     bool alive = true;
     FrameAssembler rx;
-    std::vector<std::byte> tx;  ///< corked frames awaiting one batched write
-    StreamClock::time_point cork_started{};
     StreamClock::time_point last_sent = StreamClock::now();
     StreamClock::time_point last_heard = StreamClock::now();
     /// Clock probes run on their own cadence: data traffic suppresses idle
@@ -302,12 +287,7 @@ class TcpCommunicator final : public Communicator {
   /// surface (the service layer discards posthumous gathers itself).
   void drain(std::size_t rank);
 
-  /// Writes rank's corked frames as one batch; false marks the rank dead
-  /// (send failure or deadline). True when nothing was corked.
-  bool flush(std::size_t rank);
-  void flush_all();
-
-  /// Corks an idle heartbeat for every alive rank not written to within
+  /// Sends an idle heartbeat to every alive rank not written to within
   /// kHeartbeatInterval, so workers on a real network can tell a quiet
   /// controller from a dead one.
   void heartbeat_tick();
@@ -503,52 +483,16 @@ bool TcpCommunicator::send(std::size_t rank, const Message& message) {
   WLSMS_EXPECTS(rank < peers_.size());
   Peer& peer = peers_[rank];
   if (!peer.alive) return false;
+  const std::vector<std::byte> frame = frame_bytes(message);
   stream_metrics().frames.inc();
-
-  if (8 + message.payload.size() >= kCoalesceMaxBytes) {
-    // Order-preserving: anything already corked goes first.
-    if (!flush(rank)) return false;
-    const std::vector<std::byte> frame = frame_bytes(message);
-    stream_metrics().batches.inc();
-    stream_metrics().bytes.add(frame.size());
-    peer.last_sent = StreamClock::now();
-    if (!write_all(peer.fd, frame.data(), frame.size(),
-                   StreamClock::now() + send_deadline_)) {
-      mark_dead(rank);
-      return false;
-    }
-    return true;
-  }
-
-  if (peer.tx.empty()) peer.cork_started = StreamClock::now();
-  append_frame(peer.tx, message);
+  stream_metrics().bytes.add(frame.size());
   peer.last_sent = StreamClock::now();
-  if (peer.tx.size() >= kCoalesceMaxBytes ||
-      StreamClock::now() - peer.cork_started >= kCoalesceBudget)
-    return flush(rank);
-  return true;
-}
-
-bool TcpCommunicator::flush(std::size_t rank) {
-  Peer& peer = peers_[rank];
-  if (!peer.alive) return false;
-  if (peer.tx.empty()) return true;
-  stream_metrics().batches.inc();
-  stream_metrics().bytes.add(peer.tx.size());
-  const bool ok = write_all(peer.fd, peer.tx.data(), peer.tx.size(),
-                            StreamClock::now() + send_deadline_);
-  peer.tx.clear();
-  peer.last_sent = StreamClock::now();
-  if (!ok) {
+  if (!write_all(peer.fd, frame.data(), frame.size(),
+                 peer.last_sent + send_deadline_)) {
     mark_dead(rank);
     return false;
   }
   return true;
-}
-
-void TcpCommunicator::flush_all() {
-  for (std::size_t r = 0; r < peers_.size(); ++r)
-    if (peers_[r].alive && !peers_[r].tx.empty()) (void)flush(r);
 }
 
 void TcpCommunicator::heartbeat_tick() {
@@ -559,21 +503,16 @@ void TcpCommunicator::heartbeat_tick() {
     if (now - peer.last_sent < kHeartbeatInterval &&
         now - peer.last_probe < kHeartbeatInterval)
       continue;
-    if (peer.tx.empty()) peer.cork_started = now;
     // Each heartbeat doubles as a clock probe: it carries our send
     // timestamp, and the worker's echo closes the four-timestamp offset
     // estimate in drain(). Probes run on their own cadence (last_probe)
     // so a busy link — where data traffic suppresses idle heartbeats —
-    // still refreshes the offset estimate every interval. The cork flushes
-    // within this poll cycle, so the stamped t0 is at most the flush
-    // latency stale.
+    // still refreshes the offset estimate every interval.
     Message probe{kTagHeartbeat, std::vector<std::byte>(kClockProbeBytes)};
     put_u64_le(probe.payload.data(), obs::trace_now_us());
-    append_frame(peer.tx, probe);
-    peer.last_sent = now;
     peer.last_probe = now;
-    stream_metrics().frames.inc();
     stream_metrics().heartbeats.inc();
+    (void)send(r, probe);
   }
 }
 
@@ -624,11 +563,8 @@ std::optional<Incoming> TcpCommunicator::recv(
       pending_.pop_front();
       return incoming;
     }
-    // Every poll cycle: top up idle heartbeats, then flush all corked
-    // frames — this is the "flushed on retrieve" half of the coalescing
-    // contract (the age/size triggers inside send() are the other half).
+    // Every poll cycle: top up idle heartbeats.
     heartbeat_tick();
-    flush_all();
 
     const auto remaining =
         std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -689,7 +625,6 @@ void TcpCommunicator::mark_dead(std::size_t rank) {
   Peer& peer = peers_[rank];
   if (!peer.alive) return;
   peer.alive = false;
-  peer.tx.clear();
   if (!shut_down_)
     log_debug("comm: stream rank ", rank, " endpoint closed; marking dead");
   if (peer.fd >= 0) {

@@ -43,24 +43,10 @@ std::vector<std::byte> encode_shard_request(const ShardRequest& request) {
   serial::write_header(e, PayloadKind::kShardRequest);
   e.put_u64(request.ticket);
   e.put_u32(request.attempt);
-  e.put_u64(request.session);
   e.put_u64(request.trace.trace_id);
   e.put_u64(request.trace.span_id);
-  e.put_u64(request.walker);
   put_zones(e, request.zones);
-  e.put_u8(static_cast<std::uint8_t>(request.kind));
-  if (request.kind == ShardRequest::ConfigKind::kFull) {
-    spin::encode_moments(e, request.full);
-  } else {
-    e.put_u64(request.n_total_atoms);
-    e.put_u64(request.moved_sites.size());
-    for (const MovedSite& m : request.moved_sites) {
-      e.put_u64(m.site);
-      e.put_double(m.direction.x);
-      e.put_double(m.direction.y);
-      e.put_double(m.direction.z);
-    }
-  }
+  spin::encode_moments(e, request.config);
   return e.take();
 }
 
@@ -70,35 +56,12 @@ ShardRequest decode_shard_request(const std::vector<std::byte>& buffer) {
   ShardRequest request;
   request.ticket = d.get_u64();
   request.attempt = d.get_u32();
-  request.session = d.get_u64();
   request.trace.trace_id = d.get_u64();
   request.trace.span_id = d.get_u64();
-  request.walker = d.get_u64();
   request.zones = get_zones(d, "shard-request");
-  const std::uint8_t kind = d.get_u8();
-  if (kind > 1) throw SerializationError("corrupt shard-request config kind");
-  request.kind = static_cast<ShardRequest::ConfigKind>(kind);
-  if (request.kind == ShardRequest::ConfigKind::kFull) {
-    request.full = spin::decode_moments(d);
-    request.n_total_atoms = request.full.size();
-  } else {
-    request.n_total_atoms = d.get_u64();
-    const std::uint64_t count = d.get_u64();
-    d.expect_sequence(count, 8 + 3 * sizeof(double));
-    request.moved_sites.resize(static_cast<std::size_t>(count));
-    for (MovedSite& m : request.moved_sites) {
-      m.site = d.get_u64();
-      m.direction.x = d.get_double();
-      m.direction.y = d.get_double();
-      m.direction.z = d.get_double();
-      if (m.site >= request.n_total_atoms)
-        throw SerializationError("corrupt shard-request moved site index");
-      if (!spin::is_valid_direction(m.direction))
-        throw SerializationError("corrupt shard-request direction");
-    }
-  }
+  request.config = spin::decode_moments(d);
   // The list is strictly ascending, so its last entry is its largest.
-  if (request.zones.back() >= request.n_total_atoms)
+  if (request.zones.back() >= request.config.size())
     throw SerializationError("shard-request zone index out of range");
   d.expect_end();
   return request;
@@ -131,22 +94,6 @@ ShardResult decode_shard_result(const std::vector<std::byte>& buffer) {
   for (double& v : result.energies) v = d.get_double();
   d.expect_end();
   return result;
-}
-
-std::vector<std::byte> encode_shard_evict(const ShardEvict& evict) {
-  Encoder e;
-  serial::write_header(e, PayloadKind::kShardEvict);
-  e.put_u64(evict.session);
-  return e.take();
-}
-
-ShardEvict decode_shard_evict(const std::vector<std::byte>& buffer) {
-  Decoder d(buffer);
-  serial::read_header(d, PayloadKind::kShardEvict);
-  ShardEvict evict;
-  evict.session = d.get_u64();
-  d.expect_end();
-  return evict;
 }
 
 }  // namespace wlsms::comm

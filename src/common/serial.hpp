@@ -48,13 +48,16 @@ inline constexpr std::uint32_t kMagic = 0x4D534C57u;
 /// probe fields on the TCP and serve handshakes, the per-request stage
 /// breakdown on serve results, and the status introspection payloads
 /// (16-17); version 5 replaces the contiguous atom range of shard requests
-/// and results with explicit zone lists (move-local scatter).
-inline constexpr std::uint32_t kSchemaVersion = 5;
+/// and results with explicit zone lists (move-local scatter); version 6
+/// sends every shard request's whole configuration, drops the request's
+/// session, walker and moved-site delta, and retires the shard-evict
+/// payload (15).
+inline constexpr std::uint32_t kSchemaVersion = 6;
 
 /// What a framed buffer carries. The kind is part of the header so a
 /// message routed to the wrong decoder fails loudly instead of
 /// misinterpreting bytes. Kinds 2 and 3 (the retired whole energy
-/// request/result) are not reused.
+/// request/result) and 15 (the retired shard eviction) are not reused.
 enum class PayloadKind : std::uint32_t {
   kCheckpoint = 1,
   kMomentConfiguration = 4,
@@ -68,7 +71,6 @@ enum class PayloadKind : std::uint32_t {
   kServeResult = 12,    ///< serve daemon -> client energy result
   kServeReject = 13,    ///< serve daemon -> client admission rejection
   kServeSession = 14,   ///< serve daemon session-resume checkpoint
-  kShardEvict = 15,     ///< controller -> worker delta-cache eviction
   kServeStatus = 16,    ///< status client -> daemon metrics request
   kServeStatusText = 17,  ///< daemon -> status client Prometheus text
 };

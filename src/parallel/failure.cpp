@@ -1,13 +1,18 @@
 #include "parallel/failure.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 
 namespace wlsms::parallel {
 
-FailureInjectingService::FailureInjectingService(wl::EnergyService& inner,
-                                                 double failure_probability,
-                                                 Rng rng)
-    : inner_(inner), failure_probability_(failure_probability), rng_(rng) {
+FailureInjectingService::FailureInjectingService(
+    std::unique_ptr<wl::EnergyService> inner, double failure_probability,
+    Rng rng)
+    : inner_(std::move(inner)),
+      failure_probability_(failure_probability),
+      rng_(rng) {
+  WLSMS_EXPECTS(inner_ != nullptr);
   WLSMS_EXPECTS(failure_probability >= 0.0 && failure_probability < 1.0);
 }
 
@@ -19,7 +24,7 @@ void FailureInjectingService::submit(wl::EnergyRequest request) {
     failed_.push_back({request.walker, request.ticket, 0.0, true});
     return;
   }
-  inner_.submit(std::move(request));
+  inner_->submit(std::move(request));
 }
 
 wl::EnergyResult FailureInjectingService::retrieve() {
@@ -29,7 +34,7 @@ wl::EnergyResult FailureInjectingService::retrieve() {
     failed_.pop_front();
     return result;
   }
-  return inner_.retrieve();
+  return inner_->retrieve();
 }
 
 }  // namespace wlsms::parallel

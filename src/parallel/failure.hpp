@@ -13,18 +13,20 @@
 /// configuration (possibly losing it again — retries are independent).
 
 #include <deque>
+#include <memory>
 
 #include "common/rng.hpp"
 #include "wl/energy_service.hpp"
 
 namespace wlsms::parallel {
 
-/// Decorator that randomly loses submitted requests from an inner service.
+/// Decorator that randomly loses submitted requests from the inner service
+/// it owns.
 class FailureInjectingService final : public wl::EnergyService {
  public:
   /// Each submission is independently lost with `failure_probability`.
-  FailureInjectingService(wl::EnergyService& inner, double failure_probability,
-                          Rng rng);
+  FailureInjectingService(std::unique_ptr<wl::EnergyService> inner,
+                          double failure_probability, Rng rng);
 
   void submit(wl::EnergyRequest request) override;
 
@@ -37,13 +39,13 @@ class FailureInjectingService final : public wl::EnergyService {
   /// would undercount and let a driver drain loop exit with failures —
   /// and therefore resubmittable work — still queued.)
   std::size_t outstanding() const override {
-    return inner_.outstanding() + failed_.size();
+    return inner_->outstanding() + failed_.size();
   }
 
   std::uint64_t injected_failures() const { return injected_; }
 
  private:
-  wl::EnergyService& inner_;
+  std::unique_ptr<wl::EnergyService> inner_;
   double failure_probability_;
   Rng rng_;
   std::deque<wl::EnergyResult> failed_;  ///< failure notices not yet retrieved

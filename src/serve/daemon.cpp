@@ -487,7 +487,7 @@ void Daemon::deliver(const BatchScheduler::Completed& done) {
   stages.serialize_us = encoding_us > solved_us ? encoding_us - solved_us : 0;
   const bool sent = send_frame(state.fd, kTagServeResult,
                                encode_serve_result(done.result, stages));
-  const std::uint64_t sent_us = obs::trace_now_us();
+  const std::uint64_t delivered_us = obs::trace_now_us();
   if (!sent) {
     // The socket is gone; keep the result for a future resume and unhook
     // the connection. close_session runs after the batch finishes routing.
@@ -506,9 +506,9 @@ void Daemon::deliver(const BatchScheduler::Completed& done) {
   observe_stage("queue_wait", state.metric_label, stages.queue_us);
   observe_stage("solve", state.metric_label, stages.solve_us);
   observe_stage("deliver", state.metric_label,
-                sent_us > encoding_us ? sent_us - encoding_us : 0);
+                delivered_us > encoding_us ? delivered_us - encoding_us : 0);
   if (done.admitted_us != 0)
-    obs::emit_span("serve.request", done.admitted_us, sent_us, done.trace);
+    obs::emit_span("serve.request", done.admitted_us, delivered_us, done.trace);
 }
 
 bool Daemon::send_frame(int fd, std::uint32_t tag,

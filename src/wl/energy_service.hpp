@@ -42,10 +42,10 @@ struct EnergyRequest {
   std::size_t walker = 0;      ///< which walker's configuration this is
   std::uint64_t ticket = 0;    ///< driver-assigned id, echoed in the result
   spin::MomentConfiguration config;
-  /// Originating session identity (0 = the single local tenant). The
-  /// serving daemon multiplexes many tenants over one service; downstream
-  /// per-walker state — the distributed delta-scatter caches — must key on
-  /// (session, walker) so two tenants with equal walker ids cannot alias.
+  /// Originating session identity (0 = the single local tenant). Several
+  /// tenants may share one service, and each numbers its walkers from zero;
+  /// downstream per-walker state — the distributed service's move-local
+  /// bases — keys on (session, walker) so equal walker ids cannot alias.
   std::uint64_t session = 0;
   /// Originating span (obs::current_trace_context() at submit time), carried
   /// across process boundaries so worker-rank and daemon spans link under

@@ -5,13 +5,11 @@
 // must trip the send deadline instead of wedging the controller, teardown
 // that reaps stragglers within one shared grace period, corrupt-stream
 // rank death, and the distributed energy service end to end — energies
-// bit-identical to the serial solver, a move-local walk, a delta scatter,
-// and kill-a-rank failover, mirroring the thread-backed suite
-// (test_comm_transport.cpp) — plus a hostile worker whose
-// out-of-assignment gathers must be rejected, and a stalled controller
-// that must not hold a worker past its handshake deadline. The
-// ProcessCommunicator and ProcessDistributedService suites at the end run
-// the same cases across the forked workers with other seeds and shapes.
+// bit-identical to the serial solver, a move-local walk, and kill-a-rank
+// failover, mirroring the thread-backed suite (test_comm_transport.cpp) —
+// plus a hostile worker whose out-of-assignment gathers must be rejected,
+// and a stalled controller that must not hold a worker past its handshake
+// deadline.
 //
 // In the `net` ctest label, NOT `sanitize`: these tests fork worker
 // processes and open real sockets, which tsan does not support. The
@@ -62,8 +60,16 @@ void echo_worker(WorkerChannel& channel) {
 }
 
 TEST(TcpCommunicator, EchoAcrossForkedLoopbackWorkers) {
+  // Each worker computes its reply (tag + 1, same payload), so the tag
+  // proves the frame went through the worker process and back.
   constexpr std::size_t kRanks = 4;
-  auto comm = make_tcp_communicator(kRanks, echo_worker, TcpOptions{});
+  auto comm = make_tcp_communicator(
+      kRanks,
+      [](WorkerChannel& channel) {
+        while (std::optional<Message> message = channel.recv())
+          channel.send({message->tag + 1, message->payload});
+      },
+      TcpOptions{});
   EXPECT_EQ(comm->n_alive(), kRanks);
   for (std::size_t r = 0; r < kRanks; ++r)
     EXPECT_TRUE(comm->send(r, text_message(static_cast<std::uint32_t>(r),
@@ -72,7 +78,11 @@ TEST(TcpCommunicator, EchoAcrossForkedLoopbackWorkers) {
   for (std::size_t k = 0; k < kRanks; ++k) {
     std::optional<Incoming> incoming;
     while (!incoming) incoming = comm->recv(500ms);
-    EXPECT_EQ(incoming->message.tag, incoming->rank);
+    EXPECT_EQ(incoming->message.tag, incoming->rank + 1);
+    EXPECT_EQ(std::string(reinterpret_cast<const char*>(
+                              incoming->message.payload.data()),
+                          incoming->message.payload.size()),
+              "rank" + std::to_string(incoming->rank));
     EXPECT_FALSE(seen[incoming->rank]);
     seen[incoming->rank] = true;
   }
@@ -81,17 +91,29 @@ TEST(TcpCommunicator, EchoAcrossForkedLoopbackWorkers) {
 }
 
 TEST(TcpCommunicator, LargeFrameSurvivesTcp) {
-  auto comm = make_tcp_communicator(1, echo_worker, TcpOptions{});
-  std::string big(1 << 22, 'x');  // 4 MiB: chunked writes + reassembly
-  for (std::size_t i = 0; i < big.size(); i += 4096)
-    big[i] = static_cast<char>('a' + (i / 4096) % 26);
-  EXPECT_TRUE(comm->send(0, text_message(7, big)));
-  std::optional<Incoming> incoming;
-  while (!incoming) incoming = comm->recv(1000ms);
-  ASSERT_EQ(incoming->message.payload.size(), big.size());
-  EXPECT_EQ(std::memcmp(incoming->message.payload.data(), big.data(),
-                        big.size()),
-            0);
+  // Bigger than any socket buffer, so both the chunked write (EAGAIN +
+  // poll) and the reassembling reader are exercised; both workers echo at
+  // once, so the controller reassembles two frames side by side.
+  constexpr std::size_t kRanks = 2;
+  auto comm = make_tcp_communicator(kRanks, echo_worker, TcpOptions{});
+  std::vector<std::string> bigs;
+  for (std::size_t r = 0; r < kRanks; ++r) {
+    std::string big(1 << 22, static_cast<char>('x' + r));  // 4 MiB
+    for (std::size_t i = 0; i < big.size(); i += 4096)
+      big[i] = static_cast<char>('a' + (r + i / 4096) % 26);
+    EXPECT_TRUE(comm->send(r, text_message(7, big)));
+    bigs.push_back(std::move(big));
+  }
+  for (std::size_t k = 0; k < kRanks; ++k) {
+    std::optional<Incoming> incoming;
+    while (!incoming) incoming = comm->recv(1000ms);
+    const std::string& big = bigs[incoming->rank];
+    ASSERT_EQ(incoming->message.payload.size(), big.size());
+    EXPECT_EQ(std::memcmp(incoming->message.payload.data(), big.data(),
+                          big.size()),
+              0)
+        << "rank " << incoming->rank;
+  }
 }
 
 TEST(TcpCommunicator, SigkillIsImmediateEofDeath) {
@@ -153,9 +175,9 @@ TEST(TcpCommunicator, StoppedWorkerTripsTheSendDeadlineNotAHang) {
   std::memcpy(&pid, incoming->message.payload.data(), sizeof(pid));
   ASSERT_EQ(::kill(static_cast<pid_t>(pid), SIGSTOP), 0);
 
-  // 1 MiB frames are above the coalescing cork limit, so every send is a
-  // direct bounded write. The socket buffers absorb a few, then the
-  // deadline must trip — bounded by iterations * deadline, not forever.
+  // Every send is one bounded write. The socket buffers absorb a few 1 MiB
+  // frames, then the deadline must trip — bounded by iterations * deadline,
+  // not forever.
   const Message big{2, std::vector<std::byte>(1 << 20)};
   bool failed = false;
   for (int k = 0; k < 64 && !failed; ++k) failed = !comm->send(0, big);
@@ -391,7 +413,7 @@ void hostile_worker(WorkerChannel& channel, bool past_the_end) {
     if (past_the_end) {
       result.zones = {request.zones.front(), ~std::uint64_t{0}};
     } else {
-      for (std::uint64_t zone = 0; zone < request.n_total_atoms; ++zone)
+      for (std::uint64_t zone = 0; zone < request.config.size(); ++zone)
         result.zones.push_back(zone);
     }
     result.energies.assign(result.zones.size(), 0.0);
@@ -437,165 +459,6 @@ TEST(TcpDistributedService, HostileGatherIsKilledAndRerouted) {
       EXPECT_GE(distributed.reroutes(), 1u);
     }  // shutdown: the honest worker sees EOF and returns
     for (std::thread& worker : workers) worker.join();
-  }
-}
-
-TEST(TcpDistributedService, DeltaScatterOverTcpStaysBitIdentical) {
-  // Single-moved-site walks: after the first full scatter every subsequent
-  // send is a coalesced delta frame; energies must stay bit-identical.
-  const Fe16& f = fe16();
-  DistributedConfig config;
-  config.n_groups = 1;
-  config.group_size = 4;
-  config.transport = Transport::kTcp;
-  DistributedEnergyService distributed(f.solver, config);
-
-  Rng rng(43);
-  spin::MomentConfiguration moments =
-      spin::MomentConfiguration::random(16, rng);
-  for (std::uint64_t step = 1; step <= 4; ++step) {
-    moments.set(rng.uniform_index(16), rng.unit_vector());
-    distributed.submit({0, step, moments});
-    EXPECT_EQ(distributed.retrieve().energy, f.energy->total_energy(moments))
-        << "step " << step;
-  }
-}
-
-// The ProcessCommunicator and ProcessDistributedService suites: the same
-// plumbing and service cases across real OS processes (the forked loopback
-// workers), with their own seeds, a worker that computes its reply instead
-// of echoing it, and a large frame per rank so two peers' reassemblies
-// interleave in the controller.
-
-TEST(ProcessCommunicator, EchoAcrossRealProcesses) {
-  constexpr std::size_t kRanks = 4;
-  auto comm = make_tcp_communicator(
-      kRanks,
-      [](WorkerChannel& channel) {
-        while (std::optional<Message> message = channel.recv())
-          channel.send({message->tag + 1, message->payload});
-      },
-      TcpOptions{});
-  EXPECT_EQ(comm->n_alive(), kRanks);
-  for (std::size_t r = 0; r < kRanks; ++r)
-    EXPECT_TRUE(comm->send(r, text_message(static_cast<std::uint32_t>(r),
-                                           "rank" + std::to_string(r))));
-  std::vector<bool> seen(kRanks, false);
-  for (std::size_t k = 0; k < kRanks; ++k) {
-    std::optional<Incoming> incoming;
-    while (!incoming) incoming = comm->recv(500ms);
-    EXPECT_EQ(incoming->message.tag, incoming->rank + 1);
-    EXPECT_FALSE(seen[incoming->rank]);
-    seen[incoming->rank] = true;
-  }
-  comm->shutdown();
-  EXPECT_EQ(comm->n_alive(), 0u);
-}
-
-TEST(ProcessCommunicator, LargeFrameSurvivesTheSocket) {
-  // Bigger than any socket buffer, so both the chunked write (EAGAIN +
-  // poll) and the reassembling reader are exercised; both workers echo at
-  // once, so the controller reassembles two frames side by side.
-  constexpr std::size_t kRanks = 2;
-  auto comm = make_tcp_communicator(kRanks, echo_worker, TcpOptions{});
-  std::vector<std::string> bigs;
-  for (std::size_t r = 0; r < kRanks; ++r) {
-    std::string big(1 << 22, static_cast<char>('x' + r));  // 4 MiB
-    for (std::size_t i = 0; i < big.size(); i += 4096)
-      big[i] = static_cast<char>('a' + (r + i / 4096) % 26);
-    EXPECT_TRUE(comm->send(r, text_message(7, big)));
-    bigs.push_back(std::move(big));
-  }
-  for (std::size_t k = 0; k < kRanks; ++k) {
-    std::optional<Incoming> incoming;
-    while (!incoming) incoming = comm->recv(1000ms);
-    const std::string& big = bigs[incoming->rank];
-    ASSERT_EQ(incoming->message.payload.size(), big.size());
-    EXPECT_EQ(std::memcmp(incoming->message.payload.data(), big.data(),
-                          big.size()),
-              0)
-        << "rank " << incoming->rank;
-  }
-}
-
-TEST(ProcessDistributedService, BitIdenticalToSerialSolver) {
-  const Fe16& f = fe16();
-  DistributedConfig config;
-  config.n_groups = 2;
-  config.group_size = 2;
-  config.transport = Transport::kTcp;
-  DistributedEnergyService distributed(f.solver, config);
-  EXPECT_EQ(distributed.n_workers(), 4u);
-
-  Rng rng(31);
-  constexpr std::size_t kEvals = 6;
-  std::vector<spin::MomentConfiguration> configs;
-  for (std::size_t k = 0; k < kEvals; ++k)
-    configs.push_back(spin::MomentConfiguration::random(16, rng));
-  for (std::size_t k = 0; k < kEvals; ++k)
-    distributed.submit({k % 2, k + 1, configs[k]});
-  std::vector<double> got(kEvals, 0.0);
-  for (std::size_t k = 0; k < kEvals; ++k) {
-    const wl::EnergyResult r = distributed.retrieve();
-    EXPECT_FALSE(r.failed);
-    got[r.ticket - 1] = r.energy;
-  }
-  for (std::size_t k = 0; k < kEvals; ++k)
-    EXPECT_EQ(got[k], f.energy->total_energy(configs[k]))
-        << "eval " << k << " differs from the serial solver";
-}
-
-TEST(ProcessDistributedService, SigkilledWorkerMidRunRequestCompletes) {
-  const Fe16& f = fe16();
-  DistributedConfig config;
-  config.n_groups = 1;
-  config.group_size = 2;
-  config.transport = Transport::kTcp;
-  DistributedEnergyService distributed(f.solver, config);
-
-  Rng rng(32);
-  const auto moments = spin::MomentConfiguration::random(16, rng);
-  distributed.submit({0, 1, moments});
-  // SIGKILL one assigned rank immediately after the scatter: the child has
-  // barely been scheduled, so its shard is still owed. The controller must
-  // see the EOF, re-scatter onto the survivor, and complete the request.
-  distributed.communicator().kill(0);
-  const wl::EnergyResult result = distributed.retrieve();
-  EXPECT_FALSE(result.failed);
-  EXPECT_EQ(result.energy, f.energy->total_energy(moments));
-  EXPECT_EQ(distributed.n_alive_workers(), 1u);
-  EXPECT_GE(distributed.reroutes(), 1u);
-
-  // Still serviceable afterwards.
-  distributed.submit({0, 2, moments});
-  EXPECT_EQ(distributed.retrieve().energy, f.energy->total_energy(moments));
-}
-
-TEST(ProcessDistributedService, MoveLocalWalkAcrossProcessesIsBitIdentical) {
-  const auto& solver = fe54_solver();
-  DistributedConfig config;
-  config.n_groups = 2;
-  config.group_size = 2;
-  config.transport = Transport::kTcp;
-  DistributedEnergyService distributed(solver, config);
-  expect_move_local_walk(distributed, *solver, 3, 6, 34);
-}
-
-TEST(ProcessDistributedService, DeltaScatterAcrossProcessesStaysBitIdentical) {
-  const Fe16& f = fe16();
-  DistributedConfig config;
-  config.n_groups = 1;
-  config.group_size = 4;
-  config.transport = Transport::kTcp;
-  DistributedEnergyService distributed(f.solver, config);
-
-  Rng rng(33);
-  spin::MomentConfiguration moments = spin::MomentConfiguration::random(16, rng);
-  for (std::uint64_t step = 1; step <= 4; ++step) {
-    moments.set(rng.uniform_index(16), rng.unit_vector());
-    distributed.submit({0, step, moments});
-    EXPECT_EQ(distributed.retrieve().energy, f.energy->total_energy(moments))
-        << "step " << step;
   }
 }
 

@@ -1,12 +1,12 @@
 // In-process Communicator and DistributedEnergyService tests: echo plumbing,
-// heartbeat/liveness bookkeeping, kill -> reroute resilience, move-local
-// evaluation (bit-identity and exact zone counts through accept/reject
-// walks, in-flight requests, resubmissions, reroutes and eviction), the
-// retrieve-with-nothing-outstanding contract across every EnergyService
-// implementation the factory can build, and a messaging stress run. All
-// thread-backed (Transport::kInProcess), so the sanitize label runs the
-// whole file under tsan and asan-ubsan; the TCP twin lives in
-// test_comm_tcp.cpp.
+// heartbeat/liveness bookkeeping, kill -> reroute resilience, death
+// accounting, move-local evaluation (bit-identity and exact zone counts
+// through accept/reject walks, in-flight requests, resubmissions, reroutes
+// and tenant sessions), the retrieve-with-nothing-outstanding contract
+// across every EnergyService implementation the factory can build, and a
+// messaging stress run. All thread-backed (Transport::kInProcess), so the
+// sanitize label runs the whole file under tsan and asan-ubsan; the TCP
+// twin lives in test_comm_tcp.cpp.
 #include "comm/communicator.hpp"
 
 #include <gtest/gtest.h>
@@ -192,8 +192,8 @@ TEST(DistributedService, BitIdenticalToSynchronousReference) {
   for (std::size_t k = 0; k < kEvals; ++k)
     configs.push_back(spin::MomentConfiguration::random(16, rng));
 
-  // Walker ids repeat across requests so the moved-site delta scatter path
-  // (second and later sends of a walker to the same rank) is exercised too.
+  // Walker ids repeat across requests, so later requests of a walker diff
+  // against its cached evaluations (random configurations: every zone).
   for (std::size_t k = 0; k < kEvals; ++k) {
     reference.submit({k % 2, k + 1, configs[k]});
     distributed.submit({k % 2, k + 1, configs[k]});
@@ -209,134 +209,6 @@ TEST(DistributedService, BitIdenticalToSynchronousReference) {
   for (std::size_t k = 0; k < kEvals; ++k)
     EXPECT_EQ(got[k], expected[k]) << "eval " << k << " not bit-identical";
   EXPECT_EQ(distributed.outstanding(), 0u);
-}
-
-TEST(DistributedService, DeltaScatterAfterSingleMoveStaysBitIdentical) {
-  const Fe16& f = fe16();
-  DistributedConfig config;
-  config.n_groups = 1;
-  config.group_size = 2;
-  config.transport = Transport::kInProcess;
-  DistributedEnergyService distributed(f.solver, config);
-
-  Rng rng(22);
-  spin::MomentConfiguration moments = spin::MomentConfiguration::random(16, rng);
-  for (std::uint64_t step = 1; step <= 5; ++step) {
-    // One-site move per step: from the second submission on, the scatter is
-    // a one-element MovedSite delta.
-    moments.set(rng.uniform_index(16), rng.unit_vector());
-    distributed.submit({0, step, moments});
-    const wl::EnergyResult result = distributed.retrieve();
-    EXPECT_EQ(result.energy, f.energy->total_energy(moments))
-        << "step " << step;
-  }
-}
-
-TEST(DistributedService, SessionsWithEqualWalkerIdsDoNotAliasDeltaCaches) {
-  // The serving daemon multiplexes many tenant sessions over one service,
-  // and every session numbers its walkers from zero. The delta caches are
-  // keyed on (session, walker): a new session's first request for walker 0
-  // must be a full scatter, never a delta against some other session's
-  // walker 0 baseline.
-  const Fe16& f = fe16();
-  DistributedConfig config;
-  config.n_groups = 1;
-  config.group_size = 1;
-  config.transport = Transport::kInProcess;
-  DistributedEnergyService distributed(f.solver, config);
-
-  obs::Counter& fulls = obs::Registry::instance().counter("comm.full_scatters");
-  obs::Counter& deltas =
-      obs::Registry::instance().counter("comm.delta_scatters");
-
-  Rng rng(28);
-  auto submit = [&](std::uint64_t session, std::uint64_t ticket,
-                    const spin::MomentConfiguration& moments) {
-    wl::EnergyRequest request;
-    request.walker = 0;  // both sessions use walker id 0
-    request.ticket = ticket;
-    request.config = moments;
-    request.session = session;
-    distributed.submit(request);
-    const wl::EnergyResult result = distributed.retrieve();
-    EXPECT_EQ(result.energy, f.energy->total_energy(moments))
-        << "session " << session << " ticket " << ticket;
-  };
-
-  spin::MomentConfiguration a = spin::MomentConfiguration::random(16, rng);
-  spin::MomentConfiguration b = spin::MomentConfiguration::random(16, rng);
-
-  const std::uint64_t full0 = fulls.value(), delta0 = deltas.value();
-  submit(1, 1, a);  // session 1, first sight of (1, walker 0): full
-  EXPECT_EQ(fulls.value(), full0 + 1);
-
-  a.set(3, rng.unit_vector());
-  submit(1, 2, a);  // same session, one moved site: delta
-  EXPECT_EQ(deltas.value(), delta0 + 1);
-
-  submit(2, 3, b);  // NEW session, same walker id: must be full again
-  EXPECT_EQ(fulls.value(), full0 + 2)
-      << "session 2's first request reused session 1's walker-0 delta cache";
-  EXPECT_EQ(deltas.value(), delta0 + 1);
-
-  b.set(5, rng.unit_vector());
-  submit(2, 4, b);  // and session 2 gets its own delta stream afterwards
-  EXPECT_EQ(deltas.value(), delta0 + 2);
-}
-
-TEST(DistributedService, EvictSessionDropsDeltaCachesAndStaysCorrect) {
-  // Under session churn (a daemon multiplexing many short-lived tenants)
-  // the per-(session, walker) delta caches must not grow without bound:
-  // evict_session drops a closed session's entries on the controller and
-  // every worker, and a later reuse of the key simply scatters full again.
-  const Fe16& f = fe16();
-  DistributedConfig config;
-  config.n_groups = 1;
-  config.group_size = 2;
-  config.transport = Transport::kInProcess;
-  DistributedEnergyService distributed(f.solver, config);
-
-  obs::Counter& fulls = obs::Registry::instance().counter("comm.full_scatters");
-
-  Rng rng(29);
-  auto submit = [&](std::uint64_t session, std::uint64_t ticket,
-                    const spin::MomentConfiguration& moments) {
-    wl::EnergyRequest request;
-    request.walker = 0;
-    request.ticket = ticket;
-    request.config = moments;
-    request.session = session;
-    distributed.submit(request);
-    const wl::EnergyResult result = distributed.retrieve();
-    EXPECT_FALSE(result.failed);
-    EXPECT_EQ(result.energy, f.energy->total_energy(moments))
-        << "session " << session << " ticket " << ticket;
-  };
-
-  spin::MomentConfiguration a = spin::MomentConfiguration::random(16, rng);
-  spin::MomentConfiguration b = spin::MomentConfiguration::random(16, rng);
-  submit(1, 1, a);
-  submit(2, 2, b);
-  // Both ranks cached both sessions' walker-0 configuration.
-  EXPECT_EQ(distributed.delta_cache_entries(), 4u);
-
-  distributed.evict_session(1);
-  EXPECT_EQ(distributed.delta_cache_entries(), 2u);
-  distributed.evict_session(1);  // idempotent
-  EXPECT_EQ(distributed.delta_cache_entries(), 2u);
-
-  // The evicted session's next request is a full scatter (to both ranks)
-  // and still bit-identical; the surviving session's delta stream is
-  // untouched by the eviction.
-  const std::uint64_t full0 = fulls.value();
-  a.set(7, rng.unit_vector());
-  submit(1, 3, a);
-  EXPECT_EQ(fulls.value(), full0 + 2)
-      << "post-evict request must rebuild the basis with full scatters";
-  EXPECT_EQ(distributed.delta_cache_entries(), 4u);
-  b.set(9, rng.unit_vector());
-  submit(2, 4, b);
-  EXPECT_EQ(fulls.value(), full0 + 2);
 }
 
 TEST(DistributedService, KilledWorkerIsReroutedAndRequestCompletes) {
@@ -397,6 +269,31 @@ TEST(DistributedService, AllRanksDeadThrowsCommError) {
   distributed.communicator().kill(0);
   distributed.communicator().kill(1);
   EXPECT_THROW(distributed.retrieve(), CommError);
+}
+
+TEST(DistributedService, IdleRankDeathIsCounted) {
+  // A rank that dies holding no work has nothing to reroute, but its death
+  // must still show in comm.rank_deaths and comm.dead_ranks, which is what
+  // `wlsms status` reports.
+  const Fe16& f = fe16();
+  DistributedConfig config;
+  config.n_groups = 2;
+  config.group_size = 1;
+  config.transport = Transport::kInProcess;
+  DistributedEnergyService distributed(f.solver, config);
+  obs::Counter& deaths = obs::Registry::instance().counter("comm.rank_deaths");
+  const std::uint64_t deaths0 = deaths.value();
+
+  distributed.communicator().kill(1);  // group 1, before any request
+  Rng rng(30);
+  for (std::uint64_t ticket = 1; ticket <= 6; ++ticket) {
+    const auto moments = spin::MomentConfiguration::random(16, rng);
+    distributed.submit({0, ticket, moments});
+    EXPECT_EQ(distributed.retrieve().energy, f.energy->total_energy(moments));
+  }
+  EXPECT_EQ(deaths.value() - deaths0, 1u);
+  EXPECT_EQ(obs::Registry::instance().gauge("comm.dead_ranks").value(), 1.0);
+  EXPECT_EQ(distributed.reroutes(), 0u);
 }
 
 TEST(DistributedService, ManyRequestsSurviveAKillMidStream) {
@@ -531,26 +428,29 @@ TEST(MoveLocalService, KilledRankMidRequestReroutesToTheBitIdenticalEnergy) {
   EXPECT_EQ(zones_solved() - before, solver->affected_sites(30).size());
 }
 
-TEST(MoveLocalService, EvictSessionAlsoDropsTheCachedEvaluations) {
+TEST(MoveLocalService, SessionsWithEqualWalkerIdsDoNotShareABasis) {
+  // The serving daemon multiplexes tenant sessions over one service, and
+  // every session numbers its walkers from zero. Bases are keyed on
+  // (session, walker): session 8's first request must solve every zone even
+  // when it is one move away from session 7's walker 0.
   const auto& solver = fe54_solver();
   const std::size_t n = solver->n_atoms();
   DistributedEnergyService distributed(solver, in_process(1, 2));
   Rng rng(65);
-  const auto x = spin::MomentConfiguration::random(n, rng);
-  const auto y = spin::MomentConfiguration::random(n, rng);
-  (void)evaluate(distributed, 1, x, /*session=*/7);
-  (void)evaluate(distributed, 2, y, /*session=*/8);
+  auto x = spin::MomentConfiguration::random(n, rng);
+  EXPECT_EQ(evaluate(distributed, 1, x, /*session=*/7),
+            solver->energies(x).total);
 
-  distributed.evict_session(7);
+  x.set(11, rng.unit_vector());
   std::uint64_t before = zones_solved();
-  EXPECT_EQ(evaluate(distributed, 3, x, 7), solver->energies(x).total);
+  EXPECT_EQ(evaluate(distributed, 2, x, 8), solver->energies(x).total);
   EXPECT_EQ(zones_solved() - before, n)
-      << "session 7 still had a cached evaluation after evict_session";
+      << "session 8 diffed against session 7's walker 0";
 
-  // The other session's cache is untouched: its resubmission is free.
+  // Session 7's walker 0 keeps its own basis: the same move is local there.
   before = zones_solved();
-  EXPECT_EQ(evaluate(distributed, 4, y, 8), solver->energies(y).total);
-  EXPECT_EQ(zones_solved(), before);
+  EXPECT_EQ(evaluate(distributed, 3, x, 7), solver->energies(x).total);
+  EXPECT_EQ(zones_solved() - before, solver->affected_sites(11).size());
 }
 
 TEST(MoveLocalService, RandomConfigurationFallsBackToEveryZone) {

@@ -35,16 +35,14 @@ std::vector<std::uint64_t> random_zones(std::size_t n, Rng& rng) {
   return zones;
 }
 
-/// A valid 4-atom delta request; the rejection tests corrupt its zones.
-ShardRequest delta_request(std::vector<std::uint64_t> zones) {
+/// A valid 4-atom request; the rejection tests corrupt its zones.
+ShardRequest request_for(std::vector<std::uint64_t> zones) {
+  Rng rng(104);
   ShardRequest request;
   request.ticket = 1;
   request.attempt = 1;
-  request.walker = 0;
   request.zones = std::move(zones);
-  request.kind = ShardRequest::ConfigKind::kDelta;
-  request.n_total_atoms = 4;
-  request.moved_sites.push_back({2, Vec3{0.0, 0.0, 1.0}});
+  request.config = random_config(4, rng);
   return request;
 }
 
@@ -67,55 +65,20 @@ TEST(CommWire, ShardRequestFullRoundTripIsBitExact) {
     ShardRequest request;
     request.ticket = rng.next();
     request.attempt = static_cast<std::uint32_t>(rng.uniform_index(1u << 30));
-    request.walker = rng.uniform_index(64);
     request.zones = random_zones(n, rng);
-    request.kind = ShardRequest::ConfigKind::kFull;
-    request.full = random_config(n, rng);
-    request.session = rng.next();
+    request.config = random_config(n, rng);
     request.trace.trace_id = rng.next();
     request.trace.span_id = rng.next();
 
     const ShardRequest back = decode_shard_request(encode_shard_request(request));
     EXPECT_EQ(back.ticket, request.ticket);
     EXPECT_EQ(back.attempt, request.attempt);
-    EXPECT_EQ(back.session, request.session);
     EXPECT_EQ(back.trace.trace_id, request.trace.trace_id);
     EXPECT_EQ(back.trace.span_id, request.trace.span_id);
-    EXPECT_EQ(back.walker, request.walker);
     EXPECT_EQ(back.zones, request.zones);
-    EXPECT_EQ(back.kind, ShardRequest::ConfigKind::kFull);
-    EXPECT_EQ(back.n_total_atoms, n);
-    ASSERT_EQ(back.full.size(), n);
+    ASSERT_EQ(back.config.size(), n);
     for (std::size_t i = 0; i < n; ++i)
-      EXPECT_TRUE(same_bits(back.full[i], request.full[i]));
-  }
-}
-
-TEST(CommWire, ShardRequestDeltaRoundTrip) {
-  Rng rng(102);
-  for (int round = 0; round < 20; ++round) {
-    const std::size_t n = 2 + rng.uniform_index(40);
-    ShardRequest request;
-    request.ticket = rng.next();
-    request.attempt = 3;
-    request.walker = 1;
-    request.zones = random_zones(n, rng);
-    request.kind = ShardRequest::ConfigKind::kDelta;
-    request.n_total_atoms = n;
-    const std::size_t n_moved = rng.uniform_index(n);
-    for (std::size_t k = 0; k < n_moved; ++k)
-      request.moved_sites.push_back({rng.uniform_index(n), rng.unit_vector()});
-
-    const ShardRequest back = decode_shard_request(encode_shard_request(request));
-    EXPECT_EQ(back.kind, ShardRequest::ConfigKind::kDelta);
-    EXPECT_EQ(back.zones, request.zones);
-    EXPECT_EQ(back.n_total_atoms, n);
-    ASSERT_EQ(back.moved_sites.size(), request.moved_sites.size());
-    for (std::size_t k = 0; k < n_moved; ++k) {
-      EXPECT_EQ(back.moved_sites[k].site, request.moved_sites[k].site);
-      EXPECT_TRUE(same_bits(back.moved_sites[k].direction,
-                            request.moved_sites[k].direction));
-    }
+      EXPECT_TRUE(same_bits(back.config[i], request.config[i]));
   }
 }
 
@@ -140,25 +103,6 @@ TEST(CommWire, ShardResultRoundTripIsBitExact) {
   }
 }
 
-TEST(CommWire, ShardEvictRoundTripTruncationAndWrongKind) {
-  Rng rng(110);
-  for (int round = 0; round < 10; ++round) {
-    ShardEvict evict;
-    evict.session = rng.next();
-    const std::vector<std::byte> bytes = encode_shard_evict(evict);
-    EXPECT_EQ(decode_shard_evict(bytes).session, evict.session);
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-      const std::vector<std::byte> truncated(
-          bytes.begin(), bytes.begin() + static_cast<long>(cut));
-      EXPECT_THROW(decode_shard_evict(truncated), SerializationError)
-          << "cut at " << cut;
-    }
-    EXPECT_THROW(decode_shard_request(bytes), SerializationError);
-    EXPECT_THROW(decode_shard_evict(encode_shard_result({})),
-                 SerializationError);
-  }
-}
-
 TEST(CommWire, MomentCodecNeverRenormalizes) {
   // The direction (1, 1, 1)/sqrt(3) does not renormalize to itself bitwise;
   // the codec must hand back exactly what was sent.
@@ -176,24 +120,14 @@ TEST(CommWire, MomentCodecNeverRenormalizes) {
 // ---- truncation / corruption ---------------------------------------------
 
 TEST(CommWire, EveryTruncationThrows) {
-  Rng rng(106);
-  ShardRequest full;
-  full.ticket = 9;
-  full.attempt = 1;
-  full.walker = 0;
-  full.zones = {0, 2, 3};
-  full.kind = ShardRequest::ConfigKind::kFull;
-  full.full = random_config(4, rng);
-  const std::vector<std::vector<std::byte>> requests = {
-      encode_shard_request(full),
-      encode_shard_request(delta_request({1, 3}))};
-  for (const std::vector<std::byte>& bytes : requests)
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-      const std::vector<std::byte> truncated(
-          bytes.begin(), bytes.begin() + static_cast<long>(cut));
-      EXPECT_THROW(decode_shard_request(truncated), SerializationError)
-          << "cut at " << cut;
-    }
+  const std::vector<std::byte> request =
+      encode_shard_request(request_for({0, 2, 3}));
+  for (std::size_t cut = 0; cut < request.size(); ++cut) {
+    const std::vector<std::byte> truncated(
+        request.begin(), request.begin() + static_cast<long>(cut));
+    EXPECT_THROW(decode_shard_request(truncated), SerializationError)
+        << "cut at " << cut;
+  }
 
   const std::vector<std::byte> result = encode_shard_result(result_for({1, 5}));
   for (std::size_t cut = 0; cut < result.size(); ++cut) {
@@ -214,7 +148,7 @@ TEST(CommWire, RandomCorruptionThrowsOrDecodesButNeverCrashes) {
   const std::vector<std::byte> result =
       encode_shard_result(result_for({0, 1, 2, 3, 5, 8, 13, 21}));
   const std::vector<std::byte> request =
-      encode_shard_request(delta_request({0, 1, 3}));
+      encode_shard_request(request_for({0, 1, 3}));
 
   for (int round = 0; round < 500; ++round) {
     std::vector<std::byte> corrupt = result;
@@ -234,24 +168,18 @@ TEST(CommWire, RandomCorruptionThrowsOrDecodesButNeverCrashes) {
     try {
       const ShardRequest back = decode_shard_request(corrupt);
       ASSERT_FALSE(back.zones.empty());
-      EXPECT_LT(back.zones.back(), back.n_total_atoms);
+      EXPECT_LT(back.zones.back(), back.config.size());
     } catch (const SerializationError&) {
     }
   }
 }
 
-TEST(CommWire, DeltaWithOutOfRangeSiteThrows) {
-  ShardRequest request = delta_request({0, 1, 2, 3});
-  request.moved_sites = {{99, Vec3{0.0, 0.0, 1.0}}};
-  EXPECT_THROW(decode_shard_request(encode_shard_request(request)),
-               SerializationError);
-}
-
 TEST(CommWire, ZeroDirectionThrows) {
-  ShardRequest request = delta_request({0, 1});
-  request.moved_sites = {{0, Vec3{0.0, 0.0, 0.0}}};
-  EXPECT_THROW(decode_shard_request(encode_shard_request(request)),
-               SerializationError);
+  // The encoder writes any direction it is given, so zero the bytes of the
+  // last site's direction in an encoded request: its last 24 bytes.
+  std::vector<std::byte> bytes = encode_shard_request(request_for({0, 1}));
+  std::fill(bytes.end() - 3 * sizeof(double), bytes.end(), std::byte{0});
+  EXPECT_THROW(decode_shard_request(bytes), SerializationError);
 }
 
 /// The direction components every decoder must refuse: a zero vector and
@@ -278,32 +206,22 @@ TEST(CommWire, MomentDecoderRejectsZeroAndNonFiniteDirections) {
   }
 }
 
-TEST(CommWire, DeltaDirectionRejectsZeroAndNonFinite) {
-  for (const Vec3& bad : corrupt_directions()) {
-    ShardRequest request = delta_request({0, 1});
-    request.moved_sites = {{0, bad}};
-    EXPECT_THROW(decode_shard_request(encode_shard_request(request)),
-                 SerializationError)
-        << bad.x << " " << bad.y << " " << bad.z;
-  }
-}
-
 // ---- invalid zone lists ---------------------------------------------------
 
 TEST(CommWire, ShardRequestWithEmptyZoneListThrows) {
-  EXPECT_THROW(decode_shard_request(encode_shard_request(delta_request({}))),
+  EXPECT_THROW(decode_shard_request(encode_shard_request(request_for({}))),
                SerializationError);
 }
 
 TEST(CommWire, ShardRequestWithUnsortedZoneListThrows) {
   EXPECT_THROW(
-      decode_shard_request(encode_shard_request(delta_request({0, 2, 1}))),
+      decode_shard_request(encode_shard_request(request_for({0, 2, 1}))),
       SerializationError);
 }
 
 TEST(CommWire, ShardRequestWithRepeatedZoneThrows) {
   EXPECT_THROW(
-      decode_shard_request(encode_shard_request(delta_request({1, 1, 2}))),
+      decode_shard_request(encode_shard_request(request_for({1, 1, 2}))),
       SerializationError);
 }
 
@@ -311,17 +229,10 @@ TEST(CommWire, ShardRequestZoneIndexOutOfRangeThrows) {
   // The first index past the configuration, and the value whose
   // "first + count" arithmetic wrapped in the old atom-range check.
   EXPECT_THROW(
-      decode_shard_request(encode_shard_request(delta_request({0, 4}))),
+      decode_shard_request(encode_shard_request(request_for({0, 4}))),
       SerializationError);
   EXPECT_THROW(decode_shard_request(encode_shard_request(
-                   delta_request({~std::uint64_t{0}}))),
-               SerializationError);
-  Rng rng(108);
-  ShardRequest full;
-  full.zones = {3, 5};  // 5 is past 4 atoms
-  full.kind = ShardRequest::ConfigKind::kFull;
-  full.full = random_config(4, rng);
-  EXPECT_THROW(decode_shard_request(encode_shard_request(full)),
+                   request_for({~std::uint64_t{0}}))),
                SerializationError);
 }
 
@@ -352,14 +263,11 @@ TEST(CommWire, EmptyShardResultRejected) {
 }
 
 TEST(CommWire, WrongPayloadKindRejectedAcrossCodecs) {
-  Rng rng(109);
-  ShardRequest request;
-  request.ticket = 1;
-  request.zones = {0, 1, 2, 3};
-  request.full = random_config(4, rng);
-  const std::vector<std::byte> bytes = encode_shard_request(request);
-  EXPECT_THROW(decode_shard_result(bytes), SerializationError);
-  EXPECT_THROW(decode_shard_evict(bytes), SerializationError);
+  EXPECT_THROW(
+      decode_shard_result(encode_shard_request(request_for({0, 1, 2, 3}))),
+      SerializationError);
+  EXPECT_THROW(decode_shard_request(encode_shard_result(result_for({0, 1}))),
+               SerializationError);
 }
 
 }  // namespace

@@ -154,8 +154,8 @@ TEST(AsyncEnergyService, DrivesWangLandauEndToEnd) {
 
 TEST(FailureInjection, RespectsProbability) {
   const wl::HeisenbergEnergy energy = fe16_energy();
-  wl::SynchronousEnergyService inner(energy);
-  FailureInjectingService service(inner, 0.25, Rng(7));
+  FailureInjectingService service(
+      std::make_unique<wl::SynchronousEnergyService>(energy), 0.25, Rng(7));
   Rng rng(8);
   constexpr int kTotal = 4000;
   int failures = 0;
@@ -170,8 +170,8 @@ TEST(FailureInjection, RespectsProbability) {
 
 TEST(FailureInjection, ZeroProbabilityIsTransparent) {
   const wl::HeisenbergEnergy energy = fe16_energy();
-  wl::SynchronousEnergyService inner(energy);
-  FailureInjectingService service(inner, 0.0, Rng(9));
+  FailureInjectingService service(
+      std::make_unique<wl::SynchronousEnergyService>(energy), 0.0, Rng(9));
   Rng rng(10);
   service.submit({0, 1, spin::MomentConfiguration::random(16, rng)});
   EXPECT_FALSE(service.retrieve().failed);
@@ -180,9 +180,12 @@ TEST(FailureInjection, ZeroProbabilityIsTransparent) {
 
 TEST(FailureInjection, InvalidProbabilityThrows) {
   const wl::HeisenbergEnergy energy = fe16_energy();
-  wl::SynchronousEnergyService inner(energy);
-  EXPECT_THROW(FailureInjectingService(inner, 1.0, Rng(1)), ContractError);
-  EXPECT_THROW(FailureInjectingService(inner, -0.1, Rng(1)), ContractError);
+  for (const double p : {1.0, -0.1})
+    EXPECT_THROW(FailureInjectingService(
+                     std::make_unique<wl::SynchronousEnergyService>(energy),
+                     p, Rng(1)),
+                 ContractError)
+        << p;
 }
 
 TEST(AsyncEnergyService, RetrieveWithoutOutstandingThrows) {
@@ -197,8 +200,8 @@ TEST(AsyncEnergyService, RetrieveWithoutOutstandingThrows) {
 
 TEST(FailureInjection, RetrieveWithoutOutstandingThrows) {
   const wl::HeisenbergEnergy energy = fe16_energy();
-  wl::SynchronousEnergyService inner(energy);
-  FailureInjectingService service(inner, 0.5, Rng(12));
+  FailureInjectingService service(
+      std::make_unique<wl::SynchronousEnergyService>(energy), 0.5, Rng(12));
   // Empty both ways: no failure notices pending and nothing in the inner
   // service — forwarding blindly would violate the inner contract instead
   // of this one.

@@ -91,8 +91,8 @@ TEST(ParallelStress, FailureSoakDeliversEveryLogicalRequestExactlyOnce) {
   // must produce exactly one *successful* result; at the end nothing may
   // remain outstanding.
   const wl::HeisenbergEnergy energy = fe16_energy();
-  AsyncEnergyService inner(energy, 4);
-  FailureInjectingService service(inner, 0.2, Rng(31));
+  FailureInjectingService service(
+      std::make_unique<AsyncEnergyService>(energy, 4), 0.2, Rng(31));
   Rng rng(32);
 
   constexpr std::uint64_t kLogical = 10000;

@@ -78,8 +78,8 @@ TEST(WlDriver, SurvivesInjectedNodeFailures) {
   // to the right physics.
   HeisenbergEnergy energy = fe16_energy();
   const WangLandauConfig config = driver_config(energy);
-  SynchronousEnergyService inner(energy);
-  parallel::FailureInjectingService service(inner, 0.02, Rng(5));
+  parallel::FailureInjectingService service(
+      std::make_unique<SynchronousEnergyService>(energy), 0.02, Rng(5));
   DriverStats stats;
   const double u = converged_u900(service, config, 3, &stats);
   EXPECT_GT(stats.resubmissions, 0u);
@@ -115,8 +115,8 @@ TEST(WlDriver, ConvergesToExactDosUnderHeavyFailureRate) {
   config.max_iteration_steps = 300000;
   config.max_steps = 40000000;
 
-  SynchronousEnergyService inner(energy);
-  parallel::FailureInjectingService service(inner, 0.2, Rng(41));
+  parallel::FailureInjectingService service(
+      std::make_unique<SynchronousEnergyService>(energy), 0.2, Rng(41));
   WlDriver driver(2, service, config,
                   std::make_unique<HalvingSchedule>(1.0, 1e-5), Rng(42));
   const DriverStats& stats = driver.run();
