@@ -6,12 +6,13 @@
 // end-to-end over a live TCP daemon with eight connected tenants. The bench
 // fails unless every batched energy is bit-identical to the serial solver,
 // batching engages, and the batched path is at least as fast as
-// one-at-a-time (best of five reps each).
+// one-at-a-time (the median throughput ratio over 30 paired reps).
 //
 // Writes BENCH_serve.json (path = argv[1], default ./BENCH_serve.json) for
 // regression tracking; `ctest -L perf` runs it as perf_serve.
 #include "bench_common.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -31,7 +32,7 @@ using namespace wlsms;
 constexpr std::size_t kWalkers = 8;   // concurrent walkers (acceptance: >= 8)
 constexpr std::size_t kRounds = 4;    // submissions per walker
 constexpr std::size_t kEvals = kWalkers * kRounds;
-constexpr int kReps = 5;              // timing reps, min taken
+constexpr int kPairs = 30;            // paired timing reps of the two arms
 
 /// Serving-fidelity substrate: the fast contour but a 50-member LIZ, so
 /// every zone solve factors 50 x 50 spin blocks that span four 16-row
@@ -149,17 +150,24 @@ Timed run_tcp_daemon(const std::shared_ptr<const lsms::LsmsSolver>& solver,
   return timed;
 }
 
-Timed best_of(const std::vector<Timed>& reps) {
-  Timed best = reps.front();
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2]
+                    : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+}
+
+/// The median time over `reps`; occupancy from the first rep (every rep
+/// batches the same requests the same way) and the worst |dE| of any rep.
+Timed summarize(const std::vector<Timed>& reps) {
+  Timed summary = reps.front();
+  std::vector<double> seconds;
   for (const Timed& t : reps) {
-    if (t.seconds < best.seconds) {
-      const double diff = best.max_diff;
-      best = t;
-      best.max_diff = diff;
-    }
-    best.max_diff = std::max(best.max_diff, t.max_diff);
+    seconds.push_back(t.seconds);
+    summary.max_diff = std::max(summary.max_diff, t.max_diff);
   }
-  return best;
+  summary.seconds = median(std::move(seconds));
+  return summary;
 }
 
 }  // namespace
@@ -178,8 +186,8 @@ int main(int argc, char** argv) {
               solver->n_atoms(), solver->liz_size(0),
               solver->contour().size());
   std::printf("workload: %zu walkers x %zu rounds = %zu evaluations, "
-              "best of %d reps\n\n",
-              kWalkers, kRounds, kEvals, kReps);
+              "%d paired reps (medians; the tcp row is one run)\n\n",
+              kWalkers, kRounds, kEvals, kPairs);
 
   Rng rng(41);
   std::vector<spin::MomentConfiguration> configs;
@@ -190,22 +198,29 @@ int main(int argc, char** argv) {
   for (std::size_t k = 0; k < kEvals; ++k)
     reference[k] = energy.total_energy(configs[k]);  // also warms caches
 
-  // Alternate which mode runs first so thermal / frequency drift over the
-  // run cannot systematically favour either side of the min.
-  std::vector<Timed> serial_reps, batched_reps, tcp_reps;
-  for (int rep = 0; rep < kReps; ++rep) {
-    if (rep % 2 == 0) {
+  // Each pair runs both arms back to back, alternating which goes first so
+  // drift over the run cannot favour either side, and the gate reads the
+  // median of the per-pair throughput ratios: pairing cancels host load
+  // that drifts slower than a pair, and the median ignores the pairs in
+  // which a preempted thread stalled one arm. (Best of five per arm, the
+  // earlier estimate, read 0.99-1.20x on one unchanged binary on a shared
+  // 4-vCPU host and failed about one run in ten.)
+  std::vector<Timed> serial_reps, batched_reps;
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    if (pair % 2 == 0) {
       serial_reps.push_back(run_one_at_a_time(energy, configs, reference));
       batched_reps.push_back(run_batched(solver, configs, reference));
     } else {
       batched_reps.push_back(run_batched(solver, configs, reference));
       serial_reps.push_back(run_one_at_a_time(energy, configs, reference));
     }
+    ratios.push_back(serial_reps.back().seconds / batched_reps.back().seconds);
   }
-  tcp_reps.push_back(run_tcp_daemon(solver, configs, reference));
-  const Timed serial = best_of(serial_reps);
-  const Timed batched = best_of(batched_reps);
-  const Timed tcp = best_of(tcp_reps);
+  const Timed serial = summarize(serial_reps);
+  const Timed batched = summarize(batched_reps);
+  const Timed tcp = run_tcp_daemon(solver, configs, reference);
+  const double speedup = median(ratios);
 
   const double serial_tput = kEvals / serial.seconds;
   const double batched_tput = kEvals / batched.seconds;
@@ -225,12 +240,12 @@ int main(int argc, char** argv) {
   add_row("tcp daemon, 8 tenants", tcp);
   table.print();
 
-  std::printf("\nbatched vs one-at-a-time: %.2fx aggregate throughput at "
-              "%zu concurrent walkers, occupancy %.1f\n",
-              batched_tput / serial_tput, kWalkers, batched.occupancy);
+  std::printf("\nbatched vs one-at-a-time: %.2fx aggregate throughput "
+              "(paired median) at %zu concurrent walkers, occupancy %.1f\n",
+              speedup, kWalkers, batched.occupancy);
   if (batched.occupancy <= 1.0)
     std::printf("** batching never engaged — occupancy <= 1 **\n");
-  const bool batched_keeps_up = batched_tput >= serial_tput;
+  const bool batched_keeps_up = speedup >= 1.0;
   if (!batched_keeps_up)
     std::printf("** batched dispatch is slower than one-at-a-time **\n");
 
@@ -259,7 +274,7 @@ int main(int argc, char** argv) {
                "}\n",
                kWalkers, kEvals, serial.seconds, serial_tput, batched.seconds,
                batched_tput, batched.occupancy, tcp.seconds, tcp_tput,
-               tcp.occupancy, batched_tput / serial_tput, worst_diff);
+               tcp.occupancy, speedup, worst_diff);
   std::fclose(json);
   std::printf("results written to %s\n", json_path.c_str());
 

@@ -2,12 +2,11 @@
 // contrasts (§I, §II-A): conventional Metropolis importance sampling — one
 // simulation per temperature — versus a single Wang-Landau run whose
 // density of states yields every temperature at once. Also demonstrates the
-// asynchronous master-slave driver with out-of-order results and injected
-// node failures (the parallelization and resilience story of §II-C/§V).
+// master-slave driver with out-of-order results and injected node failures
+// (the parallelization and resilience story of §II-C/§V).
 #include <cstdio>
 #include <memory>
 
-#include "comm/factory.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "heisenberg/heisenberg.hpp"
@@ -15,6 +14,7 @@
 #include "lattice/structure.hpp"
 #include "lsms/fe_parameters.hpp"
 #include "mc/metropolis.hpp"
+#include "parallel/failure.hpp"
 #include "perf/timer.hpp"
 #include "thermo/observables.hpp"
 #include "wl/driver.hpp"
@@ -27,9 +27,10 @@ int main() {
   const wl::HeisenbergEnergy energy(
       heisenberg::HeisenbergModel(lattice::make_fe_supercell(2), j));
 
-  // --- Wang-Landau through the full asynchronous stack -------------------
-  // Thread-pool "LSMS instances" + failure injection: 1 % of all results
-  // are lost in flight and transparently resubmitted by the driver.
+  // --- Wang-Landau through the master-slave driver ------------------------
+  // Results return out of order, and 1 % of all submissions are lost in
+  // flight and transparently resubmitted by the driver. Both are seeded,
+  // so the run is deterministic.
   Rng window_rng(5);
   wl::WangLandauConfig config;
   config.grid = wl::thermal_window(
@@ -38,24 +39,19 @@ int main() {
   config.check_interval = 5000;
   config.max_iteration_steps = 2000000;
 
-  comm::EnergyServiceSpec spec;
-  spec.kind = comm::ServiceKind::kAsyncThreads;
-  spec.energy = &energy;
-  spec.n_instances = 4;
-  spec.failure_probability = 0.01;
-  spec.failure_seed = 7;
-  const std::unique_ptr<wl::EnergyService> flaky =
-      comm::make_energy_service(spec);
+  parallel::FailureInjectingService flaky(
+      std::make_unique<wl::ReorderingEnergyService>(energy, Rng(0x5eed)),
+      0.01, Rng(7));
 
   perf::Timer wl_timer;
-  wl::WlDriver driver(energy.n_sites(), *flaky, config,
+  wl::WlDriver driver(energy.n_sites(), flaky, config,
                       std::make_unique<wl::HalvingSchedule>(1.0, 1e-5),
                       Rng(123));
   const wl::DriverStats& wl_stats = driver.run();
   const double wl_seconds = wl_timer.seconds();
   const thermo::DosTable dos = thermo::dos_table(driver.dos());
 
-  std::printf("Wang-Landau (async driver, 4 instances, 1%% node loss):\n");
+  std::printf("Wang-Landau (out-of-order driver, 1%% node loss):\n");
   std::printf("  %llu energy evaluations, %llu resubmitted after failures, "
               "%.1f s\n\n",
               static_cast<unsigned long long>(wl_stats.total_steps),

@@ -3,9 +3,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
-#include "parallel/async_service.hpp"
-#include "parallel/failure.hpp"
 
 namespace wlsms::comm {
 
@@ -13,28 +10,14 @@ std::unique_ptr<wl::EnergyService> make_energy_service(
     const EnergyServiceSpec& spec) {
   if (spec.energy == nullptr && spec.kind != ServiceKind::kServeClient)
     throw Error("make_energy_service: spec.energy is required");
-  if (!(spec.failure_probability >= 0.0 && spec.failure_probability < 1.0))
-    throw Error("make_energy_service: failure_probability outside [0, 1)");
+  const auto* lsms_energy = dynamic_cast<const wl::LsmsEnergy*>(spec.energy);
 
   std::unique_ptr<wl::EnergyService> service;
   switch (spec.kind) {
     case ServiceKind::kSynchronous:
       service = std::make_unique<wl::SynchronousEnergyService>(*spec.energy);
       break;
-    case ServiceKind::kReordering:
-      service = std::make_unique<wl::ReorderingEnergyService>(
-          *spec.energy, Rng(spec.reorder_seed));
-      break;
-    case ServiceKind::kAsyncThreads: {
-      if (spec.n_instances < 1)
-        throw Error("make_energy_service: n_instances must be >= 1");
-      service = std::make_unique<parallel::AsyncEnergyService>(
-          *spec.energy, spec.n_instances);
-      break;
-    }
     case ServiceKind::kDistributed: {
-      const auto* lsms_energy =
-          dynamic_cast<const wl::LsmsEnergy*>(spec.energy);
       if (lsms_energy == nullptr)
         throw Error(
             "make_energy_service: kDistributed requires an LsmsEnergy "
@@ -54,22 +37,14 @@ std::unique_ptr<wl::EnergyService> make_energy_service(
   if (service == nullptr)
     throw Error("make_energy_service: unknown service kind");
 
-  if (spec.failure_probability > 0.0)
-    service = std::make_unique<parallel::FailureInjectingService>(
-        std::move(service), spec.failure_probability, Rng(spec.failure_seed));
-
   if (spec.speculate) {
-    const lattice::Structure* structure = spec.speculation_structure;
-    if (structure == nullptr)
-      if (const auto* lsms_energy =
-              dynamic_cast<const wl::LsmsEnergy*>(spec.energy))
-        structure = &lsms_energy->solver().structure();
-    if (structure == nullptr)
+    if (lsms_energy == nullptr)
       throw Error(
-          "make_energy_service: speculation requires speculation_structure "
-          "(or an LsmsEnergy backend to take the lattice from)");
+          "make_energy_service: speculation requires an LsmsEnergy backend "
+          "to take the lattice from");
     service = std::make_unique<wl::SpeculativeEnergyService>(
-        std::move(service), wl::Speculator(*structure, spec.speculation));
+        std::move(service),
+        wl::Speculator(lsms_energy->solver().structure(), spec.speculation));
   }
   return service;
 }

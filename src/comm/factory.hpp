@@ -1,22 +1,20 @@
 #pragma once
 
 /// \file factory.hpp
-/// The one way to build an EnergyService. Every realization of the paper's
-/// driver <-> LSMS-instance boundary — the synchronous reference, the
-/// deterministic reorderer, the thread-pool instance farm, the
-/// group-sharded distributed service, and the serve-daemon client — is
-/// constructed from one spec, so call sites (CLI, benches, examples, tests)
-/// pick a topology by data instead of by type. Two decorators compose on
-/// top of any of them: failure injection (innermost) and the speculative
-/// mixed-fidelity screen (outermost, so injected failures exercise its
-/// retry accounting).
+/// The one way to build an EnergyService for a topology the CLI and the
+/// end-to-end benchmark run. Each realization of the paper's driver <->
+/// LSMS-instance boundary — the synchronous reference, the group-sharded
+/// distributed service, and the serve-daemon client — is constructed from
+/// one spec, so call sites pick a topology by data instead of by type. The
+/// speculative mixed-fidelity screen can wrap any of them; it takes its
+/// lattice from the LsmsEnergy backend. Test doubles (the deterministic
+/// reorderer, failure injection) are built directly, not through here.
 ///
 /// This header lives under src/comm/ but builds into its own library,
 /// wlsms_factory: the serve daemon links wlsms_comm, and the factory links
 /// the serve *client*, so folding it into wlsms_comm would close a
 /// dependency cycle.
 
-#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -31,8 +29,6 @@ namespace wlsms::comm {
 /// Which realization of the EnergyService boundary to build.
 enum class ServiceKind {
   kSynchronous,  ///< in-order, single-threaded; the validation reference
-  kReordering,   ///< single-threaded, deterministically out-of-order
-  kAsyncThreads, ///< thread-pool instance farm (parallel::AsyncEnergyService)
   kDistributed,  ///< group-sharded over a Communicator (this module)
   kServeClient,  ///< remote `wlsms serve` daemon (serve::ServeClient)
 };
@@ -47,38 +43,23 @@ struct EnergyServiceSpec {
   /// solver. Must outlive the returned service.
   const wl::EnergyFunction* energy = nullptr;
 
-  std::size_t n_instances = 1;  ///< kAsyncThreads: worker threads
-
-  std::uint64_t reorder_seed = 0x5eed;  ///< kReordering: shuffle stream
-
   DistributedConfig distributed;  ///< kDistributed: topology + transport
 
   std::string serve_address;          ///< kServeClient: daemon host:port
   serve::ClientOptions serve_client;  ///< kServeClient: handshake/timeouts
 
-  /// When > 0, the built service is wrapped in a failure-injecting
-  /// decorator losing each submission with this probability (the paper §V
-  /// resilience path; the driver resubmits failed results).
-  double failure_probability = 0.0;
-  std::uint64_t failure_seed = 0xfa17;
-
-  /// When set, the (possibly failure-wrapped) service is wrapped in a
+  /// When set, the built service is wrapped in a
   /// wl::SpeculativeEnergyService screening proposals with a Heisenberg
-  /// surrogate. Off by default: exact mode stays bit-identical.
+  /// surrogate on the lattice of `energy`, which must then be an
+  /// LsmsEnergy. Off by default: exact mode stays bit-identical.
   bool speculate = false;
   wl::SpeculationConfig speculation;
-  /// Lattice the surrogate is built on. May stay null when `energy` is an
-  /// LsmsEnergy (its solver's structure is used); required otherwise —
-  /// notably for kServeClient, which has no local solver. Must outlive the
-  /// returned service.
-  const lattice::Structure* speculation_structure = nullptr;
 };
 
 /// Builds the service described by `spec`. Throws wlsms::Error on an
-/// unsatisfiable spec (no energy backend, a distributed spec whose backend
-/// is not LSMS, an out-of-range failure probability, speculation without a
-/// structure to build the surrogate on) and comm::CommError when the serve
-/// client cannot reach its daemon.
+/// unsatisfiable spec (no energy backend, a distributed or speculative
+/// spec whose backend is not LSMS, a serve client without an address) and
+/// comm::CommError when the serve client cannot reach its daemon.
 std::unique_ptr<wl::EnergyService> make_energy_service(
     const EnergyServiceSpec& spec);
 

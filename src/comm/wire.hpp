@@ -4,8 +4,8 @@
 /// The versioned wire protocol of the distributed energy service: what the
 /// controller and the worker ranks of an LSMS group actually say to each
 /// other. Every payload is framed by the shared serial schema (magic +
-/// schema version + payload kind), so a wire message and a checkpoint are
-/// the same dialect; truncated or corrupted buffers throw
+/// schema version + payload kind), so a wire message and a serve-protocol
+/// frame are the same dialect; truncated or corrupted buffers throw
 /// serial::SerializationError and can never crash the decoder.
 ///
 /// The group protocol mirrors the paper's Fig. 3 communication pattern:

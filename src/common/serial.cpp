@@ -8,7 +8,6 @@ namespace {
 
 const char* kind_name(PayloadKind kind) {
   switch (kind) {
-    case PayloadKind::kCheckpoint: return "checkpoint";
     case PayloadKind::kMomentConfiguration: return "moment-configuration";
     case PayloadKind::kShardRequest: return "shard-request";
     case PayloadKind::kShardResult: return "shard-result";

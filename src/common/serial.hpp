@@ -2,10 +2,11 @@
 
 /// \file serial.hpp
 /// The one versioned binary serialization schema shared by everything that
-/// persists or transmits state: Wang-Landau checkpoints (wl/checkpoint) and
-/// the comm wire protocol (comm/wire) both frame their payloads with the
-/// same header — magic + schema version + payload kind — and build the
-/// payload from the same bounds-checked primitive encoders.
+/// persists or transmits state: the comm wire protocol (comm/wire), the
+/// serve protocol (serve/protocol) and the serve daemon's session
+/// checkpoints all frame their payloads with the same header — magic +
+/// schema version + payload kind — and build the payload from the same
+/// bounds-checked primitive encoders.
 ///
 /// Layout rules:
 ///  - all integers little-endian, fixed width (u8/u32/u64);
@@ -56,10 +57,10 @@ inline constexpr std::uint32_t kSchemaVersion = 6;
 
 /// What a framed buffer carries. The kind is part of the header so a
 /// message routed to the wrong decoder fails loudly instead of
-/// misinterpreting bytes. Kinds 2 and 3 (the retired whole energy
-/// request/result) and 15 (the retired shard eviction) are not reused.
+/// misinterpreting bytes. Retired kinds are never reused: 1 (the
+/// Wang-Landau checkpoint), 2 and 3 (the whole energy request/result) and
+/// 15 (the shard eviction).
 enum class PayloadKind : std::uint32_t {
-  kCheckpoint = 1,
   kMomentConfiguration = 4,
   kShardRequest = 5,
   kShardResult = 6,

@@ -7,17 +7,17 @@
 namespace wlsms::parallel {
 
 FailureInjectingService::FailureInjectingService(
-    std::unique_ptr<wl::EnergyService> inner, double failure_probability,
+    std::unique_ptr<wl::EnergyService> inner, double loss_probability,
     Rng rng)
     : inner_(std::move(inner)),
-      failure_probability_(failure_probability),
+      loss_probability_(loss_probability),
       rng_(rng) {
   WLSMS_EXPECTS(inner_ != nullptr);
-  WLSMS_EXPECTS(failure_probability >= 0.0 && failure_probability < 1.0);
+  WLSMS_EXPECTS(loss_probability >= 0.0 && loss_probability < 1.0);
 }
 
 void FailureInjectingService::submit(wl::EnergyRequest request) {
-  if (rng_.uniform() < failure_probability_) {
+  if (rng_.uniform() < loss_probability_) {
     // The instance assigned this request dies: the configuration is never
     // evaluated, and the master eventually learns via a failure notice.
     ++injected_;

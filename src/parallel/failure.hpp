@@ -24,9 +24,9 @@ namespace wlsms::parallel {
 /// it owns.
 class FailureInjectingService final : public wl::EnergyService {
  public:
-  /// Each submission is independently lost with `failure_probability`.
+  /// Each submission is independently lost with `loss_probability`.
   FailureInjectingService(std::unique_ptr<wl::EnergyService> inner,
-                          double failure_probability, Rng rng);
+                          double loss_probability, Rng rng);
 
   void submit(wl::EnergyRequest request) override;
 
@@ -46,7 +46,7 @@ class FailureInjectingService final : public wl::EnergyService {
 
  private:
   std::unique_ptr<wl::EnergyService> inner_;
-  double failure_probability_;
+  double loss_probability_;
   Rng rng_;
   std::deque<wl::EnergyResult> failed_;  ///< failure notices not yet retrieved
   std::uint64_t injected_ = 0;

@@ -1,10 +1,10 @@
 #pragma once
 
 /// \file thread_pool.hpp
-/// Fixed-size worker pool. Stands in for the farm of LSMS instances of the
-/// paper's Fig. 3: each queued task is one instance's energy evaluation;
-/// completion order is whatever the scheduler produces, which is exactly
-/// the out-of-order arrival the WL driver must tolerate.
+/// Fixed-size worker pool behind wl::WindowRunner: one long-lived thread
+/// per REWL window or multimaster master, so the solver's thread_local
+/// workspaces and the metrics registry's per-thread shards are built once
+/// per run rather than once per round.
 
 #include <condition_variable>
 #include <cstddef>
@@ -27,7 +27,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task; never blocks.
+  /// Enqueues a task; never blocks. The task must not throw: an exception
+  /// escaping a worker thread terminates the process, so callers park it
+  /// and rethrow on their own thread (WindowRunner::round does).
   void post(std::function<void()> task);
 
   std::size_t n_threads() const { return workers_.size(); }

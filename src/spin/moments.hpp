@@ -48,9 +48,9 @@ class MomentConfiguration {
 
   /// From directions that are already unit vectors, taken bit-for-bit with
   /// NO renormalization. Deserialization must use this: normalization is
-  /// not bitwise idempotent, and both the checkpoint and the comm wire
-  /// format promise that a configuration survives a round trip unchanged
-  /// to the last ulp.
+  /// not bitwise idempotent, and the comm wire and the serve protocol
+  /// promise that a configuration survives a round trip unchanged to the
+  /// last ulp.
   static MomentConfiguration from_raw_directions(std::vector<Vec3> directions);
 
   std::size_t size() const { return directions_.size(); }

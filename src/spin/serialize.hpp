@@ -2,9 +2,10 @@
 
 /// \file serialize.hpp
 /// Binary (de)serialization of moment configurations on the shared serial
-/// schema (common/serial.hpp). Used by both persistence (wl/checkpoint) and
-/// transport (comm/wire) so a configuration has exactly one byte layout
-/// everywhere: u64 site count, then 3 raw IEEE-754 doubles per site.
+/// schema (common/serial.hpp). Used by the comm wire, the serve protocol
+/// and the serve daemon's session checkpoints, so a configuration has
+/// exactly one byte layout everywhere: u64 site count, then 3 raw
+/// IEEE-754 doubles per site.
 /// Round trips are bit-exact (decode uses from_raw_directions).
 
 #include "common/serial.hpp"

@@ -119,9 +119,9 @@ class DosGrid {
   const std::vector<std::uint64_t>& histogram() const { return histogram_; }
   const std::vector<std::uint8_t>& visited() const { return visited_; }
 
-  /// Overwrites the stored ln g values (checkpoint restore, merging).
+  /// Overwrites the stored ln g values (multimaster merging, stitching).
   void set_ln_g_values(std::vector<double> values);
-  /// Marks bins visited (checkpoint restore, merging).
+  /// Marks bins visited (multimaster merging, stitching).
   void set_visited(std::vector<std::uint8_t> visited);
 
   /// (E, ln g) series over visited bins, shifted so min ln g = 0 (the

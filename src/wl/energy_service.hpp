@@ -9,8 +9,9 @@
 /// submitted". EnergyService is that boundary: submit() posts a
 /// configuration, retrieve() blocks for the next completed result, with no
 /// ordering guarantee. Implementations here are single-threaded (exact and
-/// deliberately-reordering variants for tests); src/parallel adds the real
-/// thread-pool instance farm and a failure-injecting decorator.
+/// deliberately-reordering variants); src/comm adds the group-sharded
+/// distributed service, src/serve the daemon client, and src/parallel a
+/// failure-injecting decorator for the resilience tests.
 
 #include <cstdint>
 #include <deque>

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <latch>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 
@@ -215,16 +217,26 @@ std::size_t WindowRunner::round(
   for (WangLandau& window : windows_)
     if (!window.done()) active.push_back(&window);
   // The latch is the barrier that also publishes each sampler's state back
-  // to this thread.
+  // to this thread. An exception must not escape a pool thread (the
+  // runtime terminates) nor skip the latch, so the first one is kept and
+  // rethrown here once every task has finished.
   std::latch round_done(static_cast<std::ptrdiff_t>(active.size()));
+  std::mutex failure_mutex;
+  std::exception_ptr failure;
   for (WangLandau* window : active) {
-    pool_.post([&work, &round_done, window] {
-      const obs::Span window_span("wl.window_run");
-      work(*window);
+    pool_.post([&, window] {
+      try {
+        const obs::Span window_span("wl.window_run");
+        work(*window);
+      } catch (...) {
+        const std::scoped_lock lock(failure_mutex);
+        if (!failure) failure = std::current_exception();
+      }
       round_done.count_down();
     });
   }
   round_done.wait();
+  if (failure) std::rethrow_exception(failure);
   return active.size();
 }
 

@@ -46,6 +46,8 @@ class WindowRunner {
 
   /// Runs `work` concurrently on every sampler not yet done and returns how
   /// many ran, once all have finished (their state is then visible here).
+  /// If any `work` throws, the first exception is rethrown on the calling
+  /// thread after every sampler's task has finished.
   std::size_t round(const std::function<void(WangLandau&)>& work);
 
   /// Publishes every sampler's counts and gauges (once, at the end).

@@ -58,7 +58,7 @@ class WangLandau {
              std::unique_ptr<ModificationSchedule> schedule, Rng rng,
              const std::vector<spin::MomentConfiguration>& initial_walkers);
 
-  /// Replaces walker w's configuration (e.g. to seed from a checkpoint).
+  /// Replaces walker w's configuration (e.g. a REWL replica exchange).
   void set_walker(std::size_t w, const spin::MomentConfiguration& config);
 
   /// Advances every walker by one WL step. Returns false once done

@@ -469,14 +469,11 @@ TEST(MoveLocalService, RandomConfigurationFallsBackToEveryZone) {
 
 TEST(RetrieveEmpty, EveryFactoryServiceThrowsWlsmsError) {
   const Fe16& f = fe16();
-  const std::vector<ServiceKind> kinds = {
-      ServiceKind::kSynchronous, ServiceKind::kReordering,
-      ServiceKind::kAsyncThreads, ServiceKind::kDistributed};
-  for (ServiceKind kind : kinds) {
+  for (const ServiceKind kind :
+       {ServiceKind::kSynchronous, ServiceKind::kDistributed}) {
     EnergyServiceSpec spec;
     spec.kind = kind;
     spec.energy = f.energy.get();
-    spec.n_instances = 2;
     spec.distributed.n_groups = 1;
     spec.distributed.group_size = 2;
     spec.distributed.transport = Transport::kInProcess;
@@ -486,16 +483,6 @@ TEST(RetrieveEmpty, EveryFactoryServiceThrowsWlsmsError) {
         << "kind " << static_cast<int>(kind);
     EXPECT_EQ(service->outstanding(), 0u);
   }
-}
-
-TEST(RetrieveEmpty, FailureWrappedServiceThrowsWlsmsError) {
-  const Fe16& f = fe16();
-  EnergyServiceSpec spec;
-  spec.kind = ServiceKind::kSynchronous;
-  spec.energy = f.energy.get();
-  spec.failure_probability = 0.5;
-  const std::unique_ptr<wl::EnergyService> service = make_energy_service(spec);
-  EXPECT_THROW(service->retrieve(), Error);
 }
 
 // ---- factory validation --------------------------------------------------
@@ -512,13 +499,12 @@ TEST(Factory, RejectsMissingEnergyAndBadSpecs) {
   EXPECT_THROW(make_energy_service(spec), Error);  // not an LSMS backend
 
   spec.kind = ServiceKind::kSynchronous;
-  spec.failure_probability = 1.5;
-  EXPECT_THROW(make_energy_service(spec), Error);
+  spec.speculate = true;
+  EXPECT_THROW(make_energy_service(spec), Error);  // no lattice to screen on
 
-  spec.failure_probability = 0.0;
-  spec.kind = ServiceKind::kAsyncThreads;
-  spec.n_instances = 0;
-  EXPECT_THROW(make_energy_service(spec), Error);
+  spec.speculate = false;
+  spec.kind = ServiceKind::kServeClient;
+  EXPECT_THROW(make_energy_service(spec), Error);  // no daemon address
 
   // And a well-formed spec of every kind builds and works end to end.
   EnergyServiceSpec good;

@@ -1,23 +1,21 @@
-// Tests for the thread pool, the asynchronous energy service, and the
+// Tests for the thread pool, concurrent callers of one LSMS solver, and the
 // failure-injection decorator.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 
 #include <atomic>
-#include <cmath>
-#include <set>
+#include <memory>
+#include <thread>
+#include <vector>
 
-#include "comm/factory.hpp"
 #include "heisenberg/heisenberg.hpp"
 #include "lattice/structure.hpp"
 #include "lsms/fe_parameters.hpp"
 #include "lsms/solver.hpp"
-#include "parallel/async_service.hpp"
 #include "parallel/failure.hpp"
 #include "parallel/thread_pool.hpp"
-#include "thermo/observables.hpp"
-#include "wl/driver.hpp"
+#include "wl/energy_service.hpp"
 
 namespace wlsms::parallel {
 namespace {
@@ -54,102 +52,33 @@ wl::HeisenbergEnergy fe16_energy() {
       heisenberg::HeisenbergModel(lattice::make_fe_supercell(2), j));
 }
 
-TEST(AsyncEnergyService, CompletesAllRequestsWithCorrectEnergies) {
-  const wl::HeisenbergEnergy energy = fe16_energy();
-  AsyncEnergyService service(energy, 4);
-  Rng rng(1);
-  std::vector<spin::MomentConfiguration> configs;
-  constexpr std::uint64_t kRequests = 64;
-  for (std::uint64_t t = 0; t < kRequests; ++t) {
-    configs.push_back(spin::MomentConfiguration::random(16, rng));
-    service.submit({t % 8, t, configs.back()});
-  }
-  std::set<std::uint64_t> seen;
-  for (std::uint64_t k = 0; k < kRequests; ++k) {
-    const wl::EnergyResult result = service.retrieve();
-    EXPECT_FALSE(result.failed);
-    EXPECT_TRUE(seen.insert(result.ticket).second);
-    EXPECT_NEAR(result.energy, energy.total_energy(configs[result.ticket]),
-                1e-12);
-    EXPECT_EQ(result.walker, result.ticket % 8);
-  }
-  EXPECT_EQ(service.outstanding(), 0u);
-}
-
-TEST(AsyncEnergyService, ConcurrentLsmsCallersMatchSerialEnergiesBitwise) {
-  // Four instance threads call one LsmsSolver at once. A built solver never
-  // changes, so every result must be == the energies().total the same
-  // configuration gives when solved alone.
+TEST(ConcurrentSolver, FourThreadsMatchSerialEnergiesBitwise) {
+  // Four plain threads call one LsmsSolver at once, as WindowRunner's
+  // windows do through a shared LsmsEnergy. A built solver never changes,
+  // so every result must be == the energies().total the same configuration
+  // gives when solved alone.
   const auto solver = std::make_shared<const lsms::LsmsSolver>(
       lattice::make_fe_supercell(2), lsms::fe_lsms_parameters_fast());
-  const wl::LsmsEnergy energy(solver);
   Rng rng(21);
-  constexpr std::uint64_t kRequests = 24;
+  constexpr std::size_t kRequests = 24;
+  constexpr std::size_t kThreads = 4;
   std::vector<spin::MomentConfiguration> configs;
   std::vector<double> serial;
-  for (std::uint64_t t = 0; t < kRequests; ++t) {
+  for (std::size_t t = 0; t < kRequests; ++t) {
     configs.push_back(spin::MomentConfiguration::random(16, rng));
     serial.push_back(solver->energies(configs.back()).total);
   }
 
-  comm::EnergyServiceSpec spec;
-  spec.kind = comm::ServiceKind::kAsyncThreads;
-  spec.energy = &energy;
-  spec.n_instances = 4;
-  const std::unique_ptr<wl::EnergyService> service =
-      comm::make_energy_service(spec);
-  for (std::uint64_t t = 0; t < kRequests; ++t)
-    service->submit({t % 8, t, configs[t]});
-  EXPECT_EQ(service->outstanding(), kRequests);
-  std::set<std::uint64_t> seen;
-  for (std::uint64_t k = 0; k < kRequests; ++k) {
-    const wl::EnergyResult result = service->retrieve();
-    EXPECT_FALSE(result.failed);
-    ASSERT_LT(result.ticket, kRequests);
-    EXPECT_TRUE(seen.insert(result.ticket).second);
-    EXPECT_EQ(result.energy, serial[result.ticket])
-        << "ticket " << result.ticket;
-  }
-  EXPECT_EQ(service->outstanding(), 0u);
-}
-
-TEST(AsyncEnergyService, OutstandingTracksInFlightWork) {
-  const wl::HeisenbergEnergy energy = fe16_energy();
-  AsyncEnergyService service(energy, 2);
-  Rng rng(2);
-  for (std::uint64_t t = 0; t < 10; ++t)
-    service.submit({0, t, spin::MomentConfiguration::random(16, rng)});
-  for (int k = 10; k > 0; --k) {
-    EXPECT_EQ(service.outstanding(), static_cast<std::size_t>(k));
-    (void)service.retrieve();
-  }
-  EXPECT_EQ(service.outstanding(), 0u);
-}
-
-TEST(AsyncEnergyService, DrivesWangLandauEndToEnd) {
-  // Full asynchronous stack: WL driver + thread-pool instances. Short
-  // schedule; checks convergence machinery, not final physics precision.
-  const wl::HeisenbergEnergy energy = fe16_energy();
-  AsyncEnergyService service(energy, 4);
-
-  Rng window_rng(5);
-  wl::WangLandauConfig config;
-  config.grid = wl::thermal_window(
-      energy, energy.model().ferromagnetic_energy(), 150.0, window_rng);
-  config.n_walkers = 4;
-  config.check_interval = 5000;
-  config.max_iteration_steps = 500000;
-  config.max_steps = 20000000;
-
-  wl::WlDriver driver(16, service, config,
-                      std::make_unique<wl::HalvingSchedule>(1.0, 1e-3),
-                      Rng(3));
-  const wl::DriverStats& stats = driver.run();
-  EXPECT_TRUE(driver.schedule().converged());
-  EXPECT_EQ(stats.iterations, 10u);  // 2^-10 <= 1e-3
-  const thermo::DosTable table = thermo::dos_table(driver.dos());
-  const double u900 = thermo::observables_at(table, 900.0).internal_energy;
-  EXPECT_NEAR(u900, -0.100, 0.02);  // Metropolis reference band (loose)
+  std::vector<double> concurrent(kRequests, 0.0);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kThreads; ++c)
+    callers.emplace_back([&, c] {
+      for (std::size_t t = c; t < kRequests; t += kThreads)
+        concurrent[t] = solver->energies(configs[t]).total;
+    });
+  for (std::thread& caller : callers) caller.join();
+  for (std::size_t t = 0; t < kRequests; ++t)
+    EXPECT_EQ(concurrent[t], serial[t]) << "request " << t;
 }
 
 TEST(FailureInjection, RespectsProbability) {
@@ -186,16 +115,6 @@ TEST(FailureInjection, InvalidProbabilityThrows) {
                      p, Rng(1)),
                  ContractError)
         << p;
-}
-
-TEST(AsyncEnergyService, RetrieveWithoutOutstandingThrows) {
-  const wl::HeisenbergEnergy energy = fe16_energy();
-  AsyncEnergyService service(energy, 2);
-  EXPECT_THROW(service.retrieve(), Error);
-  Rng rng(11);
-  service.submit({0, 1, spin::MomentConfiguration::random(16, rng)});
-  (void)service.retrieve();
-  EXPECT_THROW(service.retrieve(), Error);
 }
 
 TEST(FailureInjection, RetrieveWithoutOutstandingThrows) {

@@ -1,35 +1,29 @@
 // Concurrency soak tests for the parallel layer. These are the primary
 // targets of the `tsan` and `asan-ubsan` CMake presets (`ctest -L sanitize`):
-// they push enough work through the ThreadPool / AsyncEnergyService /
-// FailureInjectingService stack that data races, lock-order problems and
-// lost wakeups have a realistic chance of being exercised, and they assert
-// the protocol invariant that matters to the Wang-Landau driver — every
-// submitted ticket is retrieved exactly once.
+// they push enough work through the ThreadPool and through the
+// FailureInjectingService over the thread-backed DistributedEnergyService
+// that data races, lock-order problems and lost wakeups have a realistic
+// chance of being exercised, and they assert the protocol invariant that
+// matters to the Wang-Landau driver — every submitted ticket is retrieved
+// exactly once.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <set>
+#include <memory>
 #include <thread>
 #include <vector>
 
-#include "heisenberg/heisenberg.hpp"
+#include "comm/distributed_service.hpp"
 #include "lattice/structure.hpp"
 #include "lsms/fe_parameters.hpp"
-#include "parallel/async_service.hpp"
+#include "lsms/solver.hpp"
 #include "parallel/failure.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace wlsms::parallel {
 namespace {
-
-wl::HeisenbergEnergy fe16_energy() {
-  std::vector<double> j = lsms::fe_reference_exchange();
-  for (double& v : j) v *= lsms::fe_exchange_energy_scale;
-  return wl::HeisenbergEnergy(
-      heisenberg::HeisenbergModel(lattice::make_fe_supercell(2), j));
-}
 
 TEST(ParallelStress, ThreadPoolSoakFromConcurrentPosters) {
   // 4 posting threads x 2500 tasks against a 4-worker pool; every task must
@@ -52,47 +46,21 @@ TEST(ParallelStress, ThreadPoolSoakFromConcurrentPosters) {
   EXPECT_EQ(executed.load(), kPosters * kTasksPerPoster);
 }
 
-TEST(ParallelStress, AsyncServiceConcurrentRetrievers) {
-  // All requests are posted first, then 4 threads drain the completion
-  // queue concurrently. Tickets must partition exactly: no result lost, no
-  // result delivered twice.
-  const wl::HeisenbergEnergy energy = fe16_energy();
-  AsyncEnergyService service(energy, 4);
-  Rng rng(21);
-  constexpr std::uint64_t kRequests = 2000;
-  constexpr int kRetrievers = 4;
-  for (std::uint64_t t = 0; t < kRequests; ++t)
-    service.submit({t % 8, t, spin::MomentConfiguration::random(16, rng)});
-
-  std::vector<std::vector<std::uint64_t>> tickets(kRetrievers);
-  std::vector<std::thread> retrievers;
-  retrievers.reserve(kRetrievers);
-  for (int r = 0; r < kRetrievers; ++r)
-    retrievers.emplace_back([&service, &tickets, r] {
-      for (std::uint64_t k = 0; k < kRequests / kRetrievers; ++k) {
-        const wl::EnergyResult result = service.retrieve();
-        EXPECT_FALSE(result.failed);
-        tickets[static_cast<std::size_t>(r)].push_back(result.ticket);
-      }
-    });
-  for (std::thread& retriever : retrievers) retriever.join();
-
-  std::set<std::uint64_t> seen;
-  for (const auto& slice : tickets)
-    for (std::uint64_t ticket : slice) EXPECT_TRUE(seen.insert(ticket).second);
-  EXPECT_EQ(seen.size(), kRequests);
-  EXPECT_EQ(service.outstanding(), 0u);
-}
-
 TEST(ParallelStress, FailureSoakDeliversEveryLogicalRequestExactlyOnce) {
   // ~10^4 logical energy requests through the failure decorator (20 % loss)
-  // over the real thread-pool service, resubmitting every failure under a
-  // fresh ticket — the same discipline WlDriver uses. Each logical request
-  // must produce exactly one *successful* result; at the end nothing may
-  // remain outstanding.
-  const wl::HeisenbergEnergy energy = fe16_energy();
+  // over the distributed service on 2 groups x 2 rank threads, resubmitting
+  // every failure under a fresh ticket — the same discipline WlDriver uses.
+  // Each logical request must produce exactly one *successful* result; at
+  // the end nothing may remain outstanding.
+  const auto solver = std::make_shared<const lsms::LsmsSolver>(
+      lattice::make_fe_supercell(1), lsms::fe_lsms_parameters_fast());
+  comm::DistributedConfig topology;
+  topology.n_groups = 2;
+  topology.group_size = 2;
+  topology.transport = comm::Transport::kInProcess;
   FailureInjectingService service(
-      std::make_unique<AsyncEnergyService>(energy, 4), 0.2, Rng(31));
+      std::make_unique<comm::DistributedEnergyService>(solver, topology), 0.2,
+      Rng(31));
   Rng rng(32);
 
   constexpr std::uint64_t kLogical = 10000;
@@ -101,7 +69,8 @@ TEST(ParallelStress, FailureSoakDeliversEveryLogicalRequestExactlyOnce) {
   std::vector<spin::MomentConfiguration> configs;
   configs.reserve(kLogical);
   for (std::uint64_t id = 0; id < kLogical; ++id)
-    configs.push_back(spin::MomentConfiguration::random(16, rng));
+    configs.push_back(
+        spin::MomentConfiguration::random(solver->n_atoms(), rng));
 
   std::map<std::uint64_t, std::uint64_t> ticket_to_logical;
   std::vector<int> successes(kLogical, 0);

@@ -91,9 +91,9 @@ TEST(Serial, HostileSequenceCountRejectedBeforeAllocation) {
 
 TEST(Serial, HeaderRoundTrip) {
   Encoder e;
-  write_header(e, PayloadKind::kCheckpoint);
+  write_header(e, PayloadKind::kMomentConfiguration);
   Decoder d(e.bytes());
-  EXPECT_NO_THROW(read_header(d, PayloadKind::kCheckpoint));
+  EXPECT_NO_THROW(read_header(d, PayloadKind::kMomentConfiguration));
   EXPECT_EQ(d.remaining(), 0u);
 }
 
@@ -101,18 +101,20 @@ TEST(Serial, HeaderBadMagicThrows) {
   Encoder e;
   e.put_u32(kMagic ^ 1);
   e.put_u32(kSchemaVersion);
-  e.put_u32(static_cast<std::uint32_t>(PayloadKind::kCheckpoint));
+  e.put_u32(static_cast<std::uint32_t>(PayloadKind::kMomentConfiguration));
   Decoder d(e.bytes());
-  EXPECT_THROW(read_header(d, PayloadKind::kCheckpoint), SerializationError);
+  EXPECT_THROW(read_header(d, PayloadKind::kMomentConfiguration),
+               SerializationError);
 }
 
 TEST(Serial, HeaderVersionMismatchThrows) {
   Encoder e;
   e.put_u32(kMagic);
   e.put_u32(kSchemaVersion + 1);
-  e.put_u32(static_cast<std::uint32_t>(PayloadKind::kCheckpoint));
+  e.put_u32(static_cast<std::uint32_t>(PayloadKind::kMomentConfiguration));
   Decoder d(e.bytes());
-  EXPECT_THROW(read_header(d, PayloadKind::kCheckpoint), SerializationError);
+  EXPECT_THROW(read_header(d, PayloadKind::kMomentConfiguration),
+               SerializationError);
 }
 
 TEST(Serial, HeaderKindMismatchThrows) {

@@ -12,6 +12,7 @@
 #include "heisenberg/heisenberg.hpp"
 #include "lattice/cluster.hpp"
 #include "thermo/observables.hpp"
+#include "throwing_energy.hpp"
 
 namespace wlsms::wl {
 namespace {
@@ -264,6 +265,21 @@ TEST(MultiMaster, FixedSeedReproducesBitIdenticalOutput) {
   const MultiMasterResult c =
       run_multimaster(energy, per_master, 3, 1e-3, Rng(24));
   EXPECT_NE(a.merged_dos.ln_g_values(), c.merged_dos.ln_g_values());
+}
+
+TEST(MultiMaster, MasterExceptionReachesTheCaller) {
+  // Masters are seeded through total_energy, so every energy_after_move
+  // call comes from a round on a pool thread. The first failure must reach
+  // run_multimaster's caller instead of terminating the process.
+  constexpr std::uint64_t kThreshold = 1000;
+  const auto structure = lattice::make_cubic_cluster(
+      lattice::CubicLattice::kSimpleCubic, 1.0, 2, 1, 1);
+  const HeisenbergEnergy bond(heisenberg::HeisenbergModel(structure, {1.0}));
+  const ThrowingEnergy energy(bond, kThreshold);
+  EXPECT_THROW(run_multimaster(energy, short_single_bond_config(), 3, 1e-3,
+                               Rng(23)),
+               BackendFailure);
+  EXPECT_GT(energy.calls(), kThreshold);
 }
 
 TEST(MultiMaster, InvalidArgumentsThrow) {

@@ -1,7 +1,8 @@
 // Tests for replica-exchange windowed Wang-Landau (rewl.hpp): window
 // layout, seeding, stitching, exact-DOS validation against the single-window
-// reference of test_wl_exact.cpp, exchange acceptance, and bit-exact
-// determinism under a fixed root seed.
+// reference of test_wl_exact.cpp, exchange acceptance, bit-exact
+// determinism under a fixed root seed, and a window's exception reaching
+// the caller.
 #include "wl/rewl.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "lsms/fe_parameters.hpp"
 #include "obs/metrics.hpp"
 #include "thermo/observables.hpp"
+#include "throwing_energy.hpp"
 
 namespace wlsms::wl {
 namespace {
@@ -261,6 +263,22 @@ TEST(Rewl, FixedSeedReproducesBitIdenticalOutput) {
   const RewlResult c =
       run_rewl(energy, config, HalvingSchedule(1.0, 1e-3), Rng(30));
   EXPECT_NE(a.stitched.ln_g_values(), c.stitched.ln_g_values());
+}
+
+TEST(Rewl, WindowExceptionReachesTheCaller) {
+  // A backend failing inside a round throws on a pool thread. run_rewl must
+  // rethrow it to its caller once the round's other windows have stopped;
+  // it must not terminate the process. Seeding the 3 x 2 walkers takes far
+  // fewer moves than the threshold, and one round takes 3 x 2 x 2000.
+  constexpr std::uint64_t kThreshold = 10000;
+  const HeisenbergEnergy bond = single_bond_energy(1.0);
+  const ThrowingEnergy energy(bond, kThreshold);
+  RewlConfig config = single_bond_config();
+  config.n_windows = 3;
+  config.overlap = 0.5;
+  EXPECT_THROW(run_rewl(energy, config, HalvingSchedule(1.0, 1e-3), Rng(29)),
+               BackendFailure);
+  EXPECT_GT(energy.calls(), kThreshold);
 }
 
 TEST(Rewl, PerWindowStatsAndWindowDosAreReported) {

@@ -3,8 +3,9 @@
 // driver, compared with == over synchronous AND distributed services), the
 // retry accounting regression (failed-result resubmissions must not
 // double-count in spec.hit_rate), the online J_ij refit cadence, and the
-// error-budget trip + recovery path. Services are built through
-// comm::make_energy_service — the same composition the CLI uses.
+// error-budget trip + recovery path. Exact services are built through
+// comm::make_energy_service, as the CLI builds them; the screen over a
+// Heisenberg backend and the failure decorator are composed directly.
 #include "wl/speculator.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "lattice/structure.hpp"
 #include "lsms/fe_parameters.hpp"
 #include "lsms/solver.hpp"
+#include "parallel/failure.hpp"
 #include "wl/driver.hpp"
 #include "wl/energy_service.hpp"
 
@@ -84,13 +86,12 @@ TEST(Speculate, BandZeroAuditOneIsBitIdenticalOverSynchronousService) {
   const auto plain_service = comm::make_energy_service(plain);
   const RunOutput a = run_driver(*plain_service, 16, config, 9001);
 
-  comm::EnergyServiceSpec spec = plain;
-  spec.speculate = true;
-  spec.speculation.band = 0.0;
-  spec.speculation.audit_fraction = 1.0;
-  spec.speculation_structure = &structure;
-  const auto spec_service = comm::make_energy_service(spec);
-  const RunOutput b = run_driver(*spec_service, 16, config, 9001);
+  SpeculationConfig speculation;
+  speculation.band = 0.0;
+  speculation.audit_fraction = 1.0;
+  SpeculativeEnergyService spec_service(comm::make_energy_service(plain),
+                                        Speculator(structure, speculation));
+  const RunOutput b = run_driver(spec_service, 16, config, 9001);
 
   // Bit-for-bit: the decorator dispatched every hinted move exactly, in
   // submission order, consumed no RNG, and returned authoritative energies.
@@ -146,7 +147,7 @@ TEST(Speculate, BandZeroAuditOneIsBitIdenticalOverDistributedService) {
   spec.speculate = true;
   spec.speculation.band = 0.0;
   spec.speculation.audit_fraction = 1.0;
-  // No speculation_structure: the factory derives it from the LsmsEnergy.
+  // The factory takes the surrogate's lattice from the LsmsEnergy.
   RunOutput b;
   {
     const auto service = comm::make_energy_service(spec);
@@ -168,18 +169,18 @@ TEST(Speculate, FailedResultRetriesDoNotInflateHitRate) {
   HeisenbergEnergy energy = fe16_energy();
   const WangLandauConfig config = fe16_config(energy, 20000);
 
-  comm::EnergyServiceSpec spec;
-  spec.kind = comm::ServiceKind::kSynchronous;
-  spec.energy = &energy;
-  spec.failure_probability = 0.1;  // inner decorator: hits never fail
-  spec.speculate = true;
-  spec.speculation.band = 2.0;
-  spec.speculation.audit_fraction = 0.1;
-  spec.speculation.min_audits = 8;
-  spec.speculation.initial_j = fe16_couplings();
-  spec.speculation_structure = &structure;
-  const auto service = comm::make_energy_service(spec);
-  const RunOutput out = run_driver(*service, 16, config, 23);
+  SpeculationConfig speculation;
+  speculation.band = 2.0;
+  speculation.audit_fraction = 0.1;
+  speculation.min_audits = 8;
+  speculation.initial_j = fe16_couplings();
+  // The failure decorator sits inside the screen: hits never fail.
+  SpeculativeEnergyService service(
+      std::make_unique<parallel::FailureInjectingService>(
+          std::make_unique<SynchronousEnergyService>(energy), 0.1,
+          Rng(0xfa17)),
+      Speculator(structure, std::move(speculation)));
+  const RunOutput out = run_driver(service, 16, config, 23);
   const SpeculationStats& s = out.speculation;
 
   // At a 10 % loss rate resubmissions dwarf the walker count, so if a retry
