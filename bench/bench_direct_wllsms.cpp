@@ -10,8 +10,13 @@
 // surrogate anywhere: every energy is a fresh per-atom LIZ factorization.
 // Flops are measured by the kernel instrumentation (the PAPI analogue) and
 // reported as this host's sustained rate, the per-core number that anchors
-// the Table II projection.
+// the Table II projection: the median and interquartile range over 15
+// repeats of the schedule, each with a fresh service and driver and the
+// same seed.
 #include "bench_common.hpp"
+
+#include <algorithm>
+#include <vector>
 
 #include "comm/factory.hpp"
 #include "io/table.hpp"
@@ -31,10 +36,10 @@ int main() {
   auto solver = std::make_shared<const lsms::LsmsSolver>(
       lattice::make_fe_supercell(2), lsms::fe_lsms_parameters_fast());
   const wl::LsmsEnergy energy(solver);
-  std::printf("system: %zu atoms, %zu-atom LIZ, %.3f GFlop per energy "
+  std::printf("system: %zu atoms, %zu-atom LIZ, %.2f MFlop per energy "
               "evaluation (analytic)\n",
               solver->n_atoms(), solver->liz_size(0),
-              static_cast<double>(solver->flops_per_energy()) / 1e9);
+              static_cast<double>(solver->flops_per_energy()) / 1e6);
 
   constexpr std::size_t kWalkers = 4;
   constexpr std::uint64_t kStepsPerWalker = 20;
@@ -69,29 +74,57 @@ int main() {
   spec.distributed.n_groups = kGroups;
   spec.distributed.group_size = kGroupSize;
   spec.distributed.transport = comm::Transport::kInProcess;
-  const std::unique_ptr<wl::EnergyService> instances =
-      comm::make_energy_service(spec);
+  // One schedule lasts a few tens of milliseconds, so a single run's rate
+  // is mostly timer and scheduling noise: repeat it, each time with a
+  // fresh service and driver and the same seed, and report the median and
+  // the interquartile range.
+  constexpr int kRepeats = 15;
+  std::vector<double> wall;
+  std::vector<double> rate;
+  std::vector<double> gflop;
+  wl::DriverStats stats;
+  for (int repeat = 0; repeat < kRepeats; ++repeat) {
+    const std::unique_ptr<wl::EnergyService> instances =
+        comm::make_energy_service(spec);
+    perf::FlopWindow flops;
+    perf::Timer timer;
+    wl::WlDriver driver(16, *instances, config,
+                        std::make_unique<wl::HalvingSchedule>(1.0, 1e-8),
+                        Rng(7));
+    stats = driver.run();
+    const double seconds = timer.seconds();
+    const double retired = static_cast<double>(flops.elapsed());
+    wall.push_back(seconds);
+    rate.push_back(retired / seconds);
+    gflop.push_back(retired / 1e9);
+  }
+  // Linear interpolation between order statistics.
+  const auto quantile = [](std::vector<double> v, double q) {
+    std::sort(v.begin(), v.end());
+    const double at = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(at);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (at - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  const auto spread = [&](const std::vector<double>& v, double scale,
+                          int digits) {
+    return io::format_double(quantile(v, 0.5) * scale, digits) + " [" +
+           io::format_double(quantile(v, 0.25) * scale, digits) + "–" +
+           io::format_double(quantile(v, 0.75) * scale, digits) + "]";
+  };
+  const double ranks = static_cast<double>(kGroups * kGroupSize);
 
-  perf::FlopWindow flops;
-  perf::Timer timer;
-  wl::WlDriver driver(16, *instances, config,
-                      std::make_unique<wl::HalvingSchedule>(1.0, 1e-8),
-                      Rng(7));
-  const wl::DriverStats& stats = driver.run();
-  const double seconds = timer.seconds();
-  const double retired = static_cast<double>(flops.elapsed());
-
+  std::printf("%d repeats of the schedule; median [interquartile range]\n",
+              kRepeats);
   io::TextTable table({"quantity", "value"});
   table.row({"WL walkers", std::to_string(kWalkers)});
   table.row({"WL steps (energy calculations)",
              std::to_string(stats.total_steps)});
-  table.row({"accepted", std::to_string(stats.accepted_steps)});
-  table.row({"wall time", io::format_double(seconds, 2) + " s"});
-  table.row({"retired flops (measured)",
-             io::format_double(retired / 1e9, 2) + " GFlop"});
-  table.row({"sustained", io::format_flops(retired / seconds)});
-  table.row({"sustained per rank",
-             io::format_flops(retired / seconds / (kGroups * kGroupSize))});
+  table.row({"accepted (last repeat)", std::to_string(stats.accepted_steps)});
+  table.row({"wall time [s]", spread(wall, 1.0, 4)});
+  table.row({"retired flops (measured) [GFlop]", spread(gflop, 1.0, 3)});
+  table.row({"sustained [GFlop/s]", spread(rate, 1e-9, 1)});
+  table.row({"sustained per rank [GFlop/s]", spread(rate, 1e-9 / ranks, 2)});
   table.print();
 
   std::printf(

@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdint>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -15,6 +16,7 @@
 #include "lsms/contour.hpp"
 #include "lsms/fe_parameters.hpp"
 #include "lsms/kkr.hpp"
+#include "peak_fma.hpp"
 #include "perf/flops.hpp"
 
 namespace {
@@ -99,10 +101,14 @@ BENCHMARK(BM_LogDet)->Arg(65)->Arg(130);
 
 // One contour point of one zone exactly as the solver runs it:
 // central_tau_schur on real hopping templates and t^-1 blocks of a random
-// moment configuration. The argument is the member-block order: 28 is the
-// fast 15-atom LIZ, 128 the paper's 65-atom LIZ.
+// moment configuration. The first argument is the member-block order: 28
+// is the fast 15-atom LIZ, 128 the paper's 65-atom LIZ. The second is the
+// point of the paper's 16-point contour: 8 is mid-contour, where the
+// spin-up block F never pivots; 15 is the point nearest E_F, where F's
+// factorization takes interchanges and 2x2 pivots.
 void BM_ZoneSolve(benchmark::State& state) {
   const auto order = static_cast<std::size_t>(state.range(0));
+  const auto point = static_cast<std::size_t>(state.range(1));
   const double radius = order == 28 ? 5.6 : units::fe_liz_radius_a0;
   const lattice::Structure cell = lattice::make_fe_supercell(2);
   const lsms::LizGeometry liz = lsms::build_liz(cell, 0, radius);
@@ -114,7 +120,7 @@ void BM_ZoneSolve(benchmark::State& state) {
   const lsms::Scatterer scatterer(sp);
   const std::vector<lsms::ContourPoint> contour =
       lsms::semicircle_contour(sp.band_bottom, sp.fermi_energy, 16);
-  const linalg::Complex z = contour[contour.size() / 2].z;
+  const linalg::Complex z = contour.at(point).z;
   const lsms::SchurTemplates templates = lsms::make_schur_templates(
       lsms::scalar_propagator_matrix(liz, z), sp.propagator_strength);
   Rng rng(5);
@@ -139,6 +145,22 @@ void BM_ZoneSolve(benchmark::State& state) {
       static_cast<double>(window.elapsed()) / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ZoneSolve)->Arg(28)->Arg(128);
+BENCHMARK(BM_ZoneSolve)->ArgsProduct({{28, 128}, {8, 15}});
+
+// The one-thread FMA peak the kernels' GFlop/s are a fraction of:
+// register-only multiply-add chains on the kernels' vector type, compiled
+// with the linalg library's flags (peak_fma.cpp), so under the `portable`
+// preset this is the scalar peak.
+void BM_PeakFma(benchmark::State& state) {
+  std::uint64_t flops = 0;
+  double sink = 0.0;
+  for (auto _ : state) {
+    flops += bench::fma_chains(1 << 16, sink);
+    benchmark::DoNotOptimize(sink);
+  }
+  state.counters["GFlop/s"] = benchmark::Counter(
+      static_cast<double>(flops) / 1e9, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_PeakFma);
 
 }  // namespace

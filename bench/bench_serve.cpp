@@ -36,7 +36,7 @@ constexpr int kPairs = 30;            // paired timing reps of the two arms
 
 /// Serving-fidelity substrate: the fast contour but a 50-member LIZ, so
 /// every zone solve factors 50 x 50 spin blocks that span four 16-row
-/// blocks of linalg::spin_block_solve's blocked LU.
+/// blocks of linalg::spin_block_solve's blocked factorizations.
 std::shared_ptr<const lsms::LsmsSolver> serving_solver() {
   lsms::LsmsParameters params = lsms::fe_lsms_parameters_fast();
   params.liz_radius = 9.1;  // 1st-4th bcc shells: 50 neighbours

@@ -9,13 +9,14 @@
 /// plain reference the tests hold the blocked split-plane LU against
 /// (linalg/split.hpp: split_getrf, panel + row-panel solve +
 /// trailing-update tile), which makes the same CABS1 pivot choices and so
-/// returns the same pivots. The blocked LU is the only tuned factorization
-/// and retires the bulk of its flops in the trailing update -- the
-/// level-3-rich structure the paper's LSMS relies on (§II-B).
+/// returns the same pivots. The blocked LU and the spin-up block's
+/// Bunch-Kaufman LDL^T inside spin_block_solve are the tuned
+/// factorizations, and retire the bulk of their flops in trailing updates
+/// -- the level-3-rich structure the paper's LSMS relies on (§II-B).
 ///
 /// The LSMS solver does not use a determinant: it integrates
 /// z Tr tau_00(z) along the contour (lsms/solver.hpp) and reaches the
-/// blocked LU through lsms::central_tau_schur. The reference assembly
+/// split-plane kernels through lsms::central_tau_schur. The reference assembly
 /// (lsms::central_tau_block) and the small least-squares fits use this
 /// one; `log_det` is a utility.
 

@@ -2,7 +2,8 @@
 
 /// \file simd.hpp
 /// The one ISA selection of the split-plane kernels (linalg/split.cpp;
-/// private to wlsms_linalg).
+/// private to wlsms_linalg, and to the FMA peak bench that measures them,
+/// bench/peak_fma.cpp, compiled with the library's flags).
 ///
 /// `Vd` is a vector of `kVec` doubles: a GCC/Clang vector-extension type of
 /// 8 lanes under AVX-512 and 4 under AVX2, and plain `double` (kVec = 1)
@@ -68,6 +69,36 @@ inline Vd iota(std::size_t first) {
                     std::make_index_sequence<kVec>{});
 }
 
+// The lane picks of one transpose stage: rows r and r + B (bit B of r
+// clear) trade their blocks of B lanes, the low half going to row r.
+template <std::size_t B, bool kHigh, std::size_t... L>
+constexpr Vi stage_mask(std::index_sequence<L...>) {
+  return Vi{static_cast<std::int64_t>(
+      (L & B) != 0 ? (kHigh ? L + kVec : L - B + kVec)
+                   : (kHigh ? L + B : L))...};
+}
+
+template <std::size_t B>
+inline void transpose_stage(Vd* v) {
+  constexpr Vi lo = stage_mask<B, false>(std::make_index_sequence<kVec>{});
+  constexpr Vi hi = stage_mask<B, true>(std::make_index_sequence<kVec>{});
+  for (std::size_t r = 0; r < kVec; ++r)
+    if ((r & B) == 0) {
+      const Vd a = v[r];
+      const Vd b = v[r + B];
+      v[r] = __builtin_shuffle(a, b, lo);
+      v[r + B] = __builtin_shuffle(a, b, hi);
+    }
+}
+
+/// Transposes the kVec x kVec block held as the vectors v[0 .. kVec):
+/// afterwards v[i] holds lane i of every former vector, in order.
+inline void transpose(Vd* v) {
+  transpose_stage<1>(v);
+  transpose_stage<2>(v);
+  if constexpr (kVec == 8) transpose_stage<4>(v);
+}
+
 #else  // portable scalar fallback
 
 inline constexpr std::size_t kVec = 1;
@@ -83,6 +114,8 @@ inline Vd splat(Vd v) {
 }
 
 inline Vd iota(std::size_t first) { return static_cast<double>(first); }
+
+inline void transpose(Vd*) {}  // a 1 x 1 block
 
 #endif
 

@@ -9,8 +9,7 @@
 /// panel, the row-panel triangular solve, the substitutions) ran at a few
 /// GFlop/s, and the trailing ZGEMM packed and unpacked its operands on
 /// every k = 16 update. Here the matrix lives as planes from the start, so
-/// every complex multiply-add is four real FMAs on whole vectors and no
-/// step packs, transposes or re-interleaves anything:
+/// every complex multiply-add is four real FMAs on whole vectors:
 ///
 ///  - panel: unblocked partial pivoting over kLuBlockSize columns, with a
 ///    vectorized first-max CABS1 pivot search;
@@ -18,15 +17,18 @@
 ///    time held in registers;
 ///  - trailing update: A22 -= L21 U12 by a register tile that loads C from
 ///    the planes, reads L21 and U12 where they lie, and stores C back;
-///  - spin_block_solve: the LU of the spin-up block F, F^-1 from its
-///    factors (the same substitution kernels and tile), the Schur
-///    complement S2 and its LU, a two-column solve and the 2x2 closing
-///    products.
+///  - spin_block_solve: the Bunch-Kaufman LDL^T of the complex symmetric
+///    spin-up block F (panels of kLuBlockSize columns, lower-triangle
+///    trailing updates through the same tile), F^-1 from its factors (the
+///    forward substitution and the tile on the lower triangle of
+///    L^-T D^-1 L^-1, mirrored), the Schur complement S2 and its LU, a
+///    two-column solve and the 2x2 closing products.
 ///
 /// Flops are booked per step under perf::Kernel::kPanel / kTrsm / kZgemm;
 /// split_getrf's totals equal perf::cost::zgetrf_blocked(n, kLuBlockSize)
 /// (which is also the unblocked count: blocking only moves flops between
-/// kernels), and the inverse's equal perf::cost::zgetri(n).
+/// kernels), F's LDL^T books perf::cost::zsytrf(n) and its inverse
+/// perf::cost::zsytri(n), both whatever the pivots.
 
 #include <array>
 #include <cstddef>
@@ -125,12 +127,19 @@ int split_getrf(SplitMatrix& a, std::vector<std::size_t>& pivots);
 /// across calls (one per thread), so the solve allocates nothing in steady
 /// state.
 struct SpinBlockWorkspace {
-  SplitMatrix f;          ///< F and its LU, then S2 and its LU
-  SplitMatrix f_inverse;  ///< F^-1
-  SplitMatrix vectors;    ///< columns T_du, w = F^-1 b, T_ud o (F^-T c)
+  SplitMatrix f;          ///< F and its LDL^T, -(D^-1 L^-1)^T, S2 and its LU
+  SplitMatrix f_inverse;  ///< the LDL^T panel's L D columns, then F^-1
+  SplitMatrix l_inverse;  ///< the panel's transposed copy, then L^-1
+  SplitMatrix d_inverse;  ///< D^-1 (negated by the inverse, which scales
+                          ///< by -D^-1): its diagonal, and (column 1) the
+                          ///< off-diagonal of each 2x2 block at its first row
+  SplitMatrix vectors;    ///< columns T_du, w = F^-1 b, T_ud o (F^-1 c)
   SplitMatrix x;          ///< the two right-hand sides, then their solution
-  std::vector<std::size_t> f_pivots;   ///< F's row swaps (split_getrf)
-  std::vector<std::size_t> s2_pivots;  ///< S2's row swaps
+  /// F's symmetric interchanges: step k swapped rows and columns k and
+  /// f_pivots[k] (a 2x2 block at (k, k + 1) swaps at k + 1 only).
+  std::vector<std::size_t> f_pivots;
+  std::vector<std::size_t> f_pairs;    ///< first column of each 2x2 block
+  std::vector<std::size_t> s2_pivots;  ///< S2's row swaps (split_getrf)
 };
 
 /// The member elimination of the zone's tau solve (lsms/kkr.hpp), and the
@@ -140,22 +149,27 @@ struct SpinBlockWorkspace {
 ///   A = [ K + T_uu   T_ud     ]     B = [ b  0 ]     C = [ c^T  0  ]
 ///       [ T_du       K + T_dd ]         [ 0  b ]         [ 0   c^T ]
 ///
-/// with the L x L hopping `k` (zero diagonal), the L-vectors `b` and `c`
-/// (L x 1), and diagonal T blocks: `site_blocks[j]` is member j's row-major
-/// 2x2 {T_uu, T_ud, T_du, T_dd}. The solve factors F = K + T_uu, forms
-/// F^-1, factors the Schur complement S2 = K + T_dd - T_du F^-1 T_ud, and
+/// with the L x L hopping `k` (complex symmetric, k == k^T bit for bit,
+/// with a zero diagonal), the L-vectors `b` and `c` (L x 1), and diagonal
+/// T blocks: `site_blocks[j]` is member j's row-major 2x2 {T_uu, T_ud,
+/// T_du, T_dd}. F = K + T_uu is then complex symmetric, and the solve reads
+/// only its lower triangle: it factors F = P L D L^T P^T (Bunch-Kaufman,
+/// 1x1 and 2x2 pivots, symmetric interchanges inside F), forms
+/// F^-1 = P L^-T D^-1 L^-1 P^T, factors the Schur complement
+/// S2 = K + T_dd - T_du F^-1 T_ud (partial pivoting inside S2), and
 /// subtracts C A^-1 B from the 2x2 block `s` (column-major: {s00, s10, s01,
-/// s11}). No pivoting crosses the two spin blocks; a zero pivot in F or S2
-/// throws SingularMatrixError. Flops: two zgetrf_blocked(L), zgetri(L) and
-/// spin_block_coupling_flops(L), half of one LU of order 2L.
+/// s11}). No pivoting crosses the two spin blocks; a singular F throws
+/// SingularMatrixError naming F's column, and a zero pivot in S2 names S2's
+/// column. Flops: zsytrf(L), zsytri(L), zgetrf_blocked(L) and
+/// spin_block_coupling_flops(L), (20/3) L^3 to leading order.
 void spin_block_solve(const SplitMatrix& k, const SplitMatrix& b,
                       const SplitMatrix& c,
                       const std::array<Complex, 4>* site_blocks,
                       SpinBlockWorkspace& ws, std::array<Complex, 4>& s);
 
-/// The flops spin_block_solve books at block order l besides its two LUs
-/// and F^-1: the Schur update of S2, w = F^-1 b and F^-T c, the two-column
-/// solve, and the closing scalings and products.
+/// The flops spin_block_solve books at block order l besides F's LDL^T and
+/// inverse and S2's LU: the Schur update of S2, w = F^-1 b and F^-1 c, the
+/// two-column solve, and the closing scalings and products.
 std::uint64_t spin_block_coupling_flops(std::size_t l);
 
 }  // namespace wlsms::linalg

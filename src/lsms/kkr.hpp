@@ -28,9 +28,10 @@
 ///    t^-1 blocks are site-diagonal, so in spin-major order A is
 ///    [[K + T_uu, T_ud], [T_du, K + T_dd]] with one L x L hopping matrix K
 ///    and diagonal T blocks. The elimination is one call of
-///    linalg::spin_block_solve: the LU of the spin-up block F = K + T_uu,
-///    F^-1, the LU of its Schur complement, and O(L^2) vector work -- half
-///    the flops of one LU of order 2L. This is the production hot path.
+///    linalg::spin_block_solve: the LDL^T of the complex symmetric spin-up
+///    block F = K + T_uu, F^-1 from it, the LU of its Schur complement, and
+///    O(L^2) vector work -- 5/16 of the flops of one LU of order 2L. This
+///    is the production hot path.
 ///
 /// LIZ members are listed in one canonical order, ascending quantized
 /// displacement (the order geometry_key lists them in), so every zone that

@@ -186,14 +186,15 @@ std::uint64_t LsmsSolver::flops_per_zone_energy(std::size_t i) const {
   WLSMS_EXPECTS(i < n_atoms());
   const std::size_t l = lizs_[i].members.size();
   if (l == 0) return 0;  // zone is the bare center: closed-form 2x2 only
-  // linalg::spin_block_solve: the LUs of the L x L spin-up block F and of
-  // its Schur complement, F^-1 from F's factors, and the O(L^2) Schur
-  // update, vector products and two-column solve; assembly and the
+  // linalg::spin_block_solve: the LDL^T of the L x L spin-up block F and
+  // F^-1 from its factors, the LU of F's Schur complement, and the O(L^2)
+  // Schur update, vector products and two-column solve; assembly and the
   // closed-form 2x2 inversion are uncounted on both the analytic and
   // instrumented sides.
   const std::uint64_t per_point =
-      2 * perf::cost::zgetrf_blocked(l, linalg::kLuBlockSize) +
-      perf::cost::zgetri(l) + linalg::spin_block_coupling_flops(l);
+      perf::cost::zsytrf(l) + perf::cost::zsytri(l) +
+      perf::cost::zgetrf_blocked(l, linalg::kLuBlockSize) +
+      linalg::spin_block_coupling_flops(l);
   return per_point * contour_.size();
 }
 

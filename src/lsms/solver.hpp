@@ -17,14 +17,14 @@
 /// Hot-path structure (the paper's "bulk of the calculation is done by
 /// ZGEMM"): per zone and contour point the center's tau block is obtained
 /// by Schur complement of the member block (center ordered last), whose
-/// elimination is the spin-block kernel: GEMM-dominated LUs of the L x L
-/// spin-up block and of its Schur complement, and the inverse of the
-/// first (lsms/kkr.hpp). Configuration-independent spin-free hopping
-/// blocks are precomputed per distinct geometry per contour point;
-/// the inverse single-site t-matrices are built per configuration, once for
-/// each job of a solve_zones call. t_inverse is pure, so a built solver
-/// never changes after construction and any number of threads may call it
-/// at once.
+/// elimination is the spin-block kernel: GEMM-dominated factorizations of
+/// the L x L spin-up block (LDL^T, it is complex symmetric) and of its
+/// Schur complement (LU), and the inverse of the first (lsms/kkr.hpp).
+/// Configuration-independent spin-free hopping blocks are precomputed per
+/// distinct geometry per contour point; the inverse single-site t-matrices
+/// are built per configuration, once for each job of a solve_zones call.
+/// t_inverse is pure, so a built solver never changes after construction
+/// and any number of threads may call it at once.
 ///
 /// Domain decomposition follows the paper: each atom's solve is independent
 /// given the t-matrices of its LIZ ("one atom per processor"). Every energy
@@ -122,9 +122,9 @@ class LsmsSolver {
 
   /// Analytic count of real flops one full energy evaluation retires
   /// (assembly and closed-form 2x2 algebra excluded; the spin-block
-  /// kernel's two LUs, one inverse and O(L^2) Schur and coupling work,
-  /// summed over atoms and contour points). Matches the instrumented perf
-  /// counters exactly.
+  /// kernel's LDL^T, symmetric inverse, LU and O(L^2) Schur and coupling
+  /// work, summed over atoms and contour points). Matches the instrumented
+  /// perf counters exactly.
   std::uint64_t flops_per_energy() const;
 
   /// Analytic flops of atom i's zone solve across the contour (the

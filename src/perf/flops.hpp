@@ -119,21 +119,6 @@ constexpr std::uint64_t ztrtri_unit_lower(std::uint64_t n) {
   return n == 0 ? 0 : 4ULL * (n - 1) * n * (n + 1) / 3ULL;
 }
 
-/// Upper triangular solve U X = B with U (n x n, general diagonal) and nrhs
-/// right-hand sides: per column, n(n-1)/2 complex fused multiply-adds and n
-/// complex multiplies by a diagonal reciprocal.
-constexpr std::uint64_t ztrsm_upper(std::uint64_t n, std::uint64_t nrhs) {
-  return n == 0 ? 0 : nrhs * (4ULL * n * (n - 1) + 6ULL * n);
-}
-
-/// Inverse of an n x n matrix from its LU factors, ZGETRI's arithmetic:
-/// L^-1 by forward substitution on the identity (column c from row c), then
-/// U^-1 L^-1 by backward substitution; the column swaps retire no flops.
-/// 16n^3/3 to leading order, twice zgetrf.
-constexpr std::uint64_t zgetri(std::uint64_t n) {
-  return ztrtri_unit_lower(n) + ztrsm_upper(n, n);
-}
-
 /// Unblocked partial-pivoting LU of an m x n panel (m >= n): per column j,
 /// one reciprocal (booked as 6 flops), (m-j-1) complex scalings (6 flops
 /// each) and (m-j-1)(n-j-1) complex fused multiply-adds (8 flops each).
@@ -163,6 +148,49 @@ constexpr std::uint64_t zgetrf_blocked(std::uint64_t n, std::uint64_t nb) {
     if (rem > 0) total += ztrsm_unit_lower(w, rem) + zgemm(rem, rem, w);
   }
   return total;
+}
+
+/// Bunch-Kaufman LDL^T panel of a complex symmetric matrix: columns
+/// [k0, k0 + w) over the m = n - k0 rows from k0 down. Per column c of the
+/// panel, the update of its lower part (m - c rows, the diagonal included)
+/// by the c panel columns before it (8 flops per entry and column), one
+/// reciprocal of the pivot (6) and m - c - 1 scalings by it (6 each).
+/// Counted as if every pivot were 1x1: a 2x2 pivot's scaling and the
+/// on-demand update of an interchange candidate's column are not booked, so
+/// the count does not depend on the pivot sequence.
+constexpr std::uint64_t zsytrf_panel(std::uint64_t m, std::uint64_t w) {
+  std::uint64_t total = 0;
+  for (std::uint64_t c = 0; c < w && c < m; ++c)
+    total += 8 * c * (m - c) + 6 * (m - c);
+  return total;
+}
+
+/// The trailing update after an LDL^T panel of width w: the lower triangle
+/// (diagonal included) of the r x r remainder minus L21 (L D)^T, depth w.
+constexpr std::uint64_t zsytrf_trailing(std::uint64_t r, std::uint64_t w) {
+  return 4 * w * r * (r + 1);
+}
+
+/// Unblocked LDL^T of an n x n complex symmetric matrix: every entry (i, j)
+/// of the lower triangle takes one fused multiply-add per column before j,
+/// and every column one reciprocal and its scalings:
+/// (4/3)(n - 1) n (n + 1) + 3 n (n + 1), (4/3) n^3 to leading order, half of
+/// zgetrf. Panels of any widths, each with its trailing update, book the
+/// same total.
+constexpr std::uint64_t zsytrf(std::uint64_t n) {
+  return n == 0 ? 0 : 4 * (n - 1) * n * (n + 1) / 3 + 3 * n * (n + 1);
+}
+
+/// The inverse of an n x n complex symmetric matrix from its LDL^T factors,
+/// A^-1 = P L^-T D^-1 L^-1 P^T: L^-1 by forward substitution on the
+/// identity (ztrtri_unit_lower), D^-1 applied to its n(n + 1)/2 entries (6
+/// flops each, counted as 1x1 blocks), and the lower triangle of
+/// (D^-1 L^-1)^T L^-1, whose entry (i, j) sums the n - i rows both columns
+/// share (8 flops each). The mirror and the interchanges retire no flops.
+/// (8/3) n^3 to leading order, as much as one zgetrf.
+constexpr std::uint64_t zsytri(std::uint64_t n) {
+  return ztrtri_unit_lower(n) + 3 * n * (n + 1) +
+         4 * n * (n + 1) * (n + 2) / 3;
 }
 
 }  // namespace cost

@@ -1,5 +1,6 @@
 // Tests for the reference LU factorization, inverse and log-determinant, and
-// for the split-plane kernels (split_getrf, spin_block_solve) against them.
+// for the split-plane kernels (split_getrf, and spin_block_solve with its
+// LDL^T of the spin-up block) against them.
 #include "linalg/lu.hpp"
 
 #include <gtest/gtest.h>
@@ -339,8 +340,9 @@ std::array<Complex, 4> dense_coupling(const SpinBlockProblem& p) {
 }
 
 std::uint64_t spin_block_flops(std::size_t l) {
-  return 2 * perf::cost::zgetrf_blocked(l, kLuBlockSize) +
-         perf::cost::zgetri(l) + spin_block_coupling_flops(l);
+  return perf::cost::zsytrf(l) + perf::cost::zsytri(l) +
+         perf::cost::zgetrf_blocked(l, kLuBlockSize) +
+         spin_block_coupling_flops(l);
 }
 
 // Runs spin_block_solve on `p` from a fixed s and checks s -= C A^-1 B
@@ -362,12 +364,23 @@ void expect_matches_dense(const SpinBlockProblem& p, SpinBlockWorkspace& ws,
         << label << " entry " << e;
 }
 
+// The planes' pad rows must stay exactly zero through the factorizations,
+// the inverse and the solve, or a later kernel that sweeps whole vectors
+// would fold garbage into real rows.
+void expect_pad_rows_zero(const SpinBlockWorkspace& ws, std::size_t l,
+                          const std::string& label) {
+  for (const SplitMatrix* m : {&ws.f, &ws.f_inverse, &ws.l_inverse,
+                               &ws.d_inverse, &ws.vectors, &ws.x})
+    for (std::size_t c = 0; c < m->cols(); ++c)
+      for (std::size_t r = l; r < m->ld(); ++r) {
+        EXPECT_EQ(m->re(c)[r], 0.0) << label << " row " << r << " col " << c;
+        EXPECT_EQ(m->im(c)[r], 0.0) << label << " row " << r << " col " << c;
+      }
+}
+
 TEST(SplitLu, PivotsOnGeneralMatricesAndKeepsPadRowsZero) {
-  // The planes' pad rows (order 28 pads to 32) must stay exactly zero
-  // through the factorizations, the inverse and the solve, or a later
-  // kernel that sweeps whole vectors would fold garbage into real rows.
-  // Tiny site blocks leave both spin blocks dominated by the hopping, so
-  // both factorizations pivot.
+  // Order 28 pads to 32. Tiny site blocks leave both spin blocks dominated
+  // by the hopping, so both factorizations pivot.
   const std::size_t l = 28;
   Rng rng(2801);
   const SpinBlockProblem p = random_spin_block(l, rng, 1e-3, 1e-3, 1e-3);
@@ -377,12 +390,7 @@ TEST(SplitLu, PivotsOnGeneralMatricesAndKeepsPadRowsZero) {
   ASSERT_GT(ws.f.ld(), l);
   EXPECT_GT(swaps(ws.f_pivots), 0u);
   EXPECT_GT(swaps(ws.s2_pivots), 0u);
-  for (const SplitMatrix* m : {&ws.f, &ws.f_inverse, &ws.vectors, &ws.x})
-    for (std::size_t c = 0; c < m->cols(); ++c)
-      for (std::size_t r = l; r < m->ld(); ++r) {
-        EXPECT_EQ(m->re(c)[r], 0.0) << "row " << r << " col " << c;
-        EXPECT_EQ(m->im(c)[r], 0.0) << "row " << r << " col " << c;
-      }
+  expect_pad_rows_zero(ws, l, "L=28");
 }
 
 TEST(SplitLu, SpinBlockSolveMatchesDenseAlgebra) {
@@ -401,10 +409,10 @@ TEST(SplitLu, SpinBlockSolveMatchesDenseAlgebra) {
 }
 
 TEST(SplitLu, SpinBlockSolvePivotsInEitherSpinBlock) {
-  // Small T_uu leaves F = K + T_uu dominated by the hopping, so its LU
-  // swaps rows, while a large T_dd makes S2 diagonally dominant; then the
-  // other way round. No pivoting crosses the spin blocks, and each case
-  // must still match the dense reference.
+  // Small T_uu leaves F = K + T_uu dominated by the hopping, so its LDL^T
+  // interchanges rows and columns, while a large T_dd makes S2 diagonally
+  // dominant; then the other way round. No pivoting crosses the spin
+  // blocks, and each case must still match the dense reference.
   SpinBlockWorkspace ws;
   for (const std::size_t l : {14, 64, 65}) {
     const double big = 4.0 * static_cast<double>(l);
@@ -420,6 +428,78 @@ TEST(SplitLu, SpinBlockSolvePivotsInEitherSpinBlock) {
     expect_matches_dense(in_s2, ws, "S2, L=" + std::to_string(l));
     EXPECT_EQ(swaps(ws.f_pivots), 0u) << "L=" << l;
     EXPECT_GT(swaps(ws.s2_pivots), 0u) << "L=" << l;
+  }
+}
+
+// A problem whose F = K + T_uu and S2 are both strongly diagonal (neither
+// factorization pivots) until a test weakens chosen members.
+SpinBlockProblem dominant_spin_block(std::size_t l, Rng& rng) {
+  const double big = 4.0 * static_cast<double>(l);
+  return random_spin_block(l, rng, 1.0, 1.0, 1e-3, big, big);
+}
+
+// F's 1x1 pivots with an interchange: member m has T_uu = 0, so column m
+// of F fails the alpha-test against its largest hopping entry, whose row
+// (a strongly diagonal member, mostly in a later panel at L = 64 and 65)
+// passes it: rows and columns m and that row swap, across every earlier
+// column of L. The weak diagonal moves down to that row and may fail the
+// test again there, so a few interchanges follow, none of them a 2x2.
+TEST(SplitLu, SpinBlockSolveInterchangesOneByOnePivots) {
+  SpinBlockWorkspace ws;
+  for (const std::size_t l : {14, 64, 65}) {
+    const std::string label = "L=" + std::to_string(l);
+    Rng rng(4400 + l);
+    SpinBlockProblem p = dominant_spin_block(l, rng);
+    const std::size_t m = l < 20 ? 5 : 17;
+    p.blocks[m][0] = Complex{0.0, 0.0};
+    expect_matches_dense(p, ws, label);
+    EXPECT_GE(swaps(ws.f_pivots), 1u) << label;
+    EXPECT_NE(ws.f_pivots[m], m) << label;
+    EXPECT_TRUE(ws.f_pairs.empty()) << label;
+    EXPECT_EQ(swaps(ws.s2_pivots), 0u) << label;
+    expect_pad_rows_zero(ws, l, label);
+  }
+}
+
+// F's 2x2 pivots: members 0 and 1 have T_uu = 0 and the largest hopping
+// entry couples them, so the leading pair is one 2x2 block of D. At L = 64
+// and 65 a second such pair straddles the first panel's edge (columns 15
+// and 16), so that panel factors 17 columns and the next starts at 17.
+TEST(SplitLu, SpinBlockSolveTakesTwoByTwoPivots) {
+  SpinBlockWorkspace ws;
+  for (const std::size_t l : {14, 64, 65}) {
+    const std::string label = "L=" + std::to_string(l);
+    Rng rng(4500 + l);
+    SpinBlockProblem p = dominant_spin_block(l, rng);
+    std::vector<std::size_t> pairs = {0};
+    if (l > 2 * kLuBlockSize) pairs.push_back(kLuBlockSize - 1);
+    for (const std::size_t j : pairs) {
+      p.blocks[j][0] = p.blocks[j + 1][0] = Complex{0.0, 0.0};
+      p.k.set(j, j + 1, Complex{8.0, 1.0});
+      p.k.set(j + 1, j, Complex{8.0, 1.0});
+    }
+    expect_matches_dense(p, ws, label);
+    EXPECT_EQ(ws.f_pairs, pairs) << label;
+    EXPECT_EQ(swaps(ws.f_pivots), 0u) << label;
+    expect_pad_rows_zero(ws, l, label);
+  }
+}
+
+// S2's LU pivots while F's LDL^T does not: tiny T_dd leaves
+// S2 = K + T_dd - T_du F^-1 T_ud dominated by the hopping.
+TEST(SplitLu, SpinBlockSolvePivotsInSchurComplement) {
+  SpinBlockWorkspace ws;
+  for (const std::size_t l : {14, 64, 65}) {
+    const std::string label = "L=" + std::to_string(l);
+    Rng rng(4600 + l);
+    const double big = 4.0 * static_cast<double>(l);
+    const SpinBlockProblem p =
+        random_spin_block(l, rng, 1.0, 1e-3, 1e-3, big, 0.0);
+    expect_matches_dense(p, ws, label);
+    EXPECT_EQ(swaps(ws.f_pivots), 0u) << label;
+    EXPECT_TRUE(ws.f_pairs.empty()) << label;
+    EXPECT_GT(swaps(ws.s2_pivots), 0u) << label;
+    expect_pad_rows_zero(ws, l, label);
   }
 }
 
@@ -440,23 +520,30 @@ TEST(SplitLu, SpinBlockSolveKeepsCollinearBlocksSpinDiagonal) {
 }
 
 TEST(SplitLu, SpinBlockSolveThrowsOnSingularSpinUpBlock) {
-  // Member 3 has no hopping and T_uu = 0: column 3 of F is exactly zero.
-  const std::size_t l = 5;
-  const std::size_t dead = 3;
-  Rng rng(4300);
-  SpinBlockProblem p = random_spin_block(l, rng);
-  for (std::size_t j = 0; j < l; ++j) {
-    p.k.set(j, dead, Complex{0.0, 0.0});
-    p.k.set(dead, j, Complex{0.0, 0.0});
-  }
-  p.blocks[dead][0] = Complex{0.0, 0.0};
+  // Member `dead` has no hopping and T_uu = 0: column `dead` of F is
+  // exactly zero. The error names F's own column even when interchanges
+  // moved it first: at L = 14, 64 and 65 the rest of F is random, so the
+  // LDL^T takes interchanges and 2x2 pivots before it gets there.
   SpinBlockWorkspace ws;
-  std::array<Complex, 4> s{};
-  try {
-    spin_block_solve(p.k, p.b, p.c, p.blocks.data(), ws, s);
-    ADD_FAILURE() << "no throw for a singular F";
-  } catch (const SingularMatrixError& e) {
-    EXPECT_EQ(e.column(), dead);
+  for (const std::size_t l : {5, 14, 64, 65}) {
+    const std::size_t dead = l - 2;
+    Rng rng(4300 + l - 5);
+    SpinBlockProblem p = random_spin_block(l, rng);
+    for (std::size_t j = 0; j < l; ++j) {
+      p.k.set(j, dead, Complex{0.0, 0.0});
+      p.k.set(dead, j, Complex{0.0, 0.0});
+    }
+    p.blocks[dead][0] = Complex{0.0, 0.0};
+    std::array<Complex, 4> s{};
+    try {
+      spin_block_solve(p.k, p.b, p.c, p.blocks.data(), ws, s);
+      ADD_FAILURE() << "no throw for a singular F, L=" << l;
+    } catch (const SingularMatrixError& e) {
+      EXPECT_EQ(e.column(), dead) << "L=" << l;
+    }
+    if (l > 5) {
+      EXPECT_GT(swaps(ws.f_pivots) + ws.f_pairs.size(), 0u) << "L=" << l;
+    }
   }
 }
 

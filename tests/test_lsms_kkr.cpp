@@ -52,9 +52,42 @@ TEST(Propagator, IsSymmetricWithZeroDiagonal) {
   const std::size_t n = liz.zone_size();
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(p(i, i), (Complex{0.0, 0.0}));
-    for (std::size_t j = 0; j < i; ++j)
-      EXPECT_NEAR(std::abs(p(i, j) - p(j, i)), 0.0, 1e-14);
+    for (std::size_t j = 0; j < i; ++j) EXPECT_EQ(p(i, j), p(j, i));
   }
+}
+
+TEST(SchurTemplates, HoppingIsComplexSymmetricBitForBit) {
+  // linalg::spin_block_solve reads only the lower triangle of
+  // F = K + T_uu and uses F^-1 c for F^-T c, so k must equal its transpose
+  // and b must equal c, exactly: at every point of the paper's 16-point
+  // contour, for zone 0 of the 16-atom cell at both LIZ radii and for the
+  // surface zone of a finite cluster.
+  const ScatteringParameters sp = fe_scattering_parameters();
+  const std::vector<ContourPoint> contour =
+      semicircle_contour(sp.band_bottom, sp.fermi_energy, 16);
+  const auto cluster = lattice::make_spherical_cluster(
+      lattice::CubicLattice::kBcc, units::fe_lattice_parameter_a0, 9.0);
+  std::size_t outermost = 0;
+  for (std::size_t i = 0; i < cluster.size(); ++i)
+    if (cluster.position(i).norm() > cluster.position(outermost).norm())
+      outermost = i;
+  const LizGeometry zones[] = {build_liz(fe16(), 0, 5.6),
+                               build_liz(fe16(), 0, units::fe_liz_radius_a0),
+                               build_liz(cluster, outermost, 5.6)};
+  for (const LizGeometry& liz : zones)
+    for (const ContourPoint& cp : contour) {
+      const SchurTemplates t = make_schur_templates(
+          scalar_propagator_matrix(liz, cp.z), sp.propagator_strength);
+      const std::size_t l = t.k.rows();
+      std::size_t asymmetric = 0;
+      for (std::size_t j = 0; j < l; ++j) {
+        for (std::size_t i = 0; i < l; ++i)
+          asymmetric += t.k(i, j) == t.k(j, i) ? 0 : 1;
+        asymmetric += t.b(j, 0) == t.c(j, 0) ? 0 : 1;
+      }
+      EXPECT_EQ(asymmetric, 0u)
+          << "zone of " << liz.zone_size() << " atoms, z " << cp.z;
+    }
 }
 
 TEST(Propagator, FirstRowMatchesFreePropagator) {
@@ -249,12 +282,12 @@ TEST(CentralTauSchur, WorkspaceIsReusableAcrossZoneSizes) {
 }
 
 TEST(CentralTauSchur, PivotingZoneMatchesReferencePath) {
-  // Production zone matrices are diagonally strong enough that partial
-  // pivoting rarely swaps rows, so the swap path of the spin-up block's LU
-  // and of its inverse's column swaps would go untested at the paper
-  // geometry. Scaling every member's t^-1 block by 1e-3 leaves both spin
-  // blocks dominated by the hopping terms, which forces row swaps; the
-  // Schur path must still agree with the full center-first factorization.
+  // Production zone matrices pivot only at the contour points nearest
+  // E_F, so the interchange and 2x2 paths of the spin-up block's LDL^T and
+  // of its inverse would go untested at this contour point. Scaling every
+  // member's t^-1 block by 1e-3 leaves both spin blocks dominated by the
+  // hopping terms, which forces interchanges; the Schur path must still
+  // agree with the full center-first factorization.
   const Scatterer scatterer(fe_scattering_parameters());
   const LizGeometry liz = build_liz(fe16(), 0, units::fe_liz_radius_a0);
   ASSERT_EQ(liz.zone_size(), 65u);

@@ -175,15 +175,15 @@ TEST(LsmsSolver, LizSizeMatchesGeometry) {
 TEST(LsmsSolver, FlopsPerEnergyMatchesAnalyticCount) {
   const LsmsSolver solver = fast_solver();
   // Fast parameters: 15-atom zones, so the spin-block kernel runs on
-  // L = 14 members: the LUs of the 14 x 14 spin-up block F and of its Schur
-  // complement S2, F^-1, S2's update (14 flops per entry), w = F^-1 b and
-  // F^-T c, the two-column solve with S2, two vector scalings (6 flops per
-  // entry each) and five closing dot products -- per contour point (8 of
-  // them), per atom (16).
+  // L = 14 members: the LDL^T of the 14 x 14 spin-up block F and F^-1 from
+  // it, the LU of its Schur complement S2, S2's update (14 flops per
+  // entry), w = F^-1 b and F^-1 c, the two-column solve with S2, two vector
+  // scalings (6 flops per entry each) and five closing dot products -- per
+  // contour point (8 of them), per atom (16).
   const std::uint64_t l = 14;
   const std::uint64_t per_point =
-      2 * perf::cost::zgetrf_blocked(l, linalg::kLuBlockSize) +
-      perf::cost::zgetri(l) + 14 * l * l +
+      perf::cost::zsytrf(l) + perf::cost::zsytri(l) +
+      perf::cost::zgetrf_blocked(l, linalg::kLuBlockSize) + 14 * l * l +
       perf::cost::zgemm(l, 2, l) + perf::cost::zgetrs(l, 2) + 2 * 6 * l +
       perf::cost::zgemm(2, 2, l) + perf::cost::zgemm(1, 1, l);
   EXPECT_EQ(solver.flops_per_zone_energy(0), 8u * per_point);
@@ -215,7 +215,8 @@ TEST(LsmsSolver, InstrumentedFlopsMatchAnalyticCount) {
   {
     // A pivoting zone books the same flops: scaling every member's t^-1 by
     // 1e-3 (as CentralTauSchur.PivotingZoneMatchesReferencePath does) makes
-    // the spin-up block's LU swap rows, and its inverse then swaps columns.
+    // the spin-up block's LDL^T interchange rows and columns and take 2x2
+    // pivots.
     const LsmsSolver solver(lattice::make_fe_supercell(2),
                             fe_lsms_parameters());
     const auto config = spin::MomentConfiguration::random(16, rng);
@@ -241,6 +242,7 @@ TEST(LsmsSolver, InstrumentedFlopsMatchAnalyticCount) {
     for (std::size_t k = 0; k < ws.f_pivots.size(); ++k)
       swaps += ws.f_pivots[k] != k ? 1 : 0;
     EXPECT_GT(swaps, 0u);
+    EXPECT_GT(ws.f_pairs.size(), 0u);
   }
   {
     // Regression: each pool thread kept up to 2^20 flops per kernel

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -110,23 +111,75 @@ TEST(FlopCosts, BlockingOnlyMovesFlopsBetweenKernels) {
         << "n=" << n;
 }
 
-TEST(FlopCosts, InverseCountsTriangularInverseAndUpperSolve) {
-  // L^-1 column c is a unit-lower solve of order n - c; U^-1 L^-1 is an
-  // upper solve on all n columns: n(n-1)/2 fused multiply-adds and n
-  // reciprocal multiplies (6 flops) each.
+TEST(FlopCosts, LdltCountsLowerTriangleAndScalings) {
+  // Entry (i, j) of the lower triangle takes one fused multiply-add per
+  // column before j; column j one reciprocal and n - j - 1 scalings (6
+  // flops each). A panel counts the same per column, from its first row.
+  for (const std::uint64_t n : {1u, 2u, 14u, 16u, 17u, 64u, 65u}) {
+    std::uint64_t expected = 0;
+    for (std::uint64_t j = 0; j < n; ++j)
+      expected += 8 * j * (n - j) + 6 + 6 * (n - j - 1);
+    EXPECT_EQ(cost::zsytrf(n), expected) << "n=" << n;
+    EXPECT_EQ(cost::zsytrf_panel(n, n), expected) << "n=" << n;
+  }
+  EXPECT_EQ(cost::zsytrf(0), 0u);
+  EXPECT_EQ(cost::zsytrf_trailing(3, 2), 2u * 6u * 8u);  // 6 entries, depth 2
+  // Half an LU to leading order.
+  const double ratio = static_cast<double>(cost::zsytrf(128)) /
+                       static_cast<double>(cost::zgetrf(128));
+  EXPECT_NEAR(ratio, 0.5, 0.02);
+}
+
+TEST(FlopCosts, LdltBlockingOnlyMovesFlopsBetweenKernels) {
+  // Every lower-triangle entry takes the same multiply-adds whichever
+  // panel or trailing update retires them, so panels of any widths give
+  // the unblocked total: the kernel's 16- and 17-column panels book
+  // zsytrf(n) whatever the 2x2 pivots do to their edges.
+  const auto blocked = [](std::uint64_t n, std::vector<std::uint64_t> widths) {
+    std::uint64_t total = 0;
+    std::uint64_t k0 = 0;
+    for (std::size_t p = 0; k0 < n; ++p) {
+      const std::uint64_t w = std::min(widths[p % widths.size()], n - k0);
+      total += cost::zsytrf_panel(n - k0, w) +
+               cost::zsytrf_trailing(n - k0 - w, w);
+      k0 += w;
+    }
+    return total;
+  };
+  for (const std::uint64_t n : {1u, 2u, 14u, 15u, 16u, 17u, 28u, 64u, 65u,
+                                128u}) {
+    for (const std::uint64_t nb : {1u, 15u, 16u, 17u})
+      EXPECT_EQ(blocked(n, {nb}), cost::zsytrf(n)) << "n=" << n << " nb=" << nb;
+    EXPECT_EQ(blocked(n, {17, 16, 16}), cost::zsytrf(n)) << "n=" << n;
+  }
+}
+
+TEST(FlopCosts, SymmetricInverseCountsTriangularInverseScalingAndProduct) {
+  // L^-1 column c is a unit-lower solve of order n - c; D^-1 scales its
+  // n(n + 1)/2 entries (6 flops each); entry (i, j) of the lower triangle
+  // of L^-T D^-1 L^-1 sums the n - i rows its two columns share.
   for (const std::uint64_t n : {1u, 2u, 14u, 64u, 65u}) {
     std::uint64_t lower = 0;
     for (std::uint64_t m = 1; m <= n; ++m)
       lower += cost::ztrsm_unit_lower(m, 1);
     EXPECT_EQ(cost::ztrtri_unit_lower(n), lower) << "n=" << n;
-    EXPECT_EQ(cost::ztrsm_upper(n, 3), 3 * (8 * n * (n - 1) / 2 + 6 * n));
-    EXPECT_EQ(cost::zgetri(n), lower + cost::ztrsm_upper(n, n));
+    std::uint64_t product = 0;
+    for (std::uint64_t j = 0; j < n; ++j)
+      for (std::uint64_t i = j; i < n; ++i) product += 8 * (n - i);
+    EXPECT_EQ(cost::zsytri(n), lower + 3 * n * (n + 1) + product)
+        << "n=" << n;
   }
-  // Twice an LU to leading order, so the spin-block kernel's two LUs of
-  // order n plus one inverse cost half an LU of order 2n.
-  const double ratio = static_cast<double>(cost::zgetri(128)) /
-                       static_cast<double>(cost::zgetrf(128));
-  EXPECT_NEAR(ratio, 2.0, 0.05);
+  // As much as one LU to leading order, so the spin-block kernel's LDL^T,
+  // symmetric inverse and one LU of order n cost (20/3) n^3: 5/16 of one
+  // LU of order 2n.
+  EXPECT_NEAR(static_cast<double>(cost::zsytri(128)) /
+                  static_cast<double>(cost::zgetrf(128)),
+              1.0, 0.05);
+  const std::uint64_t n = 64;
+  EXPECT_NEAR(static_cast<double>(cost::zsytrf(n) + cost::zsytri(n) +
+                                  cost::zgetrf_blocked(n, 16)) /
+                  static_cast<double>(cost::zgetrf(2 * n)),
+              5.0 / 16.0, 0.01);
 }
 
 TEST(FlopCosts, BlockedApproachesDenseCountFromBelow) {
