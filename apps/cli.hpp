@@ -33,7 +33,7 @@ class Options {
                          const std::string& fallback) const;
   double get_double(const std::string& key, double fallback) const;
   long get_long(const std::string& key, long fallback) const;
-  /// Full-range unsigned parse for 64-bit ids such as resume tokens, which
+  /// Full-range unsigned parse for 64-bit values such as seeds, which
   /// routinely exceed INT64_MAX and would be rejected by get_long.
   std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const;
   bool has(const std::string& key) const;

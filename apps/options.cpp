@@ -156,7 +156,6 @@ ServeOptions ServeOptions::parse(const Options& options) {
   parsed.batch_window_ms = options.get_long("batch-window", parsed.batch_window_ms);
   if (parsed.batch_window_ms < 0)
     throw std::runtime_error("--batch-window: must be >= 0");
-  parsed.checkpoint_dir = options.get_string("checkpoint-dir", "");
   parsed.batch_threads =
       get_size(options, "batch-threads", parsed.batch_threads, 0);
   // The daemon hands it to omp_set_num_threads, which takes an int: a
@@ -192,8 +191,6 @@ ClientOptions ClientOptions::parse(const Options& options) {
   parsed.seed = options.get_u64("seed", parsed.seed);
   parsed.check = get_bool(options, "check", parsed.check);
   parsed.cells = get_size(options, "cells", parsed.cells, 1);
-  parsed.resume_session = options.get_u64("resume-session", 0);
-  parsed.resume_token = options.get_u64("resume-token", 0);
   return parsed;
 }
 

@@ -113,7 +113,6 @@ struct ServeOptions {
   std::size_t max_outstanding = 64;
   std::size_t max_batch = 16;
   long batch_window_ms = 5;
-  std::string checkpoint_dir;
   std::size_t batch_threads = 0;
 
   static ServeOptions parse(const Options& options);
@@ -136,8 +135,6 @@ struct ClientOptions {
   std::uint64_t seed = 11;
   bool check = false;
   std::size_t cells = 2;
-  std::uint64_t resume_session = 0;
-  std::uint64_t resume_token = 0;
 
   static ClientOptions parse(const Options& options);
 };

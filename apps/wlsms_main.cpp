@@ -31,7 +31,7 @@
 //   wlsms distributed --transport tcp --groups 2 --group-size 2
 //   wlsms distributed --transport tcp --listen 0.0.0.0:7777 --external 1
 //   wlsms worker --connect controller-host:7777
-//   wlsms serve --cells 2 --listen 127.0.0.1:7878 --checkpoint-dir /tmp/wlsms
+//   wlsms serve --cells 2 --listen 127.0.0.1:7878
 //   wlsms client --connect 127.0.0.1:7878 --tenant alice --evals 16
 #include <algorithm>
 #include <chrono>
@@ -100,16 +100,15 @@ int usage() {
       "           it is sent name the same LIZs)\n"
       "  serve    [--cells C] [--listen HOST:PORT] [--max-pending N]\n"
       "           [--max-outstanding N] [--max-batch N] [--batch-window MS]\n"
-      "           [--checkpoint-dir DIR] [--batch-threads N]\n"
-      "           (multi-tenant energy daemon; Ctrl-C checkpoints live\n"
-      "           sessions and exits; --batch-threads sets the OpenMP\n"
-      "           threads each batch's zone solves share, default\n"
-      "           OMP_NUM_THREADS or every core)\n"
+      "           [--batch-threads N]\n"
+      "           (multi-tenant energy daemon; a session lives as long as\n"
+      "           its connection; Ctrl-C solves what is pending, delivers\n"
+      "           it and exits; --batch-threads sets the OpenMP threads\n"
+      "           each batch's zone solves share, default OMP_NUM_THREADS\n"
+      "           or every core)\n"
       "  client   --connect HOST:PORT [--tenant NAME] [--evals K]\n"
       "           [--walkers W] [--seed S] [--cells C] [--check 0|1]\n"
-      "           [--resume-session ID --resume-token TOK]\n"
-      "           (--check needs --cells matching the daemon's; resume\n"
-      "           reclaims a checkpointed session's in-flight work)\n"
+      "           (--check needs --cells matching the daemon's)\n"
       "  status   HOST:PORT [--timeout MS]   (print a running daemon's or\n"
       "           --status-listen controller's metrics as Prometheus text)\n"
       "\n"
@@ -501,7 +500,6 @@ int cmd_serve(const cli::ServeOptions& opt) {
   serve_options.limits.max_batch = opt.max_batch;
   serve_options.limits.batch_window =
       std::chrono::milliseconds(opt.batch_window_ms);
-  serve_options.checkpoint_dir = opt.checkpoint_dir;
   serve_options.gemm_batch_threads = opt.batch_threads;
   serve_options.on_listening = [](const std::string& address) {
     std::printf("serving on %s\n", address.c_str());
@@ -534,26 +532,18 @@ int cmd_serve(const cli::ServeOptions& opt) {
 
 int cmd_client(const cli::ClientOptions& opt) {
   // Built through the factory like every other service realization; the
-  // serve-specific accessors (session, resume token) come back via the
+  // serve-specific accessors (session, atom count) come back via the
   // concrete type.
   comm::EnergyServiceSpec spec;
   spec.kind = comm::ServiceKind::kServeClient;
   spec.serve_address = opt.connect;
   spec.serve_client.tenant = opt.tenant;
-  spec.serve_client.resume_session = opt.resume_session;
-  spec.serve_client.resume_token = opt.resume_token;
   const std::unique_ptr<wl::EnergyService> service =
       comm::make_energy_service(spec);
   auto& client = dynamic_cast<serve::ServeClient&>(*service);
   std::printf("session %llu as tenant '%s' (%zu atoms served)\n",
               static_cast<unsigned long long>(client.session()),
               opt.tenant.c_str(), client.n_atoms());
-  std::printf("resume with: --resume-session %llu --resume-token %llu\n",
-              static_cast<unsigned long long>(client.session()),
-              static_cast<unsigned long long>(client.resume_token()));
-  if (client.resumed())
-    std::printf("resumed: %zu result(s) replayed or re-enqueued\n",
-                client.outstanding());
 
   Rng rng(opt.seed);
   std::vector<spin::MomentConfiguration> configs;
@@ -571,7 +561,7 @@ int cmd_client(const cli::ClientOptions& opt) {
     const wl::EnergyResult result = client.retrieve();
     if (result.failed)
       ++failures;
-    else if (result.ticket >= 1 && result.ticket <= opt.evals)
+    else
       energies[result.ticket - 1] = result.energy;
   }
   const double seconds =

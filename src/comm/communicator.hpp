@@ -157,8 +157,6 @@ struct TcpOptions {
   /// Construction fails with CommError if the full group has not formed
   /// (accepted + handshaken) within this window.
   std::chrono::milliseconds accept_timeout{15000};
-  /// Worker-side non-blocking connect deadline.
-  std::chrono::milliseconds connect_timeout{5000};
   /// Upper bound on one controller-side send (all retries included). A peer
   /// whose socket buffer stays full past this — a SIGSTOPped worker, a
   /// partitioned node — is marked dead and `send` returns false instead of
@@ -180,19 +178,21 @@ std::unique_ptr<Communicator> make_tcp_communicator(std::size_t n_ranks,
                                                     const TcpOptions& options);
 
 /// The worker end of the TCP transport: connects to a controller at
-/// "host:port" (non-blocking connect bounded by `connect_timeout`),
-/// performs the magic/version/rank handshake, runs `worker_main` over the
-/// stream channel until the controller closes it, and returns the rank the
+/// "host:port" (non-blocking connect bounded by kConnectTimeout), performs
+/// the magic/version/rank handshake, runs `worker_main` over the stream
+/// channel until the controller closes it, and returns the rank the
 /// controller assigned. Throws CommError on connect or handshake failure.
 /// This is what `wlsms worker --connect` calls on other nodes.
-std::size_t run_tcp_worker(
-    const std::string& address, const WorkerMain& worker_main,
-    std::chrono::milliseconds connect_timeout = std::chrono::milliseconds{
-        5000});
+std::size_t run_tcp_worker(const std::string& address,
+                           const WorkerMain& worker_main);
 
 /// Interval at which idle workers heartbeat. Controllers should use a
 /// detection timeout of several multiples of this.
 inline constexpr std::chrono::milliseconds kHeartbeatInterval{100};
+
+/// Deadline of one non-blocking TCP connect: a TCP worker dialing its
+/// controller, and a serve client dialing its daemon.
+inline constexpr std::chrono::milliseconds kConnectTimeout{5000};
 
 /// TCP handshake window, per connection and per direction: the controller
 /// waits this long for a hello, the worker for its welcome. Generous for a

@@ -46,7 +46,7 @@ struct EnergyServiceSpec {
   DistributedConfig distributed;  ///< kDistributed: topology + transport
 
   std::string serve_address;          ///< kServeClient: daemon host:port
-  serve::ClientOptions serve_client;  ///< kServeClient: handshake/timeouts
+  serve::ClientOptions serve_client;  ///< kServeClient: the tenant name
 
   /// When set, the built service is wrapped in a
   /// wl::SpeculativeEnergyService screening proposals with a Heisenberg

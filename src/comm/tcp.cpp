@@ -419,8 +419,7 @@ TcpCommunicator::TcpCommunicator(std::size_t n_ranks,
         close_all_peers();
         int status = 0;
         try {
-          (void)run_tcp_worker(connect_address, worker_main,
-                               options.connect_timeout);
+          (void)run_tcp_worker(connect_address, worker_main);
         } catch (...) {
           status = 1;
         }
@@ -649,10 +648,9 @@ std::unique_ptr<Communicator> make_tcp_communicator(std::size_t n_ranks,
 // Worker side.
 
 std::size_t run_tcp_worker(const std::string& address,
-                           const WorkerMain& worker_main,
-                           std::chrono::milliseconds connect_timeout) {
+                           const WorkerMain& worker_main) {
   WLSMS_EXPECTS(worker_main != nullptr);
-  Socket sock = connect_with_timeout(address, connect_timeout);
+  Socket sock = connect_with_timeout(address, kConnectTimeout);
 
   // Handshake: hello out, welcome (rank assignment) back. The welcome also
   // closes the four-timestamp clock probe opened by the hello, giving this

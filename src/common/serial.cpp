@@ -18,7 +18,6 @@ const char* kind_name(PayloadKind kind) {
     case PayloadKind::kServeSubmit: return "serve-submit";
     case PayloadKind::kServeResult: return "serve-result";
     case PayloadKind::kServeReject: return "serve-reject";
-    case PayloadKind::kServeSession: return "serve-session";
     case PayloadKind::kServeStatus: return "serve-status";
     case PayloadKind::kServeStatusText: return "serve-status-text";
   }

@@ -2,11 +2,10 @@
 
 /// \file serial.hpp
 /// The one versioned binary serialization schema shared by everything that
-/// persists or transmits state: the comm wire protocol (comm/wire), the
-/// serve protocol (serve/protocol) and the serve daemon's session
-/// checkpoints all frame their payloads with the same header — magic +
-/// schema version + payload kind — and build the payload from the same
-/// bounds-checked primitive encoders.
+/// transmits state: the comm wire protocol (comm/wire) and the serve
+/// protocol (serve/protocol) frame their payloads with the same header —
+/// magic + schema version + payload kind — and build the payload from the
+/// same bounds-checked primitive encoders. Nothing is persisted in it.
 ///
 /// Layout rules:
 ///  - all integers little-endian, fixed width (u8/u32/u64);
@@ -52,14 +51,17 @@ inline constexpr std::uint32_t kMagic = 0x4D534C57u;
 /// and results with explicit zone lists (move-local scatter); version 6
 /// sends every shard request's whole configuration, drops the request's
 /// session, walker and moved-site delta, and retires the shard-evict
-/// payload (15).
-inline constexpr std::uint32_t kSchemaVersion = 6;
+/// payload (15); version 7 drops session resume from the serve handshake
+/// (the hello's resume session and token, the welcome's resume token,
+/// resumed flag and replay counts) and retires the serve daemon's session
+/// checkpoint (14).
+inline constexpr std::uint32_t kSchemaVersion = 7;
 
 /// What a framed buffer carries. The kind is part of the header so a
 /// message routed to the wrong decoder fails loudly instead of
 /// misinterpreting bytes. Retired kinds are never reused: 1 (the
-/// Wang-Landau checkpoint), 2 and 3 (the whole energy request/result) and
-/// 15 (the shard eviction).
+/// Wang-Landau checkpoint), 2 and 3 (the whole energy request/result), 14
+/// (the serve session checkpoint) and 15 (the shard eviction).
 enum class PayloadKind : std::uint32_t {
   kMomentConfiguration = 4,
   kShardRequest = 5,
@@ -71,7 +73,6 @@ enum class PayloadKind : std::uint32_t {
   kServeSubmit = 11,    ///< serve client -> daemon energy request
   kServeResult = 12,    ///< serve daemon -> client energy result
   kServeReject = 13,    ///< serve daemon -> client admission rejection
-  kServeSession = 14,   ///< serve daemon session-resume checkpoint
   kServeStatus = 16,    ///< status client -> daemon metrics request
   kServeStatusText = 17,  ///< daemon -> status client Prometheus text
 };

@@ -29,6 +29,8 @@ MetropolisResult metropolis_run(const wl::EnergyFunction& energy,
   double sum_e = 0.0;
   double sum_e2 = 0.0;
   double sum_m = 0.0;
+  double sum_m2 = 0.0;
+  double sum_m4 = 0.0;
   std::uint64_t samples = 0;
 
   const std::uint64_t total =
@@ -47,9 +49,13 @@ MetropolisResult metropolis_run(const wl::EnergyFunction& energy,
     }
     if (step >= config.thermalization_steps &&
         (step - config.thermalization_steps) % config.measure_interval == 0) {
+      const double m = state.magnetization();
+      const double m2 = m * m;
       sum_e += e;
       sum_e2 += e * e;
-      sum_m += state.magnetization();
+      sum_m += m;
+      sum_m2 += m2;
+      sum_m4 += m2 * m2;
       ++samples;
     }
     // Guard against floating-point drift of the incrementally updated E.
@@ -66,6 +72,8 @@ MetropolisResult metropolis_run(const wl::EnergyFunction& energy,
       std::max(0.0, mean_e2 - mean_e * mean_e) /
       (units::k_boltzmann_ry * config.temperature_k * config.temperature_k);
   result.mean_magnetization = sum_m / static_cast<double>(samples);
+  result.mean_m2 = sum_m2 / static_cast<double>(samples);
+  result.mean_m4 = sum_m4 / static_cast<double>(samples);
   result.acceptance = static_cast<double>(accepted) / static_cast<double>(total);
   result.energy_evaluations = evaluations;
   if (final_state) *final_state = state;
@@ -76,6 +84,7 @@ std::vector<MetropolisResult> metropolis_sweep(
     const wl::EnergyFunction& energy, const std::vector<double>& temperatures,
     const MetropolisConfig& base_config, Rng& rng) {
   WLSMS_EXPECTS(!temperatures.empty());
+  for (double t : temperatures) WLSMS_EXPECTS(t > 0.0);
 
   // Process hot to cold so each chain warm-starts from the previous one
   // (annealing), then restore the caller's ordering.

@@ -34,6 +34,8 @@ struct MetropolisResult {
   double mean_energy = 0.0;        ///< U = <E> [Ry]
   double specific_heat = 0.0;      ///< Var(E)/(k_B T^2) [Ry/K]
   double mean_magnetization = 0.0; ///< <|M|> per site
+  double mean_m2 = 0.0;            ///< <m^2>, m the magnetization per site
+  double mean_m4 = 0.0;            ///< <m^4>
   double acceptance = 0.0;         ///< accepted / proposed
   std::uint64_t energy_evaluations = 0;
 };
@@ -50,7 +52,8 @@ MetropolisResult metropolis_run(const wl::EnergyFunction& energy,
 /// Temperature sweep: one independent Metropolis run per temperature
 /// (each seeded from the previous run's final configuration, warm-starting
 /// the chain as production codes do). Temperatures are processed in
-/// descending order internally and returned in the order given.
+/// descending order internally and returned in the order given; every one
+/// must be positive.
 std::vector<MetropolisResult> metropolis_sweep(
     const wl::EnergyFunction& energy, const std::vector<double>& temperatures,
     const MetropolisConfig& base_config, Rng& rng);

@@ -1,13 +1,14 @@
 #include "serve/client.hpp"
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
-#include <utility>
 
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "comm/communicator.hpp"
 #include "comm/socket.hpp"
 #include "common/error.hpp"
 #include "common/serial.hpp"
@@ -17,22 +18,31 @@
 
 namespace wlsms::serve {
 
-ServeClient::ServeClient(const std::string& address, ClientOptions options)
-    : options_(std::move(options)) {
+namespace {
+
+/// Bound on the hello -> welcome round trip.
+constexpr std::chrono::milliseconds kHandshakeTimeout{5000};
+/// Bound on one submit write.
+constexpr std::chrono::milliseconds kSendDeadline{5000};
+/// Bound on one retrieve(); a daemon silent past this throws CommError.
+constexpr std::chrono::milliseconds kRetrieveTimeout{120000};
+
+}  // namespace
+
+ServeClient::ServeClient(const std::string& address,
+                         const ClientOptions& options) {
   comm::Socket sock =
-      comm::connect_with_timeout(address, options_.connect_timeout);
+      comm::connect_with_timeout(address, comm::kConnectTimeout);
 
   ServeHello hello;
-  hello.tenant = options_.tenant;
-  hello.resume_session = options_.resume_session;
-  hello.resume_token = options_.resume_token;
+  hello.tenant = options.tenant;
   hello.trace_node = obs::local_trace_node();
   hello.t0_us = obs::trace_now_us();
   comm::Message hello_frame;
   hello_frame.tag = kTagServeHello;
   hello_frame.payload = encode_serve_hello(hello);
   const std::vector<std::byte> bytes = comm::frame_bytes(hello_frame);
-  const auto deadline = comm::StreamClock::now() + options_.handshake_timeout;
+  const auto deadline = comm::StreamClock::now() + kHandshakeTimeout;
   if (!comm::write_all(sock.get(), bytes.data(), bytes.size(), deadline))
     throw comm::CommError("serve client: hello write failed");
 
@@ -40,8 +50,6 @@ ServeClient::ServeClient(const std::string& address, ClientOptions options)
   while (reply.tag == comm::kTagHeartbeat)
     reply = comm::read_frame(sock.get(), deadline);
   const std::uint64_t t3_us = obs::trace_now_us();  // welcome receipt time
-  if (reply.tag == kTagServeReject)
-    throw comm::CommError("serve client: handshake rejected by daemon");
   if (reply.tag != kTagServeWelcome)
     throw comm::CommError("serve client: unexpected handshake reply tag " +
                           std::to_string(reply.tag));
@@ -53,9 +61,7 @@ ServeClient::ServeClient(const std::string& address, ClientOptions options)
                           error.what());
   }
   session_ = welcome.session;
-  resume_token_ = welcome.resume_token;
   n_atoms_ = static_cast<std::size_t>(welcome.n_atoms);
-  resumed_ = welcome.resumed;
   // The welcome closes the four-timestamp clock probe the hello opened:
   // offset = daemon clock - client clock, so the client's trace file can be
   // shifted into the daemon's timebase by tools/trace_merge.py.
@@ -68,10 +74,6 @@ ServeClient::ServeClient(const std::string& address, ClientOptions options)
     obs::set_clock_offset(offset_us, welcome.trace_node);
     obs::Registry::instance().gauge("comm.clock_offset_us").set(offset_us);
   }
-  // A resumed session already owes us results: the replayed ones and the
-  // re-enqueued requests (some of which may come back as rejects).
-  outstanding_ =
-      static_cast<std::size_t>(welcome.n_replayed + welcome.n_pending);
   fd_ = sock.release();
 }
 
@@ -93,60 +95,62 @@ void ServeClient::submit(wl::EnergyRequest request) {
   message.payload = encode_serve_submit(request);
   const std::vector<std::byte> bytes = comm::frame_bytes(message);
   if (!comm::write_all(fd_, bytes.data(), bytes.size(),
-                       comm::StreamClock::now() + options_.send_deadline)) {
+                       comm::StreamClock::now() + kSendDeadline)) {
     abort_socket();
     throw comm::CommError("serve client: submit write failed");
   }
   in_flight_[request.ticket] = {request.walker, obs::trace_now_us()};
-  ++outstanding_;
 }
 
 wl::EnergyResult ServeClient::pop_completed(const comm::Message& frame) {
-  if (frame.tag == kTagServeResult) {
-    const ServeResultFrame reply = decode_serve_result_frame(frame.payload);
-    const auto it = in_flight_.find(reply.result.ticket);
-    if (it != in_flight_.end()) {
-      // Wire time = round trip minus the daemon's own stage vector: what
-      // the network (plus daemon scheduling slack) cost this request.
-      const std::uint64_t now_us = obs::trace_now_us();
-      const std::uint64_t round_trip_us =
-          now_us > it->second.submitted_us ? now_us - it->second.submitted_us
-                                           : 0;
-      const std::uint64_t daemon_us = reply.stages.queue_us +
-                                      reply.stages.solve_us +
-                                      reply.stages.serialize_us;
-      obs::Registry::instance()
-          .histogram("serve.client.wire_ms",
-                     obs::exponential_bounds(0.01, 4.0, 12))
-          .observe(static_cast<double>(round_trip_us > daemon_us
-                                           ? round_trip_us - daemon_us
-                                           : 0) /
-                   1000.0);
-      in_flight_.erase(it);
-    }
-    --outstanding_;
-    return reply.result;
-  }
-  // ServeReject: admission control refused the request; surface it through
-  // the same failed-result path a dead rank uses.
-  const ServeReject reject = decode_serve_reject(frame.payload);
   wl::EnergyResult result;
-  result.ticket = reject.ticket;
-  const auto it = in_flight_.find(reject.ticket);
-  result.walker = it == in_flight_.end() ? 0 : it->second.walker;
-  if (it != in_flight_.end()) in_flight_.erase(it);
-  result.failed = true;
-  --outstanding_;
+  StageBreakdown stages;
+  const bool rejected = frame.tag == kTagServeReject;
+  if (rejected) {
+    // Admission control refused the request; surface it through the same
+    // failed-result path a dead rank uses.
+    const ServeReject reject = decode_serve_reject(frame.payload);
+    result.ticket = reject.ticket;
+    result.failed = true;
+  } else {
+    const ServeResultFrame reply = decode_serve_result_frame(frame.payload);
+    result = reply.result;
+    stages = reply.stages;
+  }
+  const auto it = in_flight_.find(result.ticket);
+  if (it == in_flight_.end())
+    throw comm::CommError("serve client: reply for ticket " +
+                          std::to_string(result.ticket) +
+                          ", which is not in flight");
+  if (rejected) {
+    result.walker = it->second.walker;
+  } else {
+    // Wire time = round trip minus the daemon's own stage vector: what the
+    // network (plus daemon scheduling slack) cost this request.
+    const std::uint64_t now_us = obs::trace_now_us();
+    const std::uint64_t round_trip_us =
+        now_us > it->second.submitted_us ? now_us - it->second.submitted_us
+                                         : 0;
+    const std::uint64_t daemon_us =
+        stages.queue_us + stages.solve_us + stages.serialize_us;
+    obs::Registry::instance()
+        .histogram("serve.client.wire_ms",
+                   obs::exponential_bounds(0.01, 4.0, 12))
+        .observe(static_cast<double>(round_trip_us > daemon_us
+                                         ? round_trip_us - daemon_us
+                                         : 0) /
+                 1000.0);
+  }
+  in_flight_.erase(it);
   return result;
 }
 
 wl::EnergyResult ServeClient::retrieve() {
-  if (outstanding_ == 0)
+  if (in_flight_.empty())
     throw Error("serve client: retrieve() with nothing outstanding");
   if (fd_ < 0) throw comm::CommError("serve client: connection is closed");
 
-  const auto deadline =
-      comm::StreamClock::now() + options_.retrieve_timeout;
+  const auto deadline = comm::StreamClock::now() + kRetrieveTimeout;
   comm::Message frame;
   while (true) {
     try {

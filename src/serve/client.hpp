@@ -6,9 +6,9 @@
 /// configuration as one frame; retrieve() blocks for the next ServeResult
 /// (or ServeReject, surfaced as failed=true) — exactly the out-of-order
 /// contract every other EnergyService honours, so a Wang-Landau driver can
-/// run against a shared daemon without knowing it.
+/// run against a shared daemon without knowing it. The session lives as
+/// long as the connection: results still owed when it closes are lost.
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -23,38 +23,30 @@ namespace wlsms::serve {
 struct ClientOptions {
   /// Tenant name presented in the handshake (printable ASCII, <= 64 B).
   std::string tenant = "default";
-  std::chrono::milliseconds connect_timeout{5000};
-  /// Bound on the hello -> welcome round trip.
-  std::chrono::milliseconds handshake_timeout{5000};
-  /// Bound on one retrieve(); a daemon silent past this throws CommError.
-  std::chrono::milliseconds retrieve_timeout{120000};
-  /// Bound on one submit write.
-  std::chrono::milliseconds send_deadline{5000};
-  /// Nonzero: resume this session (with its token) instead of opening a
-  /// fresh one. After a resume, outstanding() starts at the number of
-  /// results the daemon will replay plus the requests it re-enqueued.
-  std::uint64_t resume_session = 0;
-  std::uint64_t resume_token = 0;
 };
 
 /// Connects and handshakes in the constructor; throws comm::CommError on
-/// connect, timeout, or a rejected handshake. Single-threaded, like every
+/// connect failure, timeout, or a malformed handshake reply. The deadlines
+/// are fixed: 5 s to connect (comm::kConnectTimeout), 5 s for the hello ->
+/// welcome round trip and for each submit write, 120 s for one retrieve().
+/// Tickets must be unique among in-flight requests: a result or reject for
+/// a ticket that is not in flight is a protocol error, so the socket is
+/// closed and retrieve() throws CommError. Single-threaded, like every
 /// EnergyService.
 class ServeClient final : public wl::EnergyService {
  public:
-  ServeClient(const std::string& address, ClientOptions options = {});
+  explicit ServeClient(const std::string& address,
+                       const ClientOptions& options = {});
   ~ServeClient() override;
   ServeClient(const ServeClient&) = delete;
   ServeClient& operator=(const ServeClient&) = delete;
 
   void submit(wl::EnergyRequest request) override;
   wl::EnergyResult retrieve() override;
-  std::size_t outstanding() const override { return outstanding_; }
+  std::size_t outstanding() const override { return in_flight_.size(); }
 
   std::uint64_t session() const { return session_; }
-  std::uint64_t resume_token() const { return resume_token_; }
   std::size_t n_atoms() const { return n_atoms_; }
-  bool resumed() const { return resumed_; }
 
   /// Chaos hook: hard-kills the socket (both directions) without the
   /// protocol goodbye, so tests can die on the daemon mid-batch. Subsequent
@@ -62,25 +54,22 @@ class ServeClient final : public wl::EnergyService {
   void abort_socket();
 
  private:
+  /// Decodes a ServeResult or ServeReject frame into the result of its
+  /// in-flight ticket; throws CommError when the ticket is not in flight.
   wl::EnergyResult pop_completed(const comm::Message& frame);
 
-  ClientOptions options_;
   int fd_ = -1;
   comm::FrameAssembler rx_;
   std::uint64_t session_ = 0;
-  std::uint64_t resume_token_ = 0;
   std::size_t n_atoms_ = 0;
-  bool resumed_ = false;
-  std::size_t outstanding_ = 0;
   struct InFlight {
     std::size_t walker = 0;
     std::uint64_t submitted_us = 0;  ///< obs::trace_now_us() at submit
   };
-  /// ticket -> walker + submit time, so a ServeReject (which carries only
-  /// the ticket) can be surfaced with the right walker id and a ServeResult
-  /// can price its wire time (round trip minus the daemon's stage vector).
-  /// Requests replayed by a resumed daemon predate this client object and
-  /// fall back to walker 0.
+  /// ticket -> walker + submit time of every request awaiting its reply, so
+  /// a ServeReject (which carries only the ticket) can be surfaced with the
+  /// right walker id and a ServeResult can price its wire time (round trip
+  /// minus the daemon's stage vector).
   std::map<std::uint64_t, InFlight> in_flight_;
 };
 

@@ -9,15 +9,16 @@
 /// whose zone solves spread over every core (scheduler.hpp, DESIGN.md §12).
 ///
 /// Fault containment mirrors the comm transports: a connection that sends
-/// garbage, violates the handshake, or goes quiet is closed — never allowed
-/// to crash or desync the daemon — and a *handshaken* session that drops is
-/// checkpointed (pending requests + computed-but-undelivered results) to a
-/// versioned WLSM file so the tenant can reconnect and resume exactly where
-/// the socket died.
+/// garbage, violates the handshake, goes quiet, or stops reading its
+/// results is closed — never allowed to crash or desync the daemon. A
+/// session lives exactly as long as its connection: when the connection
+/// closes, the session's pending requests are discarded and results still
+/// being solved for it are dropped. The tenant's Wang-Landau driver owns
+/// ln g and every walker configuration, so the daemon keeps no file, token
+/// or state for a disconnected session.
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -41,14 +42,8 @@ struct ServeOptions {
   /// this window is closed (half-open sockets cannot pin daemon slots).
   std::chrono::milliseconds handshake_timeout{2000};
   /// Upper bound on one result/reject write to a client; a client whose
-  /// socket buffer stays full past this is treated as dead.
+  /// socket buffer stays full past this is dropped with its session.
   std::chrono::milliseconds send_deadline{5000};
-  /// Directory for session-resume checkpoints; empty disables resume (a
-  /// dropped session's pending work is discarded). Session ids are seeded
-  /// past any session-<id>.wlsm already present, so a restarted daemon can
-  /// never hand a fresh client an id whose checkpoint belongs to an earlier
-  /// run's tenant.
-  std::string checkpoint_dir;
   /// Most distinct tenant names that get their own serve.tenant.<name>.*
   /// metric series; tenants beyond the cap are folded into the "other"
   /// label. Tenant names arrive unauthenticated on the wire, so without a
@@ -71,8 +66,8 @@ struct ServeOptions {
 };
 
 /// The serve daemon. Construct (binds + listens), then run() the poll loop;
-/// stop() — the only thread-safe method — makes run() checkpoint every live
-/// session and return.
+/// stop() — the only thread-safe method — makes run() solve what is
+/// pending, deliver it, close every session and return.
 class Daemon {
  public:
   Daemon(std::shared_ptr<const lsms::LsmsSolver> solver, ServeOptions options);
@@ -86,9 +81,9 @@ class Daemon {
   /// Serves until stop(). Not reentrant.
   void run();
 
-  /// Signals run() to drain and return: every live session is checkpointed
-  /// (when checkpointing is on) and every connection closed. Callable from
-  /// any thread, any number of times.
+  /// Signals run() to drain and return: every pending request is solved
+  /// and delivered, then every connection closed. Callable from any thread,
+  /// any number of times.
   void stop();
 
   /// Scheduler dispatch accounting (read after run() returns).
@@ -96,24 +91,16 @@ class Daemon {
     return scheduler_.stats();
   }
 
-  /// Sessions currently live (handshaken and not yet disconnected). For
-  /// tests; the obs gauge `serve.sessions` tracks the same number.
-  std::size_t n_sessions() const { return sessions_.size(); }
-
  private:
   struct Connection {
     comm::FrameAssembler rx;
-    bool handshaken = false;
-    std::uint64_t session = 0;
+    std::uint64_t session = 0;  ///< 0 until the hello/welcome handshake
     std::chrono::steady_clock::time_point connected_at;
   };
 
   struct Session {
-    std::string tenant;
+    int fd = -1;               ///< the connection the session lives on
     std::string metric_label;  ///< tenant, or "other" past max_tenant_series
-    std::uint64_t resume_token = 0;
-    int fd = -1;  ///< -1 while disconnected (only transiently, mid-teardown)
-    std::deque<wl::EnergyResult> undelivered;
   };
 
   void accept_pending();
@@ -125,22 +112,17 @@ class Daemon {
   /// Routes one completion to its session: encodes the result with its
   /// completed stage vector, feeds the serve.stage_ms.* histograms, and
   /// emits the per-request serve.request span (adopted under the client's
-  /// submitting span when the request carried a trace context).
+  /// submitting span when the request carried a trace context). A failed
+  /// write drops the connection and its session.
   void deliver(const BatchScheduler::Completed& done);
   bool send_frame(int fd, std::uint32_t tag, std::vector<std::byte> payload);
   void drop_connection(int fd);
   void close_session(std::uint64_t session);
   void expire_handshakes();
   int poll_timeout_ms() const;
-  std::string checkpoint_path(std::uint64_t session) const;
-  /// Advances next_session_ past every session-<id>.wlsm in checkpoint_dir.
-  void seed_next_session();
   /// The metric label for `tenant`: itself for the first max_tenant_series
   /// distinct names this daemon sees, "other" afterwards.
   const std::string& tenant_label(const std::string& tenant);
-  /// False iff a checkpoint file for `session` exists and provably belongs
-  /// to a different tenant/token (never overwrite someone else's state).
-  bool may_write_checkpoint(std::uint64_t session, const Session& state) const;
 
   std::shared_ptr<const lsms::LsmsSolver> solver_;
   ServeOptions options_;
@@ -152,7 +134,6 @@ class Daemon {
   std::map<int, Connection> connections_;          ///< by fd
   std::map<std::uint64_t, Session> sessions_;      ///< by session id
   std::uint64_t next_session_ = 1;
-  std::uint64_t token_state_;  ///< splitmix64 state for resume tokens
   std::set<std::string> tenant_labels_;  ///< tenants with own metric series
   std::vector<BatchScheduler::Completed> completed_;  ///< reused scratch
 };

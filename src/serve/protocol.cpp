@@ -16,9 +16,9 @@ void put_tenant(Encoder& e, const std::string& tenant) {
   e.put_bytes(tenant.data(), tenant.size());
 }
 
-/// Tenant names feed per-tenant metric series and checkpoint filenames, so
-/// hostile bytes are rejected at the decode boundary: bounded length,
-/// printable ASCII, no spaces.
+/// Tenant names feed per-tenant metric series, so hostile bytes are
+/// rejected at the decode boundary: bounded length, printable ASCII, no
+/// spaces.
 std::string get_tenant(Decoder& d) {
   const std::uint64_t size = d.get_u64();
   if (size == 0 || size > kMaxTenantBytes)
@@ -37,8 +37,6 @@ std::vector<std::byte> encode_serve_hello(const ServeHello& hello) {
   Encoder e;
   serial::write_header(e, PayloadKind::kServeHello);
   put_tenant(e, hello.tenant);
-  e.put_u64(hello.resume_session);
-  e.put_u64(hello.resume_token);
   e.put_u64(hello.trace_node);
   e.put_u64(hello.t0_us);
   return e.take();
@@ -49,8 +47,6 @@ ServeHello decode_serve_hello(const std::vector<std::byte>& buffer) {
   serial::read_header(d, PayloadKind::kServeHello);
   ServeHello hello;
   hello.tenant = get_tenant(d);
-  hello.resume_session = d.get_u64();
-  hello.resume_token = d.get_u64();
   hello.trace_node = d.get_u64();
   hello.t0_us = d.get_u64();
   d.expect_end();
@@ -61,11 +57,7 @@ std::vector<std::byte> encode_serve_welcome(const ServeWelcome& welcome) {
   Encoder e;
   serial::write_header(e, PayloadKind::kServeWelcome);
   e.put_u64(welcome.session);
-  e.put_u64(welcome.resume_token);
   e.put_u64(welcome.n_atoms);
-  e.put_u8(welcome.resumed ? 1 : 0);
-  e.put_u64(welcome.n_replayed);
-  e.put_u64(welcome.n_pending);
   e.put_u64(welcome.trace_node);
   e.put_u64(welcome.t1_us);
   e.put_u64(welcome.t2_us);
@@ -77,13 +69,7 @@ ServeWelcome decode_serve_welcome(const std::vector<std::byte>& buffer) {
   serial::read_header(d, PayloadKind::kServeWelcome);
   ServeWelcome welcome;
   welcome.session = d.get_u64();
-  welcome.resume_token = d.get_u64();
   welcome.n_atoms = d.get_u64();
-  const std::uint8_t resumed = d.get_u8();
-  if (resumed > 1) throw SerializationError("corrupt serve-welcome flag");
-  welcome.resumed = resumed != 0;
-  welcome.n_replayed = d.get_u64();
-  welcome.n_pending = d.get_u64();
   welcome.trace_node = d.get_u64();
   welcome.t1_us = d.get_u64();
   welcome.t2_us = d.get_u64();
@@ -200,71 +186,11 @@ ServeReject decode_serve_reject(const std::vector<std::byte>& buffer) {
   ServeReject reject;
   reject.ticket = d.get_u64();
   const std::uint8_t reason = d.get_u8();
-  if (reason > static_cast<std::uint8_t>(ServeReject::Reason::kShuttingDown))
+  if (reason > static_cast<std::uint8_t>(ServeReject::Reason::kBadRequest))
     throw SerializationError("corrupt serve-reject reason");
   reject.reason = static_cast<ServeReject::Reason>(reason);
   d.expect_end();
   return reject;
-}
-
-std::vector<std::byte> encode_session_checkpoint(
-    const SessionCheckpoint& checkpoint) {
-  Encoder e;
-  serial::write_header(e, PayloadKind::kServeSession);
-  e.put_u64(checkpoint.session);
-  e.put_u64(checkpoint.resume_token);
-  put_tenant(e, checkpoint.tenant);
-  e.put_u64(checkpoint.pending.size());
-  for (const wl::EnergyRequest& request : checkpoint.pending) {
-    e.put_u64(request.walker);
-    e.put_u64(request.ticket);
-    spin::encode_moments(e, request.config);
-  }
-  e.put_u64(checkpoint.undelivered.size());
-  for (const wl::EnergyResult& result : checkpoint.undelivered) {
-    e.put_u64(result.walker);
-    e.put_u64(result.ticket);
-    e.put_double(result.energy);
-    e.put_u8(result.failed ? 1 : 0);
-  }
-  return e.take();
-}
-
-SessionCheckpoint decode_session_checkpoint(
-    const std::vector<std::byte>& buffer) {
-  Decoder d(buffer);
-  serial::read_header(d, PayloadKind::kServeSession);
-  SessionCheckpoint checkpoint;
-  checkpoint.session = d.get_u64();
-  checkpoint.resume_token = d.get_u64();
-  checkpoint.tenant = get_tenant(d);
-  if (checkpoint.session == 0)
-    throw SerializationError("session checkpoint with null session id");
-  const std::uint64_t n_pending = d.get_u64();
-  // A pending request is at least walker + ticket + site count.
-  d.expect_sequence(n_pending, 24);
-  checkpoint.pending.resize(static_cast<std::size_t>(n_pending));
-  for (wl::EnergyRequest& request : checkpoint.pending) {
-    request.walker = static_cast<std::size_t>(d.get_u64());
-    request.ticket = d.get_u64();
-    request.config = spin::decode_moments(d);
-    if (request.config.size() == 0)
-      throw SerializationError("session checkpoint with empty configuration");
-  }
-  const std::uint64_t n_undelivered = d.get_u64();
-  d.expect_sequence(n_undelivered, 25);
-  checkpoint.undelivered.resize(static_cast<std::size_t>(n_undelivered));
-  for (wl::EnergyResult& result : checkpoint.undelivered) {
-    result.walker = static_cast<std::size_t>(d.get_u64());
-    result.ticket = d.get_u64();
-    result.energy = d.get_double();
-    const std::uint8_t failed = d.get_u8();
-    if (failed > 1)
-      throw SerializationError("corrupt session-checkpoint result flag");
-    result.failed = failed != 0;
-  }
-  d.expect_end();
-  return checkpoint;
 }
 
 }  // namespace wlsms::serve

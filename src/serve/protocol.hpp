@@ -2,9 +2,9 @@
 
 /// \file protocol.hpp
 /// Wire protocol of the multi-tenant energy daemon (`wlsms serve`): the
-/// session handshake, the submit/result/reject conversation, and the
-/// session-resume checkpoint. Every payload rides the shared WLSM serial
-/// schema (magic + version + payload kind) inside the same
+/// session handshake and the submit/result/reject conversation. A session
+/// lives exactly as long as its connection. Every payload rides the shared
+/// WLSM serial schema (magic + version + payload kind) inside the same
 /// [u32 length][u32 tag][payload] frames as the comm transports, so a serve
 /// stream is parsed by the identical hardened machinery: truncated or
 /// corrupted payloads throw serial::SerializationError, corrupt frame
@@ -12,16 +12,12 @@
 /// desync the daemon.
 ///
 /// Conversation:
-///   client -> daemon   ServeHello   (tenant name; optionally a session to
-///                                    resume with its proof-of-ownership
-///                                    token)
-///   daemon -> client   ServeWelcome (session id + resume token + n_atoms;
-///                                    on resume, counts of replayed results
-///                                    and re-enqueued requests follow)
+///   client -> daemon   ServeHello   (tenant name + clock probe)
+///   daemon -> client   ServeWelcome (session id + n_atoms + clock probe)
 ///   client -> daemon   ServeSubmit  (one walker configuration per frame)
 ///   daemon -> client   ServeResult  (completed energies, any order)
 ///                  or  ServeReject  (admission control: queue full, quota,
-///                                    malformed request, shutdown)
+///                                    malformed request)
 
 #include <cstdint>
 #include <string>
@@ -54,25 +50,15 @@ inline constexpr std::size_t kMaxTenantBytes = 64;
 /// a send timestamp so the welcome closes an NTP-style four-timestamp clock
 /// probe: offset = ((t1-t0)+(t2-t3))/2 with t3 sampled at welcome receipt.
 struct ServeHello {
-  std::string tenant;                ///< non-empty printable ASCII, <= 64 B
-  std::uint64_t resume_session = 0;  ///< 0 = fresh session
-  std::uint64_t resume_token = 0;    ///< proof of ownership when resuming
-  std::uint64_t trace_node = 0;      ///< client's obs::local_trace_node()
-  std::uint64_t t0_us = 0;           ///< client clock at hello send
+  std::string tenant;            ///< non-empty printable ASCII, <= 64 B
+  std::uint64_t trace_node = 0;  ///< client's obs::local_trace_node()
+  std::uint64_t t0_us = 0;       ///< client clock at hello send
 };
 
 /// Daemon -> client session grant.
 struct ServeWelcome {
   std::uint64_t session = 0;
-  std::uint64_t resume_token = 0;  ///< present this to resume later
-  std::uint64_t n_atoms = 0;       ///< configuration size the daemon serves
-  bool resumed = false;
-  /// On resume: results computed while disconnected, replayed as ServeResult
-  /// frames immediately after this welcome.
-  std::uint64_t n_replayed = 0;
-  /// On resume: checkpointed requests re-enqueued on the client's behalf
-  /// (their results arrive as normal ServeResult frames).
-  std::uint64_t n_pending = 0;
+  std::uint64_t n_atoms = 0;     ///< configuration size the daemon serves
   std::uint64_t trace_node = 0;  ///< daemon's obs::local_trace_node()
   std::uint64_t t1_us = 0;       ///< daemon clock at hello receipt
   std::uint64_t t2_us = 0;       ///< daemon clock at welcome send
@@ -99,23 +85,9 @@ struct ServeReject {
     kQueueFull = 0,      ///< daemon-wide pending queue at capacity
     kQuotaExceeded = 1,  ///< this session's outstanding quota exhausted
     kBadRequest = 2,     ///< malformed or wrong-sized configuration
-    kShuttingDown = 3,   ///< daemon is draining
   };
   std::uint64_t ticket = 0;
   Reason reason = Reason::kBadRequest;
-};
-
-/// Everything a disconnected session needs to resume: the accepted-but-
-/// uncomputed requests and the computed-but-undelivered results. Written
-/// to `<checkpoint-dir>/session-<id>.wlsm` on disconnect, consumed (and
-/// deleted) by a successful resume. Versioned like every WLSM payload: a
-/// checkpoint from an incompatible build is rejected, not misread.
-struct SessionCheckpoint {
-  std::uint64_t session = 0;
-  std::uint64_t resume_token = 0;
-  std::string tenant;
-  std::vector<wl::EnergyRequest> pending;
-  std::vector<wl::EnergyResult> undelivered;
 };
 
 std::vector<std::byte> encode_serve_hello(const ServeHello&);
@@ -147,8 +119,5 @@ std::string decode_status_text(const std::vector<std::byte>&);
 
 std::vector<std::byte> encode_serve_reject(const ServeReject&);
 ServeReject decode_serve_reject(const std::vector<std::byte>&);
-
-std::vector<std::byte> encode_session_checkpoint(const SessionCheckpoint&);
-SessionCheckpoint decode_session_checkpoint(const std::vector<std::byte>&);
 
 }  // namespace wlsms::serve

@@ -195,18 +195,12 @@ void BatchScheduler::run_next_batch(std::vector<Completed>& out) {
   }
 }
 
-std::vector<wl::EnergyRequest> BatchScheduler::take_session(
-    std::uint64_t session) {
-  std::vector<wl::EnergyRequest> taken;
+void BatchScheduler::take_session(std::uint64_t session) {
   const auto it = queues_.find(session);
-  if (it == queues_.end()) return taken;
-  taken.reserve(it->second.size());
-  for (Queued& queued : it->second)
-    taken.push_back(std::move(queued.request));
+  if (it == queues_.end()) return;
   n_pending_ -= it->second.size();
   queues_.erase(it);
   scheduler_metrics().pending.set(static_cast<double>(n_pending_));
-  return taken;
 }
 
 }  // namespace wlsms::serve

@@ -72,7 +72,8 @@ class BatchScheduler {
                  ServeLimits limits);
 
   /// Admission-controlled enqueue. On kAccepted the request is owned by the
-  /// scheduler until run_next_batch completes it or take_session removes it.
+  /// scheduler until run_next_batch completes it or take_session discards
+  /// it.
   Admission submit(std::uint64_t session, wl::EnergyRequest request);
 
   std::size_t pending() const { return n_pending_; }
@@ -91,9 +92,9 @@ class BatchScheduler {
   /// is pending.
   void run_next_batch(std::vector<Completed>& out);
 
-  /// Removes and returns every pending request of `session` (disconnect ->
-  /// checkpoint). Oldest first.
-  std::vector<wl::EnergyRequest> take_session(std::uint64_t session);
+  /// Discards every pending request of `session`: its connection closed,
+  /// so nobody is left to deliver their results to.
+  void take_session(std::uint64_t session);
 
   const Stats& stats() const { return stats_; }
   const ServeLimits& limits() const { return limits_; }

@@ -1,77 +1,19 @@
 #include "thermo/binder.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
-#include "common/units.hpp"
-#include "spin/moves.hpp"
 
 namespace wlsms::thermo {
-
-namespace {
-
-CumulantPoint sample_at(const wl::EnergyFunction& energy,
-                        spin::MomentConfiguration& state, double temperature_k,
-                        const CumulantConfig& config, Rng& rng) {
-  const double beta = units::beta_from_kelvin(temperature_k);
-  double e = energy.total_energy(state);
-  const spin::UniformSphereMove mover;
-
-  double sum_m2 = 0.0;
-  double sum_m4 = 0.0;
-  std::uint64_t samples = 0;
-  const std::uint64_t total =
-      config.thermalization_steps + config.measurement_steps;
-  for (std::uint64_t step = 0; step < total; ++step) {
-    const spin::TrialMove move = mover.propose(state, rng);
-    const double e_new = energy.energy_after_move(state, move, e);
-    const double delta = e_new - e;
-    if (delta <= 0.0 || rng.uniform() < std::exp(-beta * delta)) {
-      state.set(move.site, move.new_direction);
-      e = e_new;
-    }
-    if (step >= config.thermalization_steps &&
-        (step - config.thermalization_steps) % config.measure_interval == 0) {
-      const double m = state.magnetization();
-      const double m2 = m * m;
-      sum_m2 += m2;
-      sum_m4 += m2 * m2;
-      ++samples;
-    }
-    if ((step & ((1u << 22) - 1)) == 0) e = energy.total_energy(state);
-  }
-
-  CumulantPoint point;
-  point.temperature = temperature_k;
-  WLSMS_ENSURES(samples > 0);
-  point.m2 = sum_m2 / static_cast<double>(samples);
-  point.m4 = sum_m4 / static_cast<double>(samples);
-  point.binder_u4 = 1.0 - point.m4 / (3.0 * point.m2 * point.m2);
-  return point;
-}
-
-}  // namespace
 
 std::vector<CumulantPoint> binder_cumulant_sweep(
     const wl::EnergyFunction& energy, const std::vector<double>& temperatures,
     const CumulantConfig& config, Rng& rng) {
-  WLSMS_EXPECTS(!temperatures.empty());
-  WLSMS_EXPECTS(config.measure_interval >= 1);
-  for (double t : temperatures) WLSMS_EXPECTS(t > 0.0);
-
-  // Anneal hot -> cold, warm-starting each chain from the previous one.
-  std::vector<std::size_t> order(temperatures.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return temperatures[a] > temperatures[b];
-  });
-
-  std::vector<CumulantPoint> points(temperatures.size());
-  spin::MomentConfiguration state =
-      spin::MomentConfiguration::random(energy.n_sites(), rng);
-  for (std::size_t i : order)
-    points[i] = sample_at(energy, state, temperatures[i], config, rng);
+  std::vector<CumulantPoint> points;
+  for (const mc::MetropolisResult& run :
+       mc::metropolis_sweep(energy, temperatures, config, rng))
+    points.push_back({run.temperature, run.mean_m2, run.mean_m4,
+                      1.0 - run.mean_m4 / (3.0 * run.mean_m2 * run.mean_m2)});
   return points;
 }
 

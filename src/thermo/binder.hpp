@@ -15,14 +15,14 @@
 /// is size-independent at the critical temperature, so the crossing of
 /// U4(T, L1) and U4(T, L2) estimates the bulk Tc free of the leading
 /// finite-size shift that moves the specific-heat peaks of Fig. 6.
-/// Moments are accumulated by canonical (Metropolis) sampling per
-/// temperature — the natural estimator for fixed-T moments of m.
+/// Moments come from the annealed Metropolis sweep of mc/metropolis, one
+/// canonical chain per temperature — the natural estimator for fixed-T
+/// moments of m.
 
-#include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "mc/metropolis.hpp"
 #include "wl/energy_function.hpp"
 
 namespace wlsms::thermo {
@@ -35,15 +35,12 @@ struct CumulantPoint {
   double binder_u4 = 0.0;    ///< 1 - m4 / (3 m2^2)
 };
 
-/// Sampling effort for the cumulant estimation.
-struct CumulantConfig {
-  std::uint64_t thermalization_steps = 100000;
-  std::uint64_t measurement_steps = 400000;
-  std::uint64_t measure_interval = 10;
-};
+/// Sampling effort for the cumulant estimation: a Metropolis sweep's
+/// config, whose temperature is set per grid point.
+using CumulantConfig = mc::MetropolisConfig;
 
-/// Estimates U4(T) over `temperatures` for `energy` by annealed Metropolis
-/// sampling (hot to cold, warm-started). Returned in the order given.
+/// Estimates U4(T) over `temperatures` for `energy` by mc::metropolis_sweep
+/// (hot to cold, warm-started). Returned in the order given.
 std::vector<CumulantPoint> binder_cumulant_sweep(
     const wl::EnergyFunction& energy, const std::vector<double>& temperatures,
     const CumulantConfig& config, Rng& rng);

@@ -70,12 +70,13 @@ TEST(Cli, NegativeNumbersParse) {
 }
 
 TEST(Cli, U64ParsesFullRange) {
-  // Resume tokens are raw 64-bit values; about half of them exceed
-  // INT64_MAX, which get_long rejects — get_u64 must take the full range.
-  const Options options =
-      parse({"client", "--resume-token", "18446744073709551615"});
-  EXPECT_EQ(options.get_u64("resume-token", 0), 0xFFFFFFFFFFFFFFFFull);
-  EXPECT_EQ(options.get_u64("resume-session", 7), 7u);
+  // Seeds are raw 64-bit values; about half of them exceed INT64_MAX,
+  // which get_long rejects — get_u64 must take the full range.
+  const Options options = parse({"client", "--connect", "127.0.0.1:7878",
+                                 "--seed", "18446744073709551615"});
+  EXPECT_EQ(options.get_u64("seed", 0), 0xFFFFFFFFFFFFFFFFull);
+  EXPECT_EQ(options.get_u64("wl-steps", 7), 7u);
+  EXPECT_EQ(ClientOptions::parse(options).seed, 0xFFFFFFFFFFFFFFFFull);
 }
 
 TEST(Cli, U64RejectsNegativeOverflowAndGarbage) {

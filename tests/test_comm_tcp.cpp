@@ -8,7 +8,8 @@
 // bit-identical to the serial solver, a move-local walk, and kill-a-rank
 // failover, mirroring the thread-backed suite (test_comm_transport.cpp) —
 // plus a hostile worker whose out-of-assignment gathers must be rejected,
-// and a stalled controller that must not hold a worker past its handshake
+// a wedged worker that must be killed at the heartbeat timeout, and a
+// stalled controller that must not hold a worker past its handshake
 // deadline.
 //
 // In the `net` ctest label, NOT `sanitize`: these tests fork worker
@@ -38,6 +39,7 @@
 #include "lsms/fe_parameters.hpp"
 #include "lsms/solver.hpp"
 #include "move_local_walk.hpp"
+#include "obs/metrics.hpp"
 #include "wl/energy_function.hpp"
 
 namespace wlsms::comm {
@@ -460,6 +462,51 @@ TEST(TcpDistributedService, HostileGatherIsKilledAndRerouted) {
     }  // shutdown: the honest worker sees EOF and returns
     for (std::thread& worker : workers) worker.join();
   }
+}
+
+TEST(TcpDistributedService, WedgedRankIsKilledAndRerouted) {
+  // The heartbeat branch of check_health: rank 1 takes its first shard
+  // request and then goes silent for about a second — no gather and no
+  // heartbeat — while heartbeat_timeout is 300 ms. The controller must
+  // count the miss, kill the rank and re-solve its zones on rank 0. The
+  // workers are threads of this process dialing in like `wlsms worker`.
+  const Fe16& f = fe16();
+  std::vector<std::thread> workers;
+  DistributedConfig config;
+  config.n_groups = 1;
+  config.group_size = 2;
+  config.transport = Transport::kTcp;
+  config.heartbeat_timeout = 300ms;
+  config.tcp.spawn_workers = false;
+  config.tcp.on_listening = [&](const std::string& address) {
+    for (int k = 0; k < 2; ++k)
+      workers.emplace_back([&f, address] {
+        (void)run_tcp_worker(address, [&](WorkerChannel& channel) {
+          if (channel.rank() == 1) {
+            if (!channel.recv()) return;
+            std::this_thread::sleep_for(1s);
+            // Killed by now: the connection is closed, so this sees EOF.
+          }
+          run_shard_worker(channel, f.solver);
+        });
+      });
+  };
+  obs::Counter& misses =
+      obs::Registry::instance().counter("comm.heartbeat_misses");
+  const std::uint64_t misses_before = misses.value();
+  {
+    DistributedEnergyService distributed(f.solver, config);
+    Rng rng(46);
+    const auto moments = spin::MomentConfiguration::random(16, rng);
+    distributed.submit({0, 1, moments});
+    const wl::EnergyResult result = distributed.retrieve();
+    EXPECT_FALSE(result.failed);
+    EXPECT_EQ(result.energy, f.energy->total_energy(moments));
+    EXPECT_GE(misses.value() - misses_before, 1u);
+    EXPECT_GE(distributed.reroutes(), 1u);
+    EXPECT_FALSE(distributed.communicator().alive(1));
+  }  // shutdown: the honest worker sees EOF and returns
+  for (std::thread& worker : workers) worker.join();
 }
 
 }  // namespace

@@ -108,13 +108,18 @@ TEST(Serial, HeaderBadMagicThrows) {
 }
 
 TEST(Serial, HeaderVersionMismatchThrows) {
-  Encoder e;
-  e.put_u32(kMagic);
-  e.put_u32(kSchemaVersion + 1);
-  e.put_u32(static_cast<std::uint32_t>(PayloadKind::kMomentConfiguration));
-  Decoder d(e.bytes());
-  EXPECT_THROW(read_header(d, PayloadKind::kMomentConfiguration),
-               SerializationError);
+  // Both the previous version (a peer from the last release) and a newer
+  // one are refused at the header.
+  for (const std::uint32_t version : {kSchemaVersion - 1, kSchemaVersion + 1}) {
+    Encoder e;
+    e.put_u32(kMagic);
+    e.put_u32(version);
+    e.put_u32(static_cast<std::uint32_t>(PayloadKind::kMomentConfiguration));
+    Decoder d(e.bytes());
+    EXPECT_THROW(read_header(d, PayloadKind::kMomentConfiguration),
+                 SerializationError)
+        << "version " << version;
+  }
 }
 
 TEST(Serial, HeaderKindMismatchThrows) {

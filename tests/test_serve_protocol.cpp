@@ -34,14 +34,13 @@ bool same_config(const spin::MomentConfiguration& a,
 TEST(ServeProtocol, HelloRoundTrip) {
   ServeHello hello;
   hello.tenant = "walker-farm_01";
-  hello.resume_session = 42;
-  hello.resume_token = 0xDEADBEEFCAFEBABEull;
   hello.trace_node = 0x123456789ABCull;
   hello.t0_us = 987654321;
-  const ServeHello back = decode_serve_hello(encode_serve_hello(hello));
+  const std::vector<std::byte> bytes = encode_serve_hello(hello);
+  // Header (12 B), tenant length + bytes, trace node, t0: nothing else.
+  EXPECT_EQ(bytes.size(), 12u + 8u + hello.tenant.size() + 8u + 8u);
+  const ServeHello back = decode_serve_hello(bytes);
   EXPECT_EQ(back.tenant, hello.tenant);
-  EXPECT_EQ(back.resume_session, hello.resume_session);
-  EXPECT_EQ(back.resume_token, hello.resume_token);
   EXPECT_EQ(back.trace_node, hello.trace_node);
   EXPECT_EQ(back.t0_us, hello.t0_us);
 }
@@ -49,22 +48,16 @@ TEST(ServeProtocol, HelloRoundTrip) {
 TEST(ServeProtocol, WelcomeRoundTrip) {
   ServeWelcome welcome;
   welcome.session = 7;
-  welcome.resume_token = 123456789;
   welcome.n_atoms = 16;
-  welcome.resumed = true;
-  welcome.n_replayed = 3;
-  welcome.n_pending = 5;
   welcome.trace_node = 0xA0B0C0D0E0ull;
   welcome.t1_us = 111;
   welcome.t2_us = 222;
-  const ServeWelcome back =
-      decode_serve_welcome(encode_serve_welcome(welcome));
+  const std::vector<std::byte> bytes = encode_serve_welcome(welcome);
+  // Header (12 B) and five u64 fields: session, n_atoms, the clock probe.
+  EXPECT_EQ(bytes.size(), 12u + 5u * 8u);
+  const ServeWelcome back = decode_serve_welcome(bytes);
   EXPECT_EQ(back.session, welcome.session);
-  EXPECT_EQ(back.resume_token, welcome.resume_token);
   EXPECT_EQ(back.n_atoms, welcome.n_atoms);
-  EXPECT_EQ(back.resumed, welcome.resumed);
-  EXPECT_EQ(back.n_replayed, welcome.n_replayed);
-  EXPECT_EQ(back.n_pending, welcome.n_pending);
   EXPECT_EQ(back.trace_node, welcome.trace_node);
   EXPECT_EQ(back.t1_us, welcome.t1_us);
   EXPECT_EQ(back.t2_us, welcome.t2_us);
@@ -144,8 +137,7 @@ TEST(ServeProtocol, ResultAndRejectRoundTrip) {
 
   for (const auto reason :
        {ServeReject::Reason::kQueueFull, ServeReject::Reason::kQuotaExceeded,
-        ServeReject::Reason::kBadRequest,
-        ServeReject::Reason::kShuttingDown}) {
+        ServeReject::Reason::kBadRequest}) {
     ServeReject reject;
     reject.ticket = 17;
     reject.reason = reason;
@@ -153,47 +145,10 @@ TEST(ServeProtocol, ResultAndRejectRoundTrip) {
     EXPECT_EQ(back.ticket, reject.ticket);
     EXPECT_EQ(back.reason, reject.reason);
   }
-}
-
-TEST(ServeProtocol, SessionCheckpointRoundTrip) {
-  Rng rng(502);
-  SessionCheckpoint checkpoint;
-  checkpoint.session = 12;
-  checkpoint.resume_token = rng.next();
-  checkpoint.tenant = "tenant.a";
-  for (int k = 0; k < 3; ++k) {
-    wl::EnergyRequest request;
-    request.walker = static_cast<std::size_t>(k);
-    request.ticket = 100 + static_cast<std::uint64_t>(k);
-    request.config = random_config(8, rng);
-    checkpoint.pending.push_back(std::move(request));
-  }
-  for (int k = 0; k < 2; ++k) {
-    wl::EnergyResult result;
-    result.walker = static_cast<std::size_t>(k);
-    result.ticket = 50 + static_cast<std::uint64_t>(k);
-    result.energy = rng.uniform(-5.0, 5.0);
-    result.failed = k == 1;
-    checkpoint.undelivered.push_back(result);
-  }
-
-  const SessionCheckpoint back =
-      decode_session_checkpoint(encode_session_checkpoint(checkpoint));
-  EXPECT_EQ(back.session, checkpoint.session);
-  EXPECT_EQ(back.resume_token, checkpoint.resume_token);
-  EXPECT_EQ(back.tenant, checkpoint.tenant);
-  ASSERT_EQ(back.pending.size(), checkpoint.pending.size());
-  for (std::size_t k = 0; k < back.pending.size(); ++k) {
-    EXPECT_EQ(back.pending[k].ticket, checkpoint.pending[k].ticket);
-    EXPECT_TRUE(same_config(back.pending[k].config,
-                            checkpoint.pending[k].config));
-  }
-  ASSERT_EQ(back.undelivered.size(), checkpoint.undelivered.size());
-  for (std::size_t k = 0; k < back.undelivered.size(); ++k) {
-    EXPECT_EQ(back.undelivered[k].ticket, checkpoint.undelivered[k].ticket);
-    EXPECT_EQ(back.undelivered[k].energy, checkpoint.undelivered[k].energy);
-    EXPECT_EQ(back.undelivered[k].failed, checkpoint.undelivered[k].failed);
-  }
+  // Byte 3 names no reason and is refused.
+  std::vector<std::byte> bytes = encode_serve_reject({17, {}});
+  bytes.back() = std::byte{3};
+  EXPECT_THROW(decode_serve_reject(bytes), SerializationError);
 }
 
 // ---- validation -----------------------------------------------------------
@@ -206,10 +161,8 @@ TEST(ServeProtocol, HostileTenantNamesRejected) {
   hello.tenant = std::string(kMaxTenantBytes + 1, 'a');
   EXPECT_THROW(decode_serve_hello(encode_serve_hello(hello)),
                SerializationError);
-  // Tenant names feed metric series and checkpoint filenames: spaces,
-  // control bytes, and path separators must not survive decoding. '/' is
-  // printable and allowed by the charset; directory traversal is prevented
-  // by the daemon never using the tenant as a filename component.
+  // Tenant names feed metric series: spaces and control bytes must not
+  // survive decoding.
   hello.tenant = "bad tenant";
   EXPECT_THROW(decode_serve_hello(encode_serve_hello(hello)),
                SerializationError);
@@ -232,12 +185,6 @@ TEST(ServeProtocol, NullSessionsAndEmptyConfigsRejected) {
   request.ticket = 1;
   EXPECT_THROW(decode_serve_submit(encode_serve_submit(request)),
                SerializationError);
-
-  SessionCheckpoint checkpoint;  // session == 0
-  checkpoint.tenant = "t";
-  EXPECT_THROW(
-      decode_session_checkpoint(encode_session_checkpoint(checkpoint)),
-      SerializationError);
 }
 
 TEST(ServeProtocol, WrongPayloadKindRejectedAcrossCodecs) {
@@ -251,7 +198,10 @@ TEST(ServeProtocol, WrongPayloadKindRejectedAcrossCodecs) {
   EXPECT_THROW(decode_serve_welcome(submit), SerializationError);
   EXPECT_THROW(decode_serve_result(submit), SerializationError);
   EXPECT_THROW(decode_serve_reject(submit), SerializationError);
-  EXPECT_THROW(decode_session_checkpoint(submit), SerializationError);
+  ServeHello hello;
+  hello.tenant = "t";
+  EXPECT_THROW(decode_serve_welcome(encode_serve_hello(hello)),
+               SerializationError);
 }
 
 // ---- truncation / corruption / garbage ------------------------------------
@@ -262,22 +212,23 @@ TEST(ServeProtocol, EveryTruncationOfEveryPayloadThrows) {
   request.walker = 2;
   request.ticket = 3;
   request.config = random_config(4, rng);
-  SessionCheckpoint checkpoint;
-  checkpoint.session = 5;
-  checkpoint.resume_token = 6;
-  checkpoint.tenant = "t";
-  checkpoint.pending.push_back(request);
   ServeHello hello;
   hello.tenant = "alice";
+  hello.trace_node = 7;
+  hello.t0_us = 8;
   ServeWelcome welcome;
   welcome.session = 1;
+  welcome.n_atoms = 4;
+  welcome.trace_node = 9;
+  welcome.t1_us = 10;
+  welcome.t2_us = 11;
 
   const std::vector<std::vector<std::byte>> payloads = {
       encode_serve_hello(hello),
       encode_serve_welcome(welcome),
       encode_serve_submit(request),
       encode_serve_result({1, 2, -3.5, false}, {10, 20, 30}),
-      encode_session_checkpoint(checkpoint),
+      encode_serve_reject({5, ServeReject::Reason::kQuotaExceeded}),
       encode_status_request(),
       encode_status_text("# TYPE x counter\nx 1\n"),
   };
@@ -286,9 +237,7 @@ TEST(ServeProtocol, EveryTruncationOfEveryPayloadThrows) {
       +[](const std::vector<std::byte>& b) { (void)decode_serve_welcome(b); },
       +[](const std::vector<std::byte>& b) { (void)decode_serve_submit(b); },
       +[](const std::vector<std::byte>& b) { (void)decode_serve_result(b); },
-      +[](const std::vector<std::byte>& b) {
-        (void)decode_session_checkpoint(b);
-      },
+      +[](const std::vector<std::byte>& b) { (void)decode_serve_reject(b); },
       +[](const std::vector<std::byte>& b) { decode_status_request(b); },
       +[](const std::vector<std::byte>& b) { (void)decode_status_text(b); },
   };
@@ -310,16 +259,21 @@ TEST(ServeProtocol, RandomByteFlipsNeverCrashAnyDecoder) {
   request.walker = 1;
   request.ticket = 44;
   request.config = random_config(6, rng);
-  SessionCheckpoint checkpoint;
-  checkpoint.session = 9;
-  checkpoint.resume_token = 10;
-  checkpoint.tenant = "fuzz";
-  checkpoint.pending.push_back(request);
-  checkpoint.undelivered.push_back({0, 45, 1.5, false});
+  ServeHello hello;
+  hello.tenant = "fuzz";
+  hello.trace_node = 3;
+  hello.t0_us = 4;
+  ServeWelcome welcome;
+  welcome.session = 9;
+  welcome.n_atoms = 6;
+  welcome.trace_node = 10;
+  welcome.t1_us = 11;
+  welcome.t2_us = 12;
 
   const std::vector<std::vector<std::byte>> payloads = {
+      encode_serve_hello(hello),
+      encode_serve_welcome(welcome),
       encode_serve_submit(request),
-      encode_session_checkpoint(checkpoint),
       encode_serve_result({0, 45, 1.5, false}, {7, 8, 9}),
       encode_status_text("# TYPE serve_results counter\nserve_results 3\n"),
   };
@@ -329,11 +283,15 @@ TEST(ServeProtocol, RandomByteFlipsNeverCrashAnyDecoder) {
       const std::size_t where = rng.uniform_index(corrupt.size());
       corrupt[where] ^= static_cast<std::byte>(1 + rng.uniform_index(255));
       try {
-        (void)decode_serve_submit(corrupt);
+        (void)decode_serve_hello(corrupt);
       } catch (const SerializationError&) {
       }
       try {
-        (void)decode_session_checkpoint(corrupt);
+        (void)decode_serve_welcome(corrupt);
+      } catch (const SerializationError&) {
+      }
+      try {
+        (void)decode_serve_submit(corrupt);
       } catch (const SerializationError&) {
       }
       try {
